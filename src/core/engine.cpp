@@ -495,9 +495,11 @@ Result<std::string> Engine::AnalyzeText(const std::string& text,
   analyze_ = nullptr;
   if (!result.ok()) return result.status();
   std::ostringstream oss;
-  char wall[64];
+  char wall[64], sort[64];
   std::snprintf(wall, sizeof(wall), "%.3f", stats_.wall_seconds * 1e3);
-  oss << "rows=" << result.value().size() << " wall_ms=" << wall << "\n";
+  std::snprintf(sort, sizeof(sort), "%.3f", capture.answer_sort_ns() * 1e-6);
+  oss << "rows=" << result.value().size() << " wall_ms=" << wall
+      << " sort_ms=" << sort << "\n";
   if (capture.plan_count() == 0) {
     oss << "(no plan-routed execution: the query ran on the active-domain "
            "algebra, or produced its answer without executing a plan)\n";

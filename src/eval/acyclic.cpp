@@ -34,7 +34,6 @@ Result<NamedRelation> PlanAndExecute(const Database& db,
                                      PlanStats* plan_stats,
                                      std::vector<Term>* head_out) {
   PQ_FAULT_POINT("acyclic.plan");
-  TraceSpan route_span(options.runtime.tracer, "route.acyclic");
   PlannerOptions popt;
   popt.full_reducer = options.full_reducer;
   if (head_out != nullptr) *head_out = q.head;
@@ -81,6 +80,7 @@ Result<NamedRelation> PlanAndExecute(const Database& db,
 Result<bool> AcyclicNonempty(const Database& db, const ConjunctiveQuery& q,
                              const AcyclicOptions& options,
                              AcyclicStats* stats, PlanStats* plan_stats) {
+  TraceSpan route_span(options.runtime.tracer, "route.acyclic");
   PQ_ASSIGN_OR_RETURN(NamedRelation root,
                       PlanAndExecute(db, q, options, /*decision_only=*/true,
                                      stats, plan_stats, /*head_out=*/nullptr));
@@ -89,12 +89,16 @@ Result<bool> AcyclicNonempty(const Database& db, const ConjunctiveQuery& q,
 
 Result<Relation> AcyclicEvaluate(const Database& db, const ConjunctiveQuery& q,
                                  const AcyclicOptions& options,
-                                 AcyclicStats* stats, PlanStats* plan_stats) {
+                                 AcyclicStats* stats, PlanStats* plan_stats,
+                                 bool sort_output) {
+  TraceSpan route_span(options.runtime.tracer, "route.acyclic");
   std::vector<Term> head;
   PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
                       PlanAndExecute(db, q, options, /*decision_only=*/false,
                                      stats, plan_stats, &head));
-  return BindingsToAnswers(bindings, head);
+  Relation answers = BindingsToAnswers(bindings, head, /*sort_output=*/false);
+  if (!sort_output) return answers;
+  return SortAnswers(std::move(answers), options.runtime);
 }
 
 }  // namespace paraquery

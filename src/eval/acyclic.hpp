@@ -67,11 +67,15 @@ Result<bool> AcyclicNonempty(const Database& db, const ConjunctiveQuery& q,
                              AcyclicStats* stats = nullptr,
                              PlanStats* plan_stats = nullptr);
 
-/// Computes Q(d) for an acyclic comparison-free conjunctive query.
+/// Computes Q(d) for an acyclic comparison-free conjunctive query, sorted
+/// and deduplicated. With `sort_output` false the answer is left unsorted
+/// (still duplicate-free: the plan root deduplicates the head bindings), for
+/// callers that sort once over a union of answers.
 Result<Relation> AcyclicEvaluate(const Database& db, const ConjunctiveQuery& q,
                                  const AcyclicOptions& options = {},
                                  AcyclicStats* stats = nullptr,
-                                 PlanStats* plan_stats = nullptr);
+                                 PlanStats* plan_stats = nullptr,
+                                 bool sort_output = true);
 
 }  // namespace paraquery
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "common/timer.hpp"
+#include "obs/analyze.hpp"
+#include "obs/trace.hpp"
 #include "relational/ops.hpp"
 
 namespace paraquery {
@@ -145,26 +148,55 @@ Result<NamedRelation> AtomToRelation(const Database& db, const Atom& atom,
   return AtomToRelation(db.relation(id), atom, filters);
 }
 
-Relation BindingsToAnswers(const NamedRelation& bindings,
-                           const std::vector<Term>& head, bool sort_output) {
-  Relation out(head.size());
-  std::vector<int> cols(head.size(), -1);
-  for (size_t i = 0; i < head.size(); ++i) {
+void AppendAnswers(const NamedRelation& bindings,
+                   const std::vector<Term>& head, std::vector<Value>& out) {
+  const size_t k = head.size();
+  std::vector<int> cols(k, -1);
+  for (size_t i = 0; i < k; ++i) {
     if (head[i].is_var()) {
       cols[i] = bindings.ColumnOf(head[i].var());
       PQ_CHECK(cols[i] >= 0, "BindingsToAnswers: head variable not bound");
     }
   }
-  ValueVec row(head.size());
-  for (size_t r = 0; r < bindings.size(); ++r) {
-    for (size_t i = 0; i < head.size(); ++i) {
-      row[i] = head[i].is_var() ? bindings.rel().At(r, cols[i])
-                                : head[i].value();
+  const size_t n = bindings.size();
+  const Relation& in = bindings.rel();
+  size_t pos = out.size();
+  out.resize(pos + n * k);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t i = 0; i < k; ++i) {
+      out[pos++] = cols[i] >= 0 ? in.At(r, cols[i]) : head[i].value();
     }
-    out.Add(row);
   }
+}
+
+Relation AnswerRelation(size_t arity, size_t rows, std::vector<Value> values) {
+  if (arity > 0 && rows > 0) return Relation(arity, std::move(values));
+  Relation out(arity);
+  if (rows > 0) out.AddEmptyRow();  // arity 0: "true"
+  return out;
+}
+
+Relation BindingsToAnswers(const NamedRelation& bindings,
+                           const std::vector<Term>& head, bool sort_output) {
+  std::vector<Value> values;
+  AppendAnswers(bindings, head, values);
+  Relation out = AnswerRelation(head.size(), bindings.size(), std::move(values));
   if (sort_output) out.SortAndDedup();
   return out;
+}
+
+Relation SortAnswers(Relation answers, const RuntimeOptions& runtime) {
+  const ParallelForFn pfor = MakeParallelFor(runtime.scheduler);
+  if (runtime.tracer == nullptr && runtime.analyze == nullptr) {
+    answers.SortAndDedup(pfor);
+    return answers;
+  }
+  const uint64_t t0 = NowNanos();
+  answers.SortAndDedup(pfor);
+  const uint64_t t1 = NowNanos();
+  if (runtime.tracer != nullptr) runtime.tracer->Record("answer.sort", t0, t1);
+  if (runtime.analyze != nullptr) runtime.analyze->NoteAnswerSort(t1 - t0);
+  return answers;
 }
 
 }  // namespace paraquery

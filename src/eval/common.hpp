@@ -11,6 +11,7 @@
 #include "query/term.hpp"
 #include "relational/database.hpp"
 #include "relational/named_relation.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 
@@ -31,13 +32,34 @@ Result<NamedRelation> AtomToRelation(const Database& db, const Atom& atom,
 
 /// Converts variable bindings (a relation whose attributes are VarIds
 /// covering every head variable) into answer tuples through `head`:
-/// variables are looked up, constants copied. With `sort_output` true (the
-/// default, used for user-facing answers) the result is sorted and
-/// deduplicated; with false it may contain duplicates — fixpoint-internal
-/// callers deduplicate downstream and sort once at the end.
+/// variables are looked up, constants copied, all rows gathered into one
+/// buffer. With `sort_output` true the result is sorted and deduplicated
+/// (sequentially); with false it is the unsorted mapping and may contain
+/// duplicates. Evaluators pass false and finish with SortAnswers, so each
+/// answer is sorted exactly once: unions (UCQ disjuncts, Theorem 2
+/// colorings) concatenate unsorted parts first, and the Datalog fixpoint
+/// deduplicates rule firings through its own hash sets.
 Relation BindingsToAnswers(const NamedRelation& bindings,
                            const std::vector<Term>& head,
                            bool sort_output = true);
+
+/// Appends the answer tuples BindingsToAnswers would build to the row-major
+/// buffer `out` (unsorted), for callers gathering several bindings into one
+/// answer.
+void AppendAnswers(const NamedRelation& bindings,
+                   const std::vector<Term>& head, std::vector<Value>& out);
+
+/// Wraps a row-major answer buffer holding `rows` rows of `arity` values as
+/// a Relation. For arity 0 the buffer is empty and any row makes the answer
+/// "true" (one empty row).
+Relation AnswerRelation(size_t arity, size_t rows, std::vector<Value> values);
+
+/// The answer contract's one sort: sorts `answers` lexicographically and
+/// deduplicates, at the evaluator boundary, chunk-parallel over the
+/// runtime's scheduler. When EXPLAIN ANALYZE or a tracer is armed the sort
+/// is timed (PlanCapture::NoteAnswerSort, an `answer.sort` span); otherwise
+/// it reads no clock.
+Relation SortAnswers(Relation answers, const RuntimeOptions& runtime);
 
 /// True if every variable of `cmp` occurs in `atom_vars`.
 bool ComparisonWithin(const CompareAtom& cmp, const std::vector<VarId>& atom_vars);

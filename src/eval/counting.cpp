@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "eval/common.hpp"
 #include "obs/trace.hpp"
 #include "plan/executor.hpp"
 #include "plan/planner.hpp"
@@ -107,9 +108,7 @@ Result<Relation> CountingEvaluate(const Database& db,
   if (root.arity() != ngroup + 1) {
     return Status::Internal("grouped counting plan produced a malformed root");
   }
-  Relation out = root.rel();
-  out.SortAndDedup();
-  return out;
+  return SortAnswers(std::move(root.rel()), options.runtime);
 }
 
 }  // namespace paraquery

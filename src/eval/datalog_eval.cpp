@@ -222,9 +222,8 @@ class DatalogRun {
       stats_->edb_index_builds = stats_->plan.index_builds;
       stats_->edb_index_hits = stats_->plan.index_hits;
     }
-    Relation goal = idb_.at(program_.goal).TakeRelation();
-    goal.SortAndDedup();
-    return goal;
+    return SortAnswers(idb_.at(program_.goal).TakeRelation(),
+                       options_.runtime);
   }
 
  private:

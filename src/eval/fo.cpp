@@ -278,7 +278,8 @@ Result<Relation> EvaluateFirstOrder(const Database& db,
   // Final poll covers the head padding above (the last uninterruptible
   // stretch before answers are handed back).
   PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
-  return BindingsToAnswers(root, q.head);
+  return SortAnswers(BindingsToAnswers(root, q.head, /*sort_output=*/false),
+                     options.runtime);
 }
 
 Result<bool> FirstOrderNonempty(const Database& db, const FirstOrderQuery& q,

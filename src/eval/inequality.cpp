@@ -725,13 +725,21 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
                                    const IneqOptions& options,
                                    IneqStats* stats, PlanStats* plan_stats) {
   const Plan& p = c.analysis;
-  Relation answers(c.query.head.size());
-  if (p.always_false) return answers;
+  const size_t arity = c.query.head.size();
+  if (p.always_false) return Relation(arity);
   TraceSpan route_span(options.runtime.tracer, "route.theorem2");
   PQ_ASSIGN_OR_RETURN(ColoringFamily family, MakeFamily(p, options, stats));
   const ResourceLimits limits = options.EffectiveLimits();
   PlanStats local;
   size_t colorings_run = 0;
+  // Every coloring's answers, unsorted, in one buffer; sorted once after
+  // the last coloring.
+  std::vector<Value> answers;
+  size_t answer_rows = 0;
+  auto collect = [&](const NamedRelation& bindings) {
+    AppendAnswers(bindings, c.query.head, answers);
+    answer_rows += bindings.size();
+  };
   for (size_t m = 0; m < family.size(); ++m) {
     PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
     PQ_FAULT_POINT("ineq.coloring");
@@ -761,8 +769,7 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
       if (filtered.empty()) continue;
       inputs.back() = std::move(filtered);
       PQ_ASSIGN_OR_RETURN(NamedRelation bindings, session.Run(*c.eval_root));
-      Relation qh = BindingsToAnswers(bindings, c.query.head);
-      for (size_t r = 0; r < qh.size(); ++r) answers.Add(qh.Row(r));
+      collect(bindings);
     } else {
       std::vector<const NamedRelation*> ptrs;
       ptrs.reserve(inputs.size());
@@ -771,8 +778,7 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
       PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
                           ExecutePlan(*c.eval_root, ctx));
       ++colorings_run;
-      Relation qh = BindingsToAnswers(bindings, c.query.head);
-      for (size_t r = 0; r < qh.size(); ++r) answers.Add(qh.Row(r));
+      collect(bindings);
     }
   }
   // One compile, `colorings_run` executions: every re-binding past the
@@ -786,8 +792,8 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
   }
   if (plan_stats != nullptr) plan_stats->Merge(local);
   (void)db;
-  answers.SortAndDedup();
-  return answers;
+  return SortAnswers(AnswerRelation(arity, answer_rows, std::move(answers)),
+                     options.runtime);
 }
 
 }  // namespace

@@ -180,12 +180,14 @@ Result<Search> Prepare(const Database& db, const ConjunctiveQuery& q,
 
 Result<Relation> NaiveEvaluateCq(const Database& db, const ConjunctiveQuery& q,
                                  const NaiveOptions& options,
-                                 PlanStats* plan_stats) {
+                                 PlanStats* plan_stats, bool sort_output) {
   PQ_FAULT_POINT("naive.plan");
   TraceSpan route_span(options.runtime.tracer, "route.cyclic");
   PlannerOptions planner;
   planner.vectorize = options.vectorize;
   planner.wcoj = options.wcoj;
+  std::shared_ptr<PhysicalPlan> plan;
+  std::vector<Term> head = q.head;
   if (options.plan_cache != nullptr) {
     // Cached route: plan the canonical query once per database generation;
     // renaming-equivalent repeats (and UCQ disjuncts) reuse it. Binding
@@ -196,24 +198,24 @@ Result<Relation> NaiveEvaluateCq(const Database& db, const ConjunctiveQuery& q,
     std::string key = internal::StrCat(
         options.vectorize ? "cq-cyc:" : "cq-cyc-row:",
         options.wcoj ? "" : "nowcoj:", canonical.signature);
-    std::shared_ptr<PhysicalPlan> plan =
-        options.plan_cache->Lookup<PhysicalPlan>(key, db);
+    plan = options.plan_cache->Lookup<PhysicalPlan>(key, db);
     if (plan == nullptr) {
       PQ_ASSIGN_OR_RETURN(PhysicalPlan built,
                           PlanCyclicCq(db, canonical.query, planner));
       plan = std::make_shared<PhysicalPlan>(std::move(built));
       options.plan_cache->Insert(key, db, canonical.query, plan);
     }
-    PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
-                        ExecutePhysicalPlan(*plan, options.EffectiveLimits(),
-                                            plan_stats, options.runtime));
-    return BindingsToAnswers(bindings, canonical.query.head);
+    head = canonical.query.head;
+  } else {
+    PQ_ASSIGN_OR_RETURN(PhysicalPlan built, PlanCyclicCq(db, q, planner));
+    plan = std::make_shared<PhysicalPlan>(std::move(built));
   }
-  PQ_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanCyclicCq(db, q, planner));
   PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
-                      ExecutePhysicalPlan(plan, options.EffectiveLimits(),
+                      ExecutePhysicalPlan(*plan, options.EffectiveLimits(),
                                           plan_stats, options.runtime));
-  return BindingsToAnswers(bindings, q.head);
+  Relation answers = BindingsToAnswers(bindings, head, /*sort_output=*/false);
+  if (!sort_output) return answers;
+  return SortAnswers(std::move(answers), options.runtime);
 }
 
 Result<Relation> BacktrackEvaluateCq(const Database& db,

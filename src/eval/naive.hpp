@@ -60,11 +60,14 @@ struct NaiveOptions {
   }
 };
 
-/// Computes the full answer Q(d) via the cyclic planner + shared executor.
-/// `plan_stats`, when given, receives the executor's counters.
+/// Computes the full answer Q(d) via the cyclic planner + shared executor,
+/// sorted and deduplicated. `plan_stats`, when given, receives the
+/// executor's counters. With `sort_output` false the answer is left
+/// unsorted, for callers that sort once over a union of answers.
 Result<Relation> NaiveEvaluateCq(const Database& db, const ConjunctiveQuery& q,
                                  const NaiveOptions& options = {},
-                                 PlanStats* plan_stats = nullptr);
+                                 PlanStats* plan_stats = nullptr,
+                                 bool sort_output = true);
 
 /// Computes Q(d) with the indexed backtracking search (no plan, no
 /// materialized intermediates). Reference oracle for differential tests.

@@ -11,6 +11,7 @@
 
 #include "common/fault_injection.hpp"
 #include "eval/acyclic.hpp"
+#include "eval/common.hpp"
 #include "eval/counting.hpp"
 #include "obs/trace.hpp"
 #include "eval/naive.hpp"
@@ -59,7 +60,8 @@ Result<Relation> EvaluateDisjunct(const Database& db,
     acyclic.limits = options.EffectiveLimits();
     acyclic.runtime = options.runtime;
     acyclic.plan_cache = options.plan_cache;
-    return AcyclicEvaluate(db, cq, acyclic, /*stats=*/nullptr, plan);
+    return AcyclicEvaluate(db, cq, acyclic, /*stats=*/nullptr, plan,
+                           /*sort_output=*/false);
   }
   if (stats != nullptr) ++stats->naive_disjuncts;
   NaiveOptions naive;
@@ -67,7 +69,7 @@ Result<Relation> EvaluateDisjunct(const Database& db,
   naive.runtime = options.runtime;
   naive.plan_cache = options.plan_cache;
   naive.vectorize = options.vectorize;
-  return NaiveEvaluateCq(db, cq, naive, plan);
+  return NaiveEvaluateCq(db, cq, naive, plan, /*sort_output=*/false);
 }
 
 Result<bool> DisjunctNonempty(const Database& db, const ConjunctiveQuery& cq,
@@ -107,6 +109,22 @@ void MergeDisjunctStats(UcqStats* stats, const std::vector<UcqStats>& parts,
     stats->naive_disjuncts += ps.naive_disjuncts;
     stats->plan.Merge(ps.plan);
   }
+}
+
+// Concatenates the disjuncts' answers into one buffer (unsorted, with the
+// duplicates shared between disjuncts).
+Relation ConcatAnswers(const std::vector<Relation>& parts, size_t arity) {
+  size_t rows = 0, values = 0;
+  for (const Relation& part : parts) {
+    rows += part.size();
+    values += part.data().size();
+  }
+  std::vector<Value> out;
+  out.reserve(values);
+  for (const Relation& part : parts) {
+    out.insert(out.end(), part.data().begin(), part.data().end());
+  }
+  return AnswerRelation(arity, rows, std::move(out));
 }
 
 // Evaluates every disjunct and returns the per-disjunct answer relations in
@@ -156,12 +174,8 @@ Result<Relation> EvaluatePositive(const Database& db, const PositiveQuery& q,
                       ExpandDedupedDisjuncts(q, options.max_disjuncts, stats));
   PQ_ASSIGN_OR_RETURN(std::vector<Relation> parts,
                       EvaluateAllDisjuncts(db, cqs, options, stats));
-  Relation answers(q.fo().head.size());
-  for (const Relation& part : parts) {
-    for (size_t r = 0; r < part.size(); ++r) answers.Add(part.Row(r));
-  }
-  answers.SortAndDedup();
-  return answers;
+  return SortAnswers(ConcatAnswers(parts, q.fo().head.size()),
+                     options.runtime);
 }
 
 Result<Relation> EvaluatePositiveCount(const Database& db,
@@ -202,19 +216,24 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
   const size_t n = parts.size();
   // Inclusion–exclusion over disjunct subsets: per group g,
   //   |∪ A_i restricted to g| = Σ_{∅≠S} (−1)^{|S|+1} |∩_{i∈S} A_i at g|.
-  // Each A_i is a SET (per-disjunct answers are sorted + deduplicated), so
-  // relational Intersect computes the subset terms exactly. Subsets run in
-  // increasing popcount order and any superset of an empty intersection is
-  // pruned unvisited. Past the subset budget (or with nothing to include-
-  // exclude over) the materialized union is counted directly instead —
-  // identical answers, linear in the parts.
+  // Each A_i must be a SET for relational Intersect to compute the subset
+  // terms exactly, but needs no order (the accumulator is keyed by group):
+  // the unsorted per-disjunct answers are hash-deduplicated, not sorted.
+  // Subsets run in increasing popcount order and any superset of an empty
+  // intersection is pruned unvisited. Past the subset budget (or with
+  // nothing to include-exclude over) the materialized union is counted
+  // directly instead — identical answers, linear in the parts.
   constexpr size_t kMaxIeDisjuncts = 10;
+  const ParallelForFn pfor = MakeParallelFor(options.runtime.scheduler);
   if (n >= 2 && n <= kMaxIeDisjuncts && !free_vars.empty()) {
     std::vector<AttrId> attrs(free_vars.size());
     for (size_t i = 0; i < attrs.size(); ++i) attrs[i] = static_cast<AttrId>(i);
     std::vector<NamedRelation> sets;
     sets.reserve(n);
-    for (Relation& p : parts) sets.emplace_back(attrs, std::move(p));
+    for (Relation& p : parts) {
+      p.HashDedup(pfor);
+      sets.emplace_back(attrs, std::move(p));
+    }
     std::vector<uint32_t> masks;
     masks.reserve((1u << n) - 1);
     for (uint32_t m = 1; m < (1u << n); ++m) masks.push_back(m);
@@ -273,11 +292,10 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
     }
     return out;
   }
-  Relation all(free_vars.size());
-  for (const Relation& part : parts) {
-    for (size_t r = 0; r < part.size(); ++r) all.Add(part.Row(r));
-  }
-  all.SortAndDedup();
+  // GroupCountRows orders the groups itself; the union only needs to be a
+  // set.
+  Relation all = ConcatAnswers(parts, free_vars.size());
+  all.HashDedup(pfor);
   return GroupCountRows(all, gcols);
 }
 

@@ -29,6 +29,7 @@ void PlanCapture::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   plans_.clear();
   overflow_ = 0;
+  answer_sort_ns_.store(0, std::memory_order_relaxed);
 }
 
 std::string PlanCapture::Report() const {

@@ -12,6 +12,7 @@
 #ifndef PARAQUERY_OBS_ANALYZE_H_
 #define PARAQUERY_OBS_ANALYZE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -27,6 +28,15 @@ class PlanCapture {
   /// Snapshots the analyzed render of `root`. Thread-safe (parallel Datalog
   /// firings execute plans concurrently).
   void Note(const PlanNode& root, const VarTable* vars);
+
+  /// Adds the wall time of one final answer sort (eval/common.hpp
+  /// SortAnswers), which runs after every plan and so shows in no render.
+  void NoteAnswerSort(uint64_t ns) {
+    answer_sort_ns_.fetch_add(ns, std::memory_order_relaxed);
+  }
+  uint64_t answer_sort_ns() const {
+    return answer_sort_ns_.load(std::memory_order_relaxed);
+  }
 
   void Clear();
 
@@ -53,6 +63,7 @@ class PlanCapture {
   mutable std::mutex mutex_;
   std::vector<Entry> plans_;
   uint64_t overflow_ = 0;
+  std::atomic<uint64_t> answer_sort_ns_{0};
 };
 
 }  // namespace paraquery

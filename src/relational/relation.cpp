@@ -1,11 +1,11 @@
 #include "relational/relation.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "common/status.hpp"
 #include "relational/row_index.hpp"
+#include "relational/row_sort.hpp"
 
 namespace paraquery {
 
@@ -51,34 +51,14 @@ void Relation::AddEmptyRow() {
   Bump();
 }
 
-void Relation::SortAndDedup() {
+void Relation::SortAndDedup(const ParallelForFn& pfor) {
+  if (sorted_) return;  // already sorted and deduplicated
   if (arity_ == 0) {
     zero_ary_rows_ = zero_ary_rows_ > 0 ? 1 : 0;
-    sorted_ = true;
-    Bump();
-    return;
+  } else {
+    SortDedupRows(MutableValues(), arity_, pfor);
+    Sync();
   }
-  size_t n = size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  const Value* base = base_;
-  size_t arity = arity_;
-  auto cmp = [base, arity](size_t a, size_t b) {
-    return std::lexicographical_compare(base + a * arity, base + (a + 1) * arity,
-                                        base + b * arity, base + (b + 1) * arity);
-  };
-  auto eq = [base, arity](size_t a, size_t b) {
-    return std::equal(base + a * arity, base + (a + 1) * arity,
-                      base + b * arity);
-  };
-  std::sort(order.begin(), order.end(), cmp);
-  std::vector<Value> out;
-  out.reserve(block_->values.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0 && eq(order[i], order[i - 1])) continue;
-    out.insert(out.end(), base + order[i] * arity, base + (order[i] + 1) * arity);
-  }
-  ReplaceValues(std::move(out));
   sorted_ = true;
   Bump();
 }

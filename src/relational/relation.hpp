@@ -231,8 +231,15 @@ class Relation {
     return arity_ > 0 && block_ == other.block_;
   }
 
-  /// Sorts rows lexicographically and removes duplicates (set semantics).
-  void SortAndDedup();
+  /// Sorts rows lexicographically and removes duplicates (set semantics),
+  /// through the row-sort kernel (relational/row_sort.hpp). A relation
+  /// already sorted() is left untouched.
+  void SortAndDedup() { SortAndDedup({}); }
+
+  /// As SortAndDedup(); with `pfor` bound, large inputs sort with
+  /// chunk-parallel radix passes. The sorted distinct rows are unique, so
+  /// results are byte-identical at any width.
+  void SortAndDedup(const ParallelForFn& pfor);
 
   /// Removes duplicate rows in one hash pass, keeping the first occurrence
   /// of each row in its original position (no sorting). Preferred over

@@ -1,9 +1,7 @@
 #include "relational/trie_index.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/status.hpp"
+#include "relational/row_sort.hpp"
 #include "relational/storage_cache_stats.hpp"
 
 namespace paraquery {
@@ -40,26 +38,10 @@ std::shared_ptr<const TrieIndex> TrieIndex::Build(const Relation& rel,
     }
   });
 
-  // Sort an index permutation, then compact distinct tuples in order.
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  const Value* p = proj.data();
-  std::sort(order.begin(), order.end(), [p, k](uint32_t a, uint32_t b) {
-    return std::lexicographical_compare(p + size_t{a} * k,
-                                        p + (size_t{a} + 1) * k,
-                                        p + size_t{b} * k,
-                                        p + (size_t{b} + 1) * k);
-  });
-  std::vector<Value> out;
-  out.reserve(proj.size());
-  for (size_t i = 0; i < n; ++i) {
-    const Value* t = p + size_t{order[i]} * k;
-    if (i > 0 && std::equal(t, t + k, p + size_t{order[i - 1]} * k)) continue;
-    out.insert(out.end(), t, t + k);
-  }
-  out.shrink_to_fit();
-  trie->rows_ = out.size() / k;
-  trie->tuples_.values = std::move(out);
+  SortDedupRows(proj, k, pfor);
+  proj.shrink_to_fit();
+  trie->rows_ = proj.size() / k;
+  trie->tuples_.values = std::move(proj);
   trie->tuples_.Account();
   return trie;
 }

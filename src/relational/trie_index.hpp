@@ -35,9 +35,10 @@ namespace paraquery {
 class TrieIndex {
  public:
   /// Projects `rel` to `cols` (each must index a column of `rel`), sorts
-  /// the projected tuples lexicographically and deduplicates. The gather
-  /// pass morsels through `pfor` when bound; the result is byte-identical
-  /// at any width. Prefer Relation::TrieView, which caches the build on the
+  /// the projected tuples lexicographically and deduplicates (the shared
+  /// row-sort kernel, relational/row_sort.hpp). The gather and sort passes
+  /// morsel through `pfor` when bound; the result is byte-identical at any
+  /// width. Prefer Relation::TrieView, which caches the build on the
   /// shared RowBlock.
   static std::shared_ptr<const TrieIndex> Build(const Relation& rel,
                                                 const std::vector<int>& cols,

@@ -229,6 +229,47 @@ TEST(AnalyzeTest, DatalogReportsRulePlansWithExecutionCounts) {
   EXPECT_TRUE(again.ok()) << again.status();
 }
 
+// The final answer sort runs after every plan, so no plan render shows it:
+// the analyze summary line reports it, and a traced run has an answer.sort
+// span nested inside the route span.
+TEST(AnalyzeTest, SummaryAndTraceReportTheAnswerSort) {
+  Database db = GraphDatabase(GnpRandom(30, 0.2, 21));
+  Engine engine(db, EngineOptions{});
+  auto report =
+      engine.AnalyzeText("ans(x, y) :- E(x, z), E(z, y).", &db.dict());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report.value().rfind("rows=", 0), 0u);
+  EXPECT_NE(report.value().find(" sort_ms="), std::string::npos);
+
+  for (const RouteCase& rc : kRoutes) {
+    SCOPED_TRACE(rc.label);
+    EngineOptions options;
+    options.trace = true;
+    Engine traced(db, options);
+    auto result = traced.RunText(rc.text, &db.dict());
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_NE(traced.tracer()->ChromeTraceJson().find("\"answer.sort\""),
+              std::string::npos);
+  }
+  // Nesting: in the timeline, answer.sort is indented below route.acyclic.
+  EngineOptions options;
+  options.trace = true;
+  Engine traced(db, options);
+  ASSERT_TRUE(
+      traced.RunText("ans(x, y) :- E(x, z), E(z, y).", &db.dict()).ok());
+  const std::string profile = traced.tracer()->TextProfile();
+  const size_t timeline = profile.find("== track");
+  ASSERT_NE(timeline, std::string::npos);
+  auto indent_of = [&](const std::string& name) -> size_t {
+    size_t at = profile.find(name, timeline);
+    if (at == std::string::npos) return 0;
+    size_t line = profile.rfind('\n', at) + 1;
+    return at - line;
+  };
+  EXPECT_GT(indent_of("route.acyclic"), 0u);
+  EXPECT_GT(indent_of("answer.sort"), indent_of("route.acyclic"));
+}
+
 TEST(MetricsTest, RegistryCountsQueriesAndExposesBothFormats) {
   Database db = GraphDatabase(GnpRandom(14, 0.3, 29));
   Engine engine(db, EngineOptions{});

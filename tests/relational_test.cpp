@@ -5,6 +5,7 @@
 #include "relational/named_relation.hpp"
 #include "relational/predicate.hpp"
 #include "relational/relation.hpp"
+#include "relational/row_index.hpp"
 
 namespace paraquery {
 namespace {
@@ -124,6 +125,77 @@ TEST(RelationTest, SortAndDedup) {
   EXPECT_EQ(r.At(0, 0), 1);
   EXPECT_EQ(r.At(0, 1), 1);
   EXPECT_EQ(r.At(2, 0), 3);
+}
+
+// SortAndDedup returns early on a relation flagged sorted, so every content
+// mutator must clear the flag: a stale one would hand back unsorted answers.
+TEST(RelationTest, MutatorsClearSortedFlag) {
+  auto sorted_pair = [] {
+    Relation r(2);
+    r.Add({3, 4});
+    r.Add({1, 2});
+    r.SortAndDedup();
+    return r;
+  };
+  auto unsorted_pair = [] {
+    Relation r(2);
+    r.Add({5, 5});
+    r.Add({1, 1});
+    return r;
+  };
+  {
+    Relation r = sorted_pair();
+    ASSERT_TRUE(r.sorted());
+    r.Add({0, 0});  // MutableValues path
+    EXPECT_FALSE(r.sorted());
+    r.SortAndDedup();
+    EXPECT_EQ(r.At(0, 0), 0);
+  }
+  {
+    Relation r(0);
+    r.SortAndDedup();
+    ASSERT_TRUE(r.sorted());
+    r.AddEmptyRow();
+    EXPECT_FALSE(r.sorted());
+  }
+  {
+    Relation r = sorted_pair();
+    r.Clear();
+    EXPECT_FALSE(r.sorted());
+  }
+  {
+    Relation r = sorted_pair();
+    Relation src = unsorted_pair();
+    r = src;  // copy-assign replaces the content
+    EXPECT_FALSE(r.sorted());
+    Relation t = sorted_pair();
+    t = unsorted_pair();  // move-assign
+    EXPECT_FALSE(t.sorted());
+  }
+  {
+    // HashDedup that removes rows replaces the storage (ReplaceValues path)
+    // in first-occurrence order, which is not sorted.
+    Relation r = unsorted_pair();
+    r.Add({5, 5});
+    r.HashDedup();
+    EXPECT_EQ(r.size(), 2u);
+    EXPECT_FALSE(r.sorted());
+  }
+  {
+    // A RowHashSet's backing relation appends without the copy-on-write
+    // check; its rows come out in insertion order.
+    RowHashSet set(2);
+    set.Insert(std::vector<Value>{5, 5});
+    set.Insert(std::vector<Value>{1, 1});
+    EXPECT_FALSE(set.TakeRelation().sorted());
+  }
+  {
+    // Capacity-only changes keep the content, so the flag stays valid.
+    Relation r = sorted_pair();
+    r.Reserve(100);
+    r.ShrinkToFit();
+    EXPECT_TRUE(r.sorted());
+  }
 }
 
 TEST(RelationTest, ContainsSortedAndUnsorted) {

@@ -6,7 +6,10 @@
 //   * conjunctive with order comparisons         -> Klug closure, then the
 //     best applicable engine on the rewritten query (naive if < / ≤ remain:
 //     Theorem 3 says nothing better exists in general)
-//   * cyclic conjunctive                         -> greedy left-deep plan
+//   * cyclic conjunctive, comparison-free        -> hypertree decomposition
+//                                                   with worst-case-optimal
+//                                                   (leapfrog) bag joins
+//   * cyclic conjunctive with comparisons        -> greedy left-deep plan
 //   * positive                                   -> union-of-CQs expansion
 //   * first-order                                -> active-domain algebra
 //   * Datalog                                    -> semi-naive fixpoint over
@@ -56,9 +59,9 @@ struct EngineOptions {
   /// byte-identical to threads = 1, and speculative subtree work is charged
   /// tentatively, so a query that passes its ResourceLimits at threads = 1
   /// passes them at any width (see plan/executor.hpp). Plan-routed engines
-  /// (now including Theorem 2 color coding, whose per-coloring plans
-  /// execute on the runtime) go parallel; only the active-domain algebra
-  /// stays sequential.
+  /// go parallel — Theorem 2 color coding on two levels: its colorings run
+  /// as concurrent tasks, and each coloring's plan runs on the runtime too;
+  /// only the active-domain algebra stays sequential.
   size_t threads = 1;
   /// Rows per morsel for the data-parallel operators (mainly a test knob;
   /// the default suits real workloads).

@@ -1,13 +1,16 @@
 #include "eval/inequality.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <memory>
-#include <set>
+#include <optional>
 #include <sstream>
 
 #include "common/fault_injection.hpp"
 #include "eval/common.hpp"
 #include "hashing/coloring.hpp"
+#include "obs/analyze.hpp"
 #include "obs/trace.hpp"
 #include "hypergraph/join_tree.hpp"
 #include "plan/executor.hpp"
@@ -272,21 +275,20 @@ Result<Plan> BuildFormulaPlan(const Database& db, const ConjunctiveQuery& q,
 // V1 variables), plus the formula constants in formula mode. This is the
 // ground set the certified family must cover.
 std::vector<Value> GroundSet(const Plan& p) {
-  std::set<Value> ground(p.formula_constants.begin(),
-                         p.formula_constants.end());
+  std::vector<Value> ground(p.formula_constants.begin(),
+                            p.formula_constants.end());
   for (const NamedRelation& s : p.base) {
     for (size_t i = 0; i < s.attrs().size(); ++i) {
       if (!IsV1(p, s.attrs()[i])) continue;
-      for (size_t r = 0; r < s.size(); ++r) {
-        ground.insert(s.rel().At(r, i));
-      }
+      for (size_t r = 0; r < s.size(); ++r) ground.push_back(s.rel().At(r, i));
     }
   }
-  return std::vector<Value>(ground.begin(), ground.end());
+  std::sort(ground.begin(), ground.end());
+  ground.erase(std::unique(ground.begin(), ground.end()), ground.end());
+  return ground;
 }
 
-Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options,
-                                  IneqStats* stats) {
+Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options) {
   ColoringFamily family = ColoringFamily::MonteCarlo(
       p.hash_range, options.mc_error_exponent, options.seed);
   if (p.hash_range > 1 && options.driver != IneqOptions::Driver::kMonteCarlo) {
@@ -298,13 +300,6 @@ Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options,
     } else if (options.driver == IneqOptions::Driver::kCertified) {
       return certified.status();
     }
-  }
-  if (stats != nullptr) {
-    stats->k = p.hash_range;
-    stats->i1_atoms = p.i1.size();
-    stats->i2_atoms = p.i2_count;
-    stats->family_size = family.size();
-    stats->certified = family.certified();
   }
   return family;
 }
@@ -323,17 +318,15 @@ NamedRelation ExtendHashed(const Plan& p, const NamedRelation& s,
   // No V1 column: S'_j = S_j for every coloring — share the rows instead of
   // copying them per coloring.
   if (v1_cols.empty()) return s;
-  NamedRelation out{attrs};
-  out.rel().Reserve(s.size());
-  ValueVec row(attrs.size());
+  std::vector<Value> data;
+  data.reserve(s.size() * attrs.size());
   for (size_t r = 0; r < s.size(); ++r) {
-    for (size_t i = 0; i < s.arity(); ++i) row[i] = s.rel().At(r, i);
-    for (size_t i = 0; i < v1_cols.size(); ++i) {
-      row[s.arity() + i] = family.Color(member, s.rel().At(r, v1_cols[i]));
+    for (size_t i = 0; i < s.arity(); ++i) data.push_back(s.rel().At(r, i));
+    for (int c : v1_cols) {
+      data.push_back(family.Color(member, s.rel().At(r, c)));
     }
-    out.rel().Add(row);
   }
-  return out;
+  return NamedRelation{attrs, Relation(attrs.size(), std::move(data))};
 }
 
 // Whether (a, b) or (b, a) is an I1 pair.
@@ -369,6 +362,10 @@ struct IneqCompiled {
   int phi_slot = -1;
   // Query variables plus primed names (x') for rendering the DAGs.
   VarTable render_vars;
+  // The coloring family over the ground set of the S_j above, built once
+  // per compiled plan (the cache key carries the options that shape it).
+  // Unset for always-false plans and for IneqPlanText's compile.
+  std::optional<ColoringFamily> family;
 };
 
 // S'_j scan attrs: the base S_j attrs followed by the primed columns, in
@@ -606,6 +603,19 @@ std::string FormulaSignature(const IneqFormula& phi) {
   return s + internal::StrCat("r", phi.root);
 }
 
+// Compiles a query (and optional formula) together with its coloring
+// family.
+Result<std::shared_ptr<IneqCompiled>> BuildCompiledWithFamily(
+    const Database& db, const ConjunctiveQuery& q, const IneqFormula* phi,
+    const IneqOptions& options) {
+  PQ_ASSIGN_OR_RETURN(auto compiled, BuildCompiled(db, q, phi));
+  if (!compiled->analysis.always_false) {
+    PQ_ASSIGN_OR_RETURN(compiled->family,
+                        MakeFamily(compiled->analysis, options));
+  }
+  return compiled;
+}
+
 // Fetches (or compiles and caches) the compiled form. With a cache, the
 // query is canonicalized first so renaming-equivalent queries share one
 // compilation; without one, the query compiles as-is.
@@ -614,9 +624,17 @@ Result<std::shared_ptr<IneqCompiled>> GetCompiled(const Database& db,
                                                   const IneqFormula* phi,
                                                   const IneqOptions& options) {
   PQ_FAULT_POINT("ineq.compile");
-  if (options.plan_cache == nullptr) return BuildCompiled(db, q, phi);
+  if (options.plan_cache == nullptr) {
+    return BuildCompiledWithFamily(db, q, phi, options);
+  }
   CanonicalCq canonical = CanonicalizeCq(q);
-  std::string key = internal::StrCat("ineq:", canonical.signature);
+  // The family is part of the entry, so every option that shapes it is
+  // part of the key.
+  std::string key = internal::StrCat(
+      "ineq:", canonical.signature, "|family:",
+      static_cast<int>(options.driver), ":", options.seed, ":",
+      std::bit_cast<uint64_t>(options.mc_error_exponent), ":",
+      options.certified_max_subsets, ":", options.certified_max_members);
   IneqFormula renamed;
   if (phi != nullptr) {
     std::vector<AttrId> inverse(std::max(1, q.NumVariables()), -1);
@@ -633,7 +651,8 @@ Result<std::shared_ptr<IneqCompiled>> GetCompiled(const Database& db,
   if (cached != nullptr) return cached;
   PQ_ASSIGN_OR_RETURN(
       auto compiled,
-      BuildCompiled(db, canonical.query, phi != nullptr ? &renamed : nullptr));
+      BuildCompiledWithFamily(db, canonical.query,
+                              phi != nullptr ? &renamed : nullptr, options));
   options.plan_cache->Insert(key, db, canonical.query, compiled);
   return compiled;
 }
@@ -672,126 +691,214 @@ NamedRelation FilterByFormula(const Plan& p, const NamedRelation& root,
   return filtered;
 }
 
-// Plan-routed decision driver.
-Result<bool> PlanDriveNonempty(const Database& db, IneqCompiled& c,
-                               const IneqOptions& options, IneqStats* stats,
-                               PlanStats* plan_stats) {
+// One coloring's share of a run: each coloring runs as its own scheduler
+// task into its own share, and the driver merges the shares in coloring
+// order.
+struct ColoringShare {
+  Status status;
+  bool executed = false;     // its plan ran (not skipped, not aborted first)
+  PlanStats plan;
+  size_t filtered_rows = 0;  // rows of the φ-filtered root (formula mode)
+  bool witness = false;      // decision: the residual query is nonempty
+  std::vector<Value> answers;  // evaluation: unsorted answer rows
+  size_t answer_rows = 0;
+  // EXPLAIN ANALYZE of a cloned execution, keyed by the clones; clones[i]
+  // was cloned from cloned_from[i] (kept only while a capture is armed).
+  std::unique_ptr<PlanCapture> capture;
+  std::vector<PlanNodePtr> clones;
+  std::vector<const PlanNode*> cloned_from;
+};
+
+// Runs coloring `m`: builds its hash-extended inputs S'_j and executes the
+// residual plan on them — Algorithm 1's DAG, then φ at the root in formula
+// mode (decision, or formula evaluation), then the evaluation DAG when
+// `evaluate`. Formula evaluation runs both DAGs in one ExecSession, so the
+// evaluation pass reuses every P_j the upward pass computed. Under a
+// parallel runtime the colorings run concurrently, and the executor writes
+// actuals into the nodes it runs, so each coloring executes a private clone
+// of the DAGs; inline, the compiled DAGs run directly.
+Status RunColoring(IneqCompiled& c, const IneqOptions& options, bool evaluate,
+                   size_t m, ColoringShare& share) {
+  // Per-coloring poll: Theorem 2's k^k loop is the longest-running site in
+  // the engine, so deadline aborts must land between colorings.
+  PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+  PQ_FAULT_POINT("ineq.coloring");
+  TraceSpan coloring_span(
+      options.runtime.tracer, "coloring",
+      options.runtime.tracer != nullptr ? internal::StrCat("m=", m)
+                                        : std::string());
+  share.executed = true;
   const Plan& p = c.analysis;
-  if (p.always_false) return false;
-  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
-  PQ_ASSIGN_OR_RETURN(ColoringFamily family, MakeFamily(p, options, stats));
-  const ResourceLimits limits = options.EffectiveLimits();
+  const ColoringFamily& family = *c.family;
+  const bool decide = !evaluate || c.formula_mode;
+  PlanNode* decision_root = c.decision_root.get();
+  PlanNode* eval_root = c.eval_root.get();
+  RuntimeOptions runtime = options.runtime;
+  std::vector<PlanNodePtr> clones;
+  if (runtime.parallel()) {
+    std::vector<const PlanNode*> roots;
+    if (decide) roots.push_back(decision_root);
+    if (evaluate) roots.push_back(eval_root);
+    clones = ClonePlan(roots);
+    if (decide) decision_root = clones.front().get();
+    if (evaluate) eval_root = clones.back().get();
+    if (runtime.analyze != nullptr) {
+      share.capture = std::make_unique<PlanCapture>();
+      share.clones = clones;
+      share.cloned_from = roots;
+      runtime.analyze = share.capture.get();
+    }
+  }
+  std::vector<NamedRelation> inputs = HashedInputs(p, family, m);
+  // Formula evaluation: the evaluation DAG reads the φ-filtered root
+  // through an extra slot, bound after the filter.
+  if (evaluate && c.formula_mode) inputs.emplace_back();
+  std::vector<const NamedRelation*> ptrs;
+  ptrs.reserve(inputs.size());
+  for (const NamedRelation& in : inputs) ptrs.push_back(&in);
+  ExecContext ctx{ptrs, options.EffectiveLimits(), &share.plan, runtime};
+  ExecSession session(ctx);
+  if (decide) {
+    PQ_ASSIGN_OR_RETURN(NamedRelation root, session.Run(*decision_root));
+    if (c.formula_mode && !root.empty()) {
+      root = FilterByFormula(p, root, family, m);
+      share.filtered_rows = root.size();
+    }
+    if (!evaluate) {
+      share.witness = !root.empty();
+      return Status::OK();
+    }
+    if (root.empty()) return Status::OK();
+    inputs.back() = std::move(root);
+  }
+  PQ_ASSIGN_OR_RETURN(NamedRelation bindings, session.Run(*eval_root));
+  AppendAnswers(bindings, c.query.head, share.answers);
+  share.answer_rows = bindings.size();
+  return Status::OK();
+}
+
+// Runs every coloring of the family as one scheduler task (inline and in
+// order on a width-1 runtime) and returns the shares in coloring order. A
+// coloring that fails — or, deciding, finds a witness — settles the run:
+// colorings above it that have not started are skipped, while lower ones
+// still run, so the outcome is the sequential loop's at any width.
+std::vector<ColoringShare> RunColorings(IneqCompiled& c,
+                                        const IneqOptions& options,
+                                        bool evaluate) {
+  const size_t n = c.family->size();
+  std::vector<ColoringShare> shares(n);
+  std::atomic<size_t> settled{n};  // lowest coloring that settled the run
+  TaskGroup group(options.runtime.scheduler);
+  for (size_t m = 0; m < n; ++m) {
+    group.Spawn([&, m] {
+      if (m > settled.load()) return;
+      ColoringShare& share = shares[m];
+      share.status = RunColoring(c, options, evaluate, m, share);
+      if (share.status.ok() && !share.witness) return;
+      size_t lowest = settled.load();
+      while (m < lowest && !settled.compare_exchange_weak(lowest, m)) {
+        // `lowest` reloaded; retry while this coloring is still lower.
+      }
+    });
+  }
+  group.Wait();
+  return shares;
+}
+
+// Merges the shares in coloring order into the run's counters: PlanStats,
+// IneqStats::trials/peak_rows, the EXPLAIN ANALYZE captures (a clone counts
+// as an execution of the compiled DAG it was cloned from) and the plan
+// cache's per-coloring reuse. The outcome is that of the lowest coloring
+// that failed or found a witness: its error is returned, or a witness makes
+// the result true. Colorings above it may have run concurrently; their work
+// is counted and their errors are dropped.
+Result<bool> MergeShares(const IneqOptions& options,
+                         std::vector<ColoringShare>& shares, IneqStats* stats,
+                         PlanStats* plan_stats) {
   PlanStats local;
   size_t executed = 0;
   bool found = false;
-  for (size_t m = 0; m < family.size() && !found; ++m) {
-    // Per-coloring poll: Theorem 2's k^k loop is the longest-running site
-    // in the engine, so deadline aborts must land between colorings.
-    PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
-    PQ_FAULT_POINT("ineq.coloring");
-    TraceSpan coloring_span(
-        options.runtime.tracer, "coloring",
-        options.runtime.tracer != nullptr ? internal::StrCat("m=", m)
-                                          : std::string());
-    if (stats != nullptr) stats->trials = m + 1;
-    std::vector<NamedRelation> inputs = HashedInputs(p, family, m);
-    std::vector<const NamedRelation*> ptrs;
-    ptrs.reserve(inputs.size());
-    for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-    ExecContext ctx{ptrs, limits, &local, options.runtime};
-    PQ_ASSIGN_OR_RETURN(NamedRelation root, ExecutePlan(*c.decision_root, ctx));
-    ++executed;
-    if (c.formula_mode && !root.empty()) {
-      root = FilterByFormula(p, root, family, m);
-      if (stats != nullptr) {
-        stats->peak_rows = std::max(stats->peak_rows, root.size());
-      }
+  for (ColoringShare& share : shares) {
+    if (share.capture != nullptr) {
+      options.runtime.analyze->Absorb(
+          *share.capture, [&share](const PlanNode* root) {
+            for (size_t i = 0; i < share.clones.size(); ++i) {
+              if (share.clones[i].get() == root) return share.cloned_from[i];
+            }
+            return root;
+          });
     }
-    found = !root.empty();
+    if (share.executed) ++executed;
+    if (!found && !share.status.ok()) {
+      if (stats != nullptr) stats->trials = executed;
+      return share.status;
+    }
+    if (!share.executed) continue;
+    local.Merge(share.plan);
+    if (stats != nullptr) {
+      stats->peak_rows = std::max(stats->peak_rows, share.filtered_rows);
+    }
+    found = found || share.witness;
   }
+  if (stats != nullptr) {
+    stats->trials = executed;
+    stats->peak_rows = std::max(stats->peak_rows, local.peak_intermediate_rows);
+  }
+  // One compile, `executed` executions: every re-binding past the first is
+  // the cache's per-coloring reuse (counted per coloring, not per plan
+  // pass).
   if (options.plan_cache != nullptr && executed > 1) {
     options.plan_cache->NoteReuse(executed - 1);
   }
-  if (stats != nullptr) {
-    stats->peak_rows = std::max(stats->peak_rows, local.peak_intermediate_rows);
-  }
   if (plan_stats != nullptr) plan_stats->Merge(local);
-  (void)db;
   return found;
 }
 
-// Plan-routed evaluation driver.
-Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
-                                   const IneqOptions& options,
-                                   IneqStats* stats, PlanStats* plan_stats) {
-  const Plan& p = c.analysis;
-  const size_t arity = c.query.head.size();
-  if (p.always_false) return Relation(arity);
+// Fills the per-run IneqStats the compiled plan determines.
+void ReportCompiled(const IneqCompiled& c, IneqStats* stats) {
+  if (stats == nullptr) return;
+  stats->k = c.analysis.hash_range;
+  stats->i1_atoms = c.analysis.i1.size();
+  stats->i2_atoms = c.analysis.i2_count;
+  stats->family_size = c.family->size();
+  stats->certified = c.family->certified();
+}
+
+// Plan-routed decision driver.
+Result<bool> PlanDriveNonempty(IneqCompiled& c, const IneqOptions& options,
+                               IneqStats* stats, PlanStats* plan_stats) {
+  if (c.analysis.always_false) return false;
+  ReportCompiled(c, stats);
   TraceSpan route_span(options.runtime.tracer, "route.theorem2");
-  PQ_ASSIGN_OR_RETURN(ColoringFamily family, MakeFamily(p, options, stats));
-  const ResourceLimits limits = options.EffectiveLimits();
-  PlanStats local;
-  size_t colorings_run = 0;
-  // Every coloring's answers, unsorted, in one buffer; sorted once after
-  // the last coloring.
-  std::vector<Value> answers;
+  std::vector<ColoringShare> shares =
+      RunColorings(c, options, /*evaluate=*/false);
+  return MergeShares(options, shares, stats, plan_stats);
+}
+
+// Plan-routed evaluation driver.
+Result<Relation> PlanDriveEvaluate(IneqCompiled& c, const IneqOptions& options,
+                                   IneqStats* stats, PlanStats* plan_stats) {
+  const size_t arity = c.query.head.size();
+  if (c.analysis.always_false) return Relation(arity);
+  ReportCompiled(c, stats);
+  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
+  std::vector<ColoringShare> shares =
+      RunColorings(c, options, /*evaluate=*/true);
+  PQ_RETURN_NOT_OK(MergeShares(options, shares, stats, plan_stats).status());
+  // Every coloring's answers, unsorted, in one buffer (coloring order);
+  // sorted once.
   size_t answer_rows = 0;
-  auto collect = [&](const NamedRelation& bindings) {
-    AppendAnswers(bindings, c.query.head, answers);
-    answer_rows += bindings.size();
-  };
-  for (size_t m = 0; m < family.size(); ++m) {
-    PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
-    PQ_FAULT_POINT("ineq.coloring");
-    TraceSpan coloring_span(
-        options.runtime.tracer, "coloring",
-        options.runtime.tracer != nullptr ? internal::StrCat("m=", m)
-                                          : std::string());
-    if (stats != nullptr) stats->trials = m + 1;
-    std::vector<NamedRelation> inputs = HashedInputs(p, family, m);
-    if (c.formula_mode) {
-      // Pass 1, then φ at the root, then the evaluation DAG reading the
-      // filtered root through its extra slot. One ExecSession per coloring:
-      // the evaluation pass reuses every P_j the upward pass computed.
-      inputs.emplace_back();  // φ-slot placeholder, bound after the filter
-      std::vector<const NamedRelation*> ptrs;
-      ptrs.reserve(inputs.size());
-      for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-      ExecContext ctx{ptrs, limits, &local, options.runtime};
-      ExecSession session(ctx);
-      PQ_ASSIGN_OR_RETURN(NamedRelation root, session.Run(*c.decision_root));
-      ++colorings_run;
-      if (root.empty()) continue;
-      NamedRelation filtered = FilterByFormula(p, root, family, m);
-      if (stats != nullptr) {
-        stats->peak_rows = std::max(stats->peak_rows, filtered.size());
-      }
-      if (filtered.empty()) continue;
-      inputs.back() = std::move(filtered);
-      PQ_ASSIGN_OR_RETURN(NamedRelation bindings, session.Run(*c.eval_root));
-      collect(bindings);
-    } else {
-      std::vector<const NamedRelation*> ptrs;
-      ptrs.reserve(inputs.size());
-      for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-      ExecContext ctx{ptrs, limits, &local, options.runtime};
-      PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
-                          ExecutePlan(*c.eval_root, ctx));
-      ++colorings_run;
-      collect(bindings);
-    }
+  size_t values = 0;
+  for (const ColoringShare& share : shares) {
+    answer_rows += share.answer_rows;
+    values += share.answers.size();
   }
-  // One compile, `colorings_run` executions: every re-binding past the
-  // first is the cache's per-coloring reuse (counted per coloring, not per
-  // plan pass).
-  if (options.plan_cache != nullptr && colorings_run > 1) {
-    options.plan_cache->NoteReuse(colorings_run - 1);
+  std::vector<Value> answers;
+  answers.reserve(values);
+  for (ColoringShare& share : shares) {
+    answers.insert(answers.end(), share.answers.begin(), share.answers.end());
+    std::vector<Value>().swap(share.answers);
   }
-  if (stats != nullptr) {
-    stats->peak_rows = std::max(stats->peak_rows, local.peak_intermediate_rows);
-  }
-  if (plan_stats != nullptr) plan_stats->Merge(local);
-  (void)db;
   return SortAnswers(AnswerRelation(arity, answer_rows, std::move(answers)),
                      options.runtime);
 }
@@ -802,14 +909,14 @@ Result<bool> IneqNonempty(const Database& db, const ConjunctiveQuery& q,
                           const IneqOptions& options, IneqStats* stats,
                           PlanStats* plan_stats) {
   PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, options));
-  return PlanDriveNonempty(db, *compiled, options, stats, plan_stats);
+  return PlanDriveNonempty(*compiled, options, stats, plan_stats);
 }
 
 Result<Relation> IneqEvaluate(const Database& db, const ConjunctiveQuery& q,
                               const IneqOptions& options, IneqStats* stats,
                               PlanStats* plan_stats) {
   PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, options));
-  return PlanDriveEvaluate(db, *compiled, options, stats, plan_stats);
+  return PlanDriveEvaluate(*compiled, options, stats, plan_stats);
 }
 
 Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
@@ -817,7 +924,7 @@ Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
                                  const IneqOptions& options, IneqStats* stats,
                                  PlanStats* plan_stats) {
   PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, options));
-  return PlanDriveNonempty(db, *compiled, options, stats, plan_stats);
+  return PlanDriveNonempty(*compiled, options, stats, plan_stats);
 }
 
 Result<Relation> IneqFormulaEvaluate(const Database& db,
@@ -827,7 +934,7 @@ Result<Relation> IneqFormulaEvaluate(const Database& db,
                                      IneqStats* stats,
                                      PlanStats* plan_stats) {
   PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, options));
-  return PlanDriveEvaluate(db, *compiled, options, stats, plan_stats);
+  return PlanDriveEvaluate(*compiled, options, stats, plan_stats);
 }
 
 Result<bool> IneqContains(const Database& db, const ConjunctiveQuery& q,
@@ -851,8 +958,9 @@ Result<std::string> IneqPlanText(const Database& db,
       << " (|V1|), I1=" << compiled->analysis.i1.size()
       << " hash-checked atom(s), I2=" << compiled->analysis.i2_count
       << " pushed into scans;\n"
-      << "-- one residual plan compiled, re-executed per coloring on "
-         "re-bound S' inputs (primed columns = colors)\n";
+      << "-- one residual plan compiled, executed once per coloring (one "
+         "task per coloring) on re-bound S' inputs (primed columns = "
+         "colors)\n";
   oss << RenderPlan(*compiled->eval_root, &compiled->render_vars);
   return oss.str();
 }

@@ -24,14 +24,21 @@
 // and output-sensitive for evaluation — the parameter never multiplies into
 // the exponent of n.
 //
-// Since the plan-cache PR, steps 4–5 are LOWERED onto the physical plan IR:
-// the residual query of a coloring compiles once into a PlanNode DAG
-// (upward joins with the I1 checks as Select nodes, downward semijoins,
-// upward join-and-project), and every coloring re-executes that one plan
-// through the shared executor on re-bound hash-extended inputs S'_j — so
-// the Theorem 2 engine inherits morsel parallelism, ResourceLimits,
-// PlanStats, and .plan rendering, and the per-coloring re-execution is the
-// plan cache's headline win (one plan compiled, k^k colorings executed).
+// Steps 4–5 are LOWERED onto the physical plan IR: the residual query of a
+// coloring compiles once into a PlanNode DAG (upward joins with the I1
+// checks pushed into the join kernels, downward semijoins, upward
+// join-and-project), and every coloring re-executes that one plan through
+// the shared executor on re-bound hash-extended inputs S'_j — so the
+// Theorem 2 engine inherits morsel parallelism, ResourceLimits, PlanStats,
+// and .plan rendering. The compiled plan also holds the coloring family
+// (ground set and certification), so a plan-cache hit rebuilds neither.
+//
+// The colorings are independent, so they run concurrently: one scheduler
+// task per coloring, each on a private clone of the compiled DAGs (the
+// executor writes actuals into the nodes it runs), merged in coloring order
+// — answers, PlanStats and EXPLAIN ANALYZE captures match the sequential
+// loop's, and the first error in coloring order wins. A width-1 runtime
+// runs the same tasks inline, in order, on the compiled DAGs themselves.
 // The historical hand-rolled evaluation is gone; its recorded answers live
 // on as the differential fixture tests/theorem2_recorded.inc.
 #ifndef PARAQUERY_EVAL_INEQUALITY_H_
@@ -70,13 +77,16 @@ struct IneqOptions {
   /// per-coloring plan execution (each coloring gets a fresh max_steps
   /// budget: the bound is per residual query, not per family).
   ResourceLimits limits;
-  /// Parallel runtime binding: each coloring's plan execution may go
-  /// morsel/structurally parallel; the coloring loop itself is sequential
-  /// (decision mode short-circuits at the first witness coloring).
+  /// Parallel runtime binding: the colorings run as concurrent scheduler
+  /// tasks, and each coloring's plan execution may go morsel/structurally
+  /// parallel too. Decision mode skips the colorings that have not started
+  /// once a lower coloring finds a witness.
   RuntimeOptions runtime;
   /// Cross-query plan cache (optional, engine-owned): the compiled residual
-  /// plan — S_j inputs, join tree, Y sets, lowered DAGs — is keyed by the
-  /// canonical query signature (+ formula) and database generation. Each
+  /// plan — S_j inputs, join tree, Y sets, lowered DAGs, coloring family —
+  /// is keyed by the canonical query signature (+ formula), the options
+  /// that shape the family (driver, seed, mc_error_exponent, certification
+  /// budgets) and the database generation. Each
   /// additional coloring executed against the compiled plan is credited as
   /// a cache hit (PlanCache::NoteReuse).
   PlanCache* plan_cache = nullptr;
@@ -98,7 +108,7 @@ struct IneqStats {
   size_t i1_atoms = 0;        // inequalities handled by color coding
   size_t i2_atoms = 0;        // inequalities pushed into selections
   size_t family_size = 0;     // colorings available
-  size_t trials = 0;          // colorings actually run
+  size_t trials = 0;          // colorings actually executed
   bool certified = false;     // family certified k-perfect (exact result)
   size_t peak_rows = 0;       // largest intermediate P_u
 };

@@ -11,18 +11,33 @@ void PlanCapture::Note(const PlanNode& root, const VarTable* vars) {
   // the executor guarantees one execution of a given root at a time.
   std::string render = RenderAnalyzedPlan(root, vars);
   std::lock_guard<std::mutex> lock(mutex_);
+  NoteLocked(&root, std::move(render), 1);
+}
+
+void PlanCapture::Absorb(
+    const PlanCapture& part,
+    const std::function<const PlanNode*(const PlanNode*)>& canonical_of) {
+  std::scoped_lock lock(mutex_, part.mutex_);
+  for (const Entry& e : part.plans_) {
+    NoteLocked(canonical_of(e.root), e.render, e.executions);
+  }
+  overflow_ += part.overflow_;
+}
+
+void PlanCapture::NoteLocked(const PlanNode* root, std::string render,
+                             uint64_t executions) {
   for (Entry& e : plans_) {
-    if (e.root == &root) {
+    if (e.root == root) {
       e.render = std::move(render);
-      ++e.executions;
+      e.executions += executions;
       return;
     }
   }
   if (plans_.size() >= kMaxPlans) {
-    ++overflow_;
+    overflow_ += executions;
     return;
   }
-  plans_.push_back(Entry{&root, std::move(render), 1});
+  plans_.push_back(Entry{root, std::move(render), executions});
 }
 
 void PlanCapture::Clear() {

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -38,6 +39,16 @@ class PlanCapture {
     return answer_sort_ns_.load(std::memory_order_relaxed);
   }
 
+  /// Folds `part` into this capture, entry by entry in its first-execution
+  /// order, under the key `canonical_of(root)`: a query that executes
+  /// private clones of one plan concurrently, each with its own capture,
+  /// absorbs those captures in a fixed order afterwards, so its clones count
+  /// as executions of the one canonical plan and the report matches a
+  /// sequential run's.
+  void Absorb(const PlanCapture& part,
+              const std::function<const PlanNode*(const PlanNode*)>&
+                  canonical_of);
+
   void Clear();
 
   /// All captured plans in first-execution order:
@@ -53,6 +64,11 @@ class PlanCapture {
   /// Distinct-root cap: a pathological workload degrades to counting
   /// overflow instead of accumulating renders without bound.
   static constexpr size_t kMaxPlans = 24;
+
+  /// Records `executions` executions of the plan keyed `root`, whose latest
+  /// render is `render`. Caller holds mutex_.
+  void NoteLocked(const PlanNode* root, std::string render,
+                  uint64_t executions);
 
   struct Entry {
     const PlanNode* root;  // identity key only, never dereferenced later

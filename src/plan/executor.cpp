@@ -541,30 +541,43 @@ class Executor {
     return NamedRelation{attrs, Relation(attrs.size(), std::move(out))};
   }
 
+  static Status CountOverflow() {
+    return Status::OutOfRange("count exceeds the signed 64-bit range");
+  }
+
   // Runs `emit(buf, r)` for every row of [0, nrows), morsel-parallel when the
   // input is large enough, merging per-morsel buffers in morsel order; the
   // output is byte-identical at any thread count because emit() decides
   // per-row (via the shared RowIndex, whose layout is width-independent)
-  // whether row r contributes.
+  // whether row r contributes. emit() returns false when a count it computes
+  // overflows; the walk then fails with OutOfRange.
   template <typename EmitFn>
-  NamedRelation RowWalk(const std::vector<AttrId>& attrs, size_t nrows,
-                        size_t* morsels, const EmitFn& emit) {
+  Result<NamedRelation> RowWalk(const std::vector<AttrId>& attrs,
+                                size_t nrows, size_t* morsels,
+                                const EmitFn& emit) {
     if (ctx_.runtime.ShouldMorsel(nrows)) {
       std::vector<std::vector<Value>> bufs(
           ChunkCount(nrows, ctx_.runtime.morsel_rows));
+      std::atomic<bool> overflow{false};
       size_t chunks = ParallelChunks(
           ctx_.runtime.scheduler, nrows, ctx_.runtime.morsel_rows,
           [&](size_t c, size_t begin, size_t end) {
             // Aborted query: skip the morsel; the executor re-checks the
             // abort in AccountRows, so a partial result never escapes.
             if (ctx_.runtime.Interrupted()) return;
-            for (size_t r = begin; r < end; ++r) emit(bufs[c], r);
+            for (size_t r = begin; r < end; ++r) {
+              if (overflow.load(std::memory_order_relaxed)) return;
+              if (!emit(bufs[c], r)) overflow.store(true);
+            }
           });
+      if (overflow.load()) return CountOverflow();
       if (morsels != nullptr) *morsels += chunks;
       return MergeCountMorsels(attrs, std::move(bufs));
     }
     std::vector<Value> buf;
-    for (size_t r = 0; r < nrows; ++r) emit(buf, r);
+    for (size_t r = 0; r < nrows; ++r) {
+      if (!emit(buf, r)) return CountOverflow();
+    }
     return NamedRelation{attrs, Relation(attrs.size(), std::move(buf))};
   }
 
@@ -589,7 +602,10 @@ class Executor {
         total = static_cast<Value>(in.size());
       } else {
         for (size_t r = 0; r < in.size(); ++r) {
-          total += in.rel().At(r, mult_col);
+          if (__builtin_add_overflow(total, in.rel().At(r, mult_col),
+                                     &total)) {
+            return CountOverflow();
+          }
         }
       }
       return NamedRelation{n.attrs, Relation(1, {total})};
@@ -608,18 +624,22 @@ class Executor {
         n.attrs, in.size(), morsels,
         [&](std::vector<Value>& buf, size_t r) {
           uint32_t head = idx.Find(in.rel(), r, gspan);
-          if (head != static_cast<uint32_t>(r)) return;  // not first occurrence
+          if (head != static_cast<uint32_t>(r)) return true;  // not first
           Value total = 0;
           if (mult_col < 0) {
             total = static_cast<Value>(idx.MatchCount(head));
           } else {
             for (uint32_t row = head; row != RowIndex::kNone;
                  row = idx.Next(row)) {
-              total += in.rel().At(row, mult_col);
+              if (__builtin_add_overflow(total, in.rel().At(row, mult_col),
+                                         &total)) {
+                return false;
+              }
             }
           }
           for (int c : gcols) buf.push_back(in.rel().At(r, c));
           buf.push_back(total);
+          return true;
         });
   }
 
@@ -663,8 +683,9 @@ class Executor {
         n.attrs, left.size(), morsels,
         [&](std::vector<Value>& buf, size_t r) {
           uint32_t head = idx.Find(left.rel(), r, lkey_span);
-          if (head == RowIndex::kNone) return;  // filtered out
+          if (head == RowIndex::kNone) return true;  // filtered out
           const Value lm = lmult < 0 ? 1 : left.rel().At(r, lmult);
+          Value mult;
           if (rextra.empty()) {
             Value rsum = 0;
             if (rmult < 0) {
@@ -672,20 +693,26 @@ class Executor {
             } else {
               for (uint32_t row = head; row != RowIndex::kNone;
                    row = idx.Next(row)) {
-                rsum += right.rel().At(row, rmult);
+                if (__builtin_add_overflow(rsum, right.rel().At(row, rmult),
+                                           &rsum)) {
+                  return false;
+                }
               }
             }
+            if (__builtin_mul_overflow(lm, rsum, &mult)) return false;
             for (int c : lregular) buf.push_back(left.rel().At(r, c));
-            buf.push_back(lm * rsum);
-            return;
+            buf.push_back(mult);
+            return true;
           }
           for (uint32_t row = head; row != RowIndex::kNone;
                row = idx.Next(row)) {
             const Value rm = rmult < 0 ? 1 : right.rel().At(row, rmult);
+            if (__builtin_mul_overflow(lm, rm, &mult)) return false;
             for (int c : lregular) buf.push_back(left.rel().At(r, c));
             for (int c : rextra) buf.push_back(right.rel().At(row, c));
-            buf.push_back(lm * rm);
+            buf.push_back(mult);
           }
+          return true;
         });
   }
 

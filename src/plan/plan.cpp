@@ -548,6 +548,16 @@ PlanNodePtr ClonePlan(const PlanNode& root,
   return CloneRec(root, slot_caches, &memo);
 }
 
+std::vector<PlanNodePtr> ClonePlan(const std::vector<const PlanNode*>& roots) {
+  std::unordered_map<const PlanNode*, PlanNodePtr> memo;
+  std::vector<PlanNodePtr> out;
+  out.reserve(roots.size());
+  for (const PlanNode* root : roots) {
+    out.push_back(CloneRec(*root, nullptr, &memo));
+  }
+  return out;
+}
+
 std::string RenderPlan(const PlanNode& root, const VarTable* vars) {
   std::unordered_map<const PlanNode*, int> refs;
   CountRefs(root, &refs);

@@ -287,6 +287,9 @@ PlanNodePtr MakeSemijoinCount(PlanNodePtr left, PlanNodePtr right);
 /// the clone does not read.
 PlanNodePtr ClonePlan(const PlanNode& root,
                       const std::vector<JoinIndexCache*>* slot_caches = nullptr);
+/// Clones several roots in one pass: a subplan shared between roots stays
+/// shared between the cloned roots (out[i] is the clone of roots[i]).
+std::vector<PlanNodePtr> ClonePlan(const std::vector<const PlanNode*>& roots);
 
 /// Renders the plan as an indented tree, one node per line:
 ///

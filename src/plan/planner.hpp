@@ -5,10 +5,14 @@
 //     reducer), then the upward join-and-project pass — one Semijoin/HashJoin
 //     node per legacy operator call, so PlanStats reproduces the historical
 //     AcyclicStats counts.
-//   * Cyclic CQs (and any CQ with comparison atoms) lower to a left-deep
-//     HashJoin chain in the greedy smallest-relation-first connected order,
-//     with comparison atoms applied as Select nodes at the earliest point
-//     where all their variables are bound, and a Project+Dedup head.
+//   * Comparison-free cyclic CQs lower along a generalized hypertree
+//     decomposition, with worst-case-optimal multiway joins inside the
+//     cyclic bags (PlannerOptions::wcoj).
+//   * CQs with comparison atoms (and cyclic CQs with wcoj off) lower to a
+//     left-deep HashJoin chain in the greedy smallest-relation-first
+//     connected order, with comparison atoms applied as Select nodes at
+//     the earliest point where all their variables are bound, and a
+//     Project+Dedup head.
 //   * Datalog rule bodies lower to reusable left-deep plans over slot-bound
 //     scans (slot i = body position i) so the semi-naive engine plans each
 //     (rule, delta position) variant once and re-executes it every iteration.

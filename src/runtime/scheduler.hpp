@@ -1,6 +1,7 @@
 // Work-stealing task scheduler: the parallel runtime under the plan
 // executor and the structurally parallel evaluators (UCQ disjuncts,
-// Yannakakis sibling subtrees, per-round Datalog rule firings).
+// Yannakakis sibling subtrees, per-round Datalog rule firings, Theorem 2
+// colorings).
 //
 // Model
 // -----

@@ -276,6 +276,35 @@ TEST(CountingBoundTest, StarJoinPeakStaysBoundedByInputs) {
   EXPECT_LE(plan.peak_intermediate_rows, input_rows);
 }
 
+TEST(CountingBoundTest, StarCountOverflowFailsCleanly) {
+  // One hub with 256 leaves: an 8-arm star has 256^8 = 2^64 assignments,
+  // one past the signed 64-bit range, so the count must fail with
+  // OutOfRange (never wrap); the 7-arm star (2^56) stays exact. Threads 4
+  // with small morsels runs the counting kernels' morsel path.
+  Database db;
+  RelId r = db.AddRelation("R", 2).ValueOrDie();
+  for (Value v = 0; v < 256; ++v) db.relation(r).Add({0, v});
+  auto star = [](int arms) {
+    std::string text = "COUNT(*) :- ";
+    for (int i = 1; i <= arms; ++i) {
+      text += "R(c, x" + std::to_string(i) + ")";
+      text += i < arms ? ", " : ".";
+    }
+    return ParseConjunctive(text).ValueOrDie();
+  };
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    Engine engine = MakeEngine(db, threads);
+    Relation seven = engine.Run(star(7)).ValueOrDie();
+    ASSERT_EQ(seven.size(), 1u);
+    EXPECT_EQ(seven.At(0, 0), Value{1} << 56);
+    auto eight = engine.Run(star(8));
+    ASSERT_FALSE(eight.ok());
+    EXPECT_EQ(eight.status().code(), StatusCode::kOutOfRange)
+        << eight.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // UCQ inclusion-exclusion and the first-order fallback
 // ---------------------------------------------------------------------------

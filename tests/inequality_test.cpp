@@ -1,12 +1,18 @@
 // Tests for the Theorem 2 engine: acyclic conjunctive queries with ≠.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
+
+#include "common/fault_injection.hpp"
 #include "common/rng.hpp"
+#include "core/engine.hpp"
 #include "eval/inequality.hpp"
 #include "eval/naive.hpp"
 #include "graph/generators.hpp"
 #include "query/ineq_formula.hpp"
 #include "query/parser.hpp"
+#include "workload/generators.hpp"
 
 namespace paraquery {
 namespace {
@@ -465,6 +471,214 @@ TEST(IneqTest, DeepTreeCrossSubtreeInequalities) {
   EXPECT_EQ(stats.k, 3);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive));
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent colorings: every coloring of the family runs as one scheduler
+// task. Answers, the IneqStats a run reports, and the max_steps contract
+// must not depend on the width.
+// ---------------------------------------------------------------------------
+
+// One Theorem 2 query: plain, or formula mode when `phi` is set.
+struct WidthCase {
+  std::string label;
+  const Database* db;
+  ConjunctiveQuery q;
+  std::optional<IneqFormula> phi;
+};
+
+IneqOptions AtWidth(TaskScheduler* scheduler) {
+  IneqOptions o = Certified();
+  o.runtime.scheduler = scheduler;
+  o.runtime.morsel_rows = 16;  // the colorings' operators go parallel too
+  return o;
+}
+
+Result<Relation> EvaluateCase(const WidthCase& c, const IneqOptions& o,
+                              IneqStats* stats = nullptr,
+                              PlanStats* plan = nullptr) {
+  return c.phi.has_value()
+             ? IneqFormulaEvaluate(*c.db, c.q, *c.phi, o, stats, plan)
+             : IneqEvaluate(*c.db, c.q, o, stats, plan);
+}
+
+Result<bool> NonemptyCase(const WidthCase& c, const IneqOptions& o,
+                          IneqStats* stats = nullptr) {
+  return c.phi.has_value() ? IneqFormulaNonempty(*c.db, c.q, *c.phi, o, stats)
+                           : IneqNonempty(*c.db, c.q, o, stats);
+}
+
+class IneqWidthTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    projects_ = EmployeeProjects(300, 30, 1, 4, /*seed=*/5);
+    single_ = EmployeeProjects(100, 10, 1, 1, /*seed=*/6);
+    graph_ = GraphDb(GnpRandom(24, 0.2, 7));
+    cases_.push_back({"multi_project", &projects_, MultiProjectQuery(), {}});
+    cases_.push_back({"no_witness", &single_, MultiProjectQuery(), {}});
+    cases_.push_back(
+        {"path3", &graph_,
+         ParseConjunctive("ans(a, d) :- E(a, b), E(b, c), E(c, d), a != c, "
+                          "b != d, a != d.")
+             .ValueOrDie(),
+         {}});
+    WidthCase formula{
+        "formula", &graph_,
+        ParseConjunctive("ans(a, c) :- E(a, b), E(b, c).").ValueOrDie(), {}};
+    VarId a = formula.q.vars.Find("a"), b = formula.q.vars.Find("b"),
+          c = formula.q.vars.Find("c");
+    IneqFormula phi;
+    int ac = phi.AddAtom({CompareOp::kNeq, Term::Var(a), Term::Var(c)});
+    int b3 = phi.AddAtom({CompareOp::kNeq, Term::Var(b), Term::Const(3)});
+    int ab = phi.AddAtom({CompareOp::kNeq, Term::Var(a), Term::Var(b)});
+    phi.root = phi.AddOr({phi.AddAnd({ac, b3}), ab});
+    formula.phi = phi;
+    cases_.push_back(std::move(formula));
+  }
+
+  Database projects_, single_, graph_;
+  std::vector<WidthCase> cases_;
+};
+
+TEST_F(IneqWidthTest, AnswersAndStatsMatchAcrossWidths) {
+  TaskScheduler wide(4);
+  for (const WidthCase& c : cases_) {
+    SCOPED_TRACE(c.label);
+    IneqStats s1, s4;
+    Relation one = EvaluateCase(c, AtWidth(nullptr), &s1).ValueOrDie();
+    Relation four = EvaluateCase(c, AtWidth(&wide), &s4).ValueOrDie();
+    EXPECT_GT(s1.family_size, wide.threads());
+    ASSERT_EQ(one.arity(), four.arity());
+    ASSERT_EQ(one.size(), four.size());
+    EXPECT_EQ(one.data(), four.data());
+    EXPECT_EQ(s1.k, s4.k);
+    EXPECT_EQ(s1.family_size, s4.family_size);
+    EXPECT_EQ(s1.certified, s4.certified);
+    EXPECT_EQ(s1.trials, s1.family_size);
+    EXPECT_EQ(s4.trials, s1.trials);
+
+    IneqStats d1, d4;
+    bool found1 = NonemptyCase(c, AtWidth(nullptr), &d1).ValueOrDie();
+    bool found4 = NonemptyCase(c, AtWidth(&wide), &d4).ValueOrDie();
+    EXPECT_EQ(found1, !one.empty());
+    EXPECT_EQ(found4, found1);
+    EXPECT_EQ(d1.k, d4.k);
+    EXPECT_EQ(d1.family_size, d4.family_size);
+    EXPECT_EQ(d1.certified, d4.certified);
+    EXPECT_GE(d4.trials, 1u);
+    EXPECT_LE(d4.trials, d4.family_size);
+  }
+}
+
+TEST_F(IneqWidthTest, StepBudgetPassingAtOneThreadPassesAtFour) {
+  TaskScheduler wide(4);
+  const WidthCase& c = cases_[2];  // path3
+  IneqStats stats;
+  PlanStats plan;
+  Relation expected =
+      EvaluateCase(c, AtWidth(nullptr), &stats, &plan).ValueOrDie();
+  ASSERT_GE(stats.family_size, 8u);
+  // max_steps is per coloring: sweep up to a few times a coloring's share.
+  const uint64_t top = 4 * plan.rows_produced / stats.family_size;
+  size_t passed = 0, failed = 0;
+  for (uint64_t budget = 1; budget <= top; budget += budget / 4 + 1) {
+    SCOPED_TRACE(budget);
+    IneqOptions one = AtWidth(nullptr);
+    IneqOptions four = AtWidth(&wide);
+    one.limits.max_steps = four.limits.max_steps = budget;
+    auto r1 = EvaluateCase(c, one);
+    auto d1 = NonemptyCase(c, one);
+    if (r1.ok()) {
+      ++passed;
+      auto r4 = EvaluateCase(c, four);
+      ASSERT_TRUE(r4.ok()) << r4.status();
+      EXPECT_EQ(r4.value().data(), expected.data());
+    } else {
+      ++failed;
+      EXPECT_EQ(r1.status().code(), StatusCode::kResourceExhausted);
+    }
+    if (d1.ok()) {
+      auto d4 = NonemptyCase(c, four);
+      ASSERT_TRUE(d4.ok()) << d4.status();
+      EXPECT_EQ(d4.value(), d1.value());
+    }
+  }
+  // The sweep crosses the per-coloring budget the query needs.
+  EXPECT_GT(passed, 0u);
+  EXPECT_GT(failed, 0u);
+}
+
+// A Theorem 2 family of ~13 colorings over a few thousand employees.
+Database CancelDb() { return EmployeeProjects(6000, 600, 1, 4, /*seed=*/11); }
+
+size_t CountOccurrences(const std::string& text, const std::string& what) {
+  size_t n = 0;
+  for (size_t at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(IneqEngineWidthTest, CancelMidFamilyThenRerunMatchesFreshEngine) {
+  Database db = CancelDb();
+  const ConjunctiveQuery q = MultiProjectQuery();
+  Relation expected = Engine(db).Run(q).ValueOrDie();
+  // Probe hits of one full run, counted with the fault injector recording
+  // (no fault is armed): the canceller fires a third of the way in.
+  FaultInjector::StartRecording();
+  ASSERT_TRUE(Engine(db).Run(q).ok());
+  const uint64_t full = FaultInjector::StopRecording().size();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    QueryContext ctx;
+    EngineOptions options;
+    options.threads = threads;
+    options.query_ctx = &ctx;
+    Engine engine(db, options);
+    FaultInjector::StartRecording();
+    std::thread canceller([&ctx, full] {
+      while (FaultInjector::hits() < full / 3) std::this_thread::yield();
+      ctx.Cancel();
+    });
+    auto result = engine.Run(q);
+    canceller.join();
+    (void)FaultInjector::StopRecording();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+    ctx.Reset();
+    auto rerun = engine.Run(q);
+    ASSERT_TRUE(rerun.ok()) << rerun.status();
+    EXPECT_EQ(rerun.value().data(), expected.data());
+  }
+}
+
+TEST(IneqEngineWidthTest, AnalyzeAndTraceCountEveryColoringOnce) {
+  Database db = EmployeeProjects(400, 40, 1, 4, /*seed=*/12);
+  const std::string text = MultiProjectQuery().ToString();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options;
+    options.threads = threads;
+    Engine engine(db, options);
+    auto report = engine.AnalyzeText(text, &db.dict());
+    ASSERT_TRUE(report.ok()) << report.status();
+    const size_t family = engine.last_stats().ineq.family_size;
+    ASSERT_GT(family, threads);
+    // One captured plan: the clones fold into the compiled DAG.
+    const std::string& r = report.value();
+    EXPECT_EQ(CountOccurrences(r, "-- plan "), 1u) << r;
+    EXPECT_NE(
+        r.find("-- plan 1 (executions=" + std::to_string(family) + ")\n"),
+        std::string::npos)
+        << r;
+
+    options.trace = true;
+    Engine traced(db, options);
+    ASSERT_TRUE(traced.RunText(text, &db.dict()).ok());
+    const std::string json = traced.tracer()->ChromeTraceJson();
+    EXPECT_EQ(CountOccurrences(json, "\"name\":\"coloring\""), family);
+  }
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ void BM_McErrorExponent(benchmark::State& state) {
   opt.seed = 4242;
   IneqStats stats;
   for (auto _ : state) {
-    auto r = IneqEvaluate(db, q, opt, &stats);
+    auto r = IneqEvaluate(db, q, {}, opt, &stats);
     benchmark::DoNotOptimize(r);
     if (!r.ok()) state.SkipWithError("evaluation failed");
   }
@@ -58,7 +58,7 @@ void BM_CertifiedDriver(benchmark::State& state) {
   opt.seed = 4242;
   IneqStats stats;
   for (auto _ : state) {
-    auto r = IneqEvaluate(db, q, opt, &stats);
+    auto r = IneqEvaluate(db, q, {}, opt, &stats);
     benchmark::DoNotOptimize(r);
     if (!r.ok()) state.SkipWithError(r.status().message().c_str());
   }
@@ -75,7 +75,7 @@ void BM_MonteCarloDriverSmallDomain(benchmark::State& state) {
   opt.mc_error_exponent = 4.0;
   opt.seed = 4242;
   for (auto _ : state) {
-    auto r = IneqEvaluate(db, q, opt);
+    auto r = IneqEvaluate(db, q, {}, opt);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -114,11 +114,11 @@ void RunFullReducerBench(benchmark::State& state, bool reducer) {
   auto q = ParseConjunctive(
                "ans(e) :- L0(a, b), L1(b, c), L2(c, d), L3(d, e).")
                .ValueOrDie();
-  AcyclicOptions opt;
-  opt.full_reducer = reducer;
-  AcyclicStats stats;
+  EvalContext ctx;
+  ctx.planner.full_reducer = reducer;
+  PlanStats stats;
   for (auto _ : state) {
-    auto r = AcyclicEvaluate(db, q, opt, &stats);
+    auto r = AcyclicEvaluate(db, q, ctx, &stats);
     benchmark::DoNotOptimize(r);
     if (!r.ok()) state.SkipWithError("evaluation failed");
   }
@@ -166,7 +166,7 @@ void BM_IneqFormulaMode(benchmark::State& state) {
   mc.seed = 7;
   IneqStats stats;
   for (auto _ : state) {
-    auto r = IneqFormulaEvaluate(db, q, phi, mc, &stats);
+    auto r = IneqFormulaEvaluate(db, q, phi, {}, mc, &stats);
     benchmark::DoNotOptimize(r);
     if (!r.ok()) state.SkipWithError("formula evaluation failed");
   }
@@ -199,7 +199,7 @@ void BM_IneqFormulaViaDnf(benchmark::State& state) {
     for (const auto& conj : dnf) {
       ConjunctiveQuery variant = q;
       for (const CompareAtom& c : conj) variant.comparisons.push_back(c);
-      auto r = IneqEvaluate(db, variant, mc);
+      auto r = IneqEvaluate(db, variant, {}, mc);
       if (!r.ok()) state.SkipWithError("DNF evaluation failed");
       for (size_t row = 0; row < r.value().size(); ++row) {
         answers.Add(r.value().Row(row));

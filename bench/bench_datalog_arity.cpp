@@ -23,7 +23,7 @@ void BM_TransitiveClosure(benchmark::State& state) {
   DatalogProgram tc = TransitiveClosureProgram();
   DatalogStats stats;
   for (auto _ : state) {
-    auto r = EvaluateDatalog(db, tc, {}, &stats);
+    auto r = EvaluateDatalog(db, tc, {}, {}, &stats);
     benchmark::DoNotOptimize(r);
     if (!r.ok()) state.SkipWithError("datalog failed");
   }
@@ -42,7 +42,7 @@ void BM_ArityWalk(benchmark::State& state) {
   DatalogProgram prog = ArityRWalkProgram(r);
   DatalogStats stats;
   for (auto _ : state) {
-    auto out = EvaluateDatalog(db, prog, {}, &stats);
+    auto out = EvaluateDatalog(db, prog, {}, {}, &stats);
     benchmark::DoNotOptimize(out);
     if (!out.ok()) state.SkipWithError("datalog failed");
   }

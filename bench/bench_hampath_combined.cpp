@@ -42,7 +42,7 @@ void BM_HamPathColorCoding(benchmark::State& state) {
   mc.mc_error_exponent = 1.0;  // e^n trials explode anyway; keep c minimal
   mc.seed = 99;
   for (auto _ : state) {
-    auto r = IneqNonempty(red.db, red.query, mc);
+    auto r = IneqNonempty(red.db, red.query, {}, mc);
     benchmark::DoNotOptimize(r);
   }
   state.counters["n"] = n;

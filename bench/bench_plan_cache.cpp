@@ -148,15 +148,15 @@ void BenchTheorem2(int n, int reps) {
 
   size_t cold_rows = 0, warm_rows = 0;
   Measure("theorem2", "cold_compile", rows, reps, [&] {
-    cold_rows = IneqEvaluate(db, q, options).ValueOrDie().size();
+    cold_rows = IneqEvaluate(db, q, {}, options).ValueOrDie().size();
     return cold_rows;
   });
   PlanCache cache;
-  IneqOptions warm_options = options;
-  warm_options.plan_cache = &cache;
-  (void)IneqEvaluate(db, q, warm_options).ValueOrDie();  // prime the cache
+  EvalContext warm;
+  warm.plan_cache = &cache;
+  (void)IneqEvaluate(db, q, warm, options).ValueOrDie();  // prime the cache
   Measure("theorem2", "warm_cache", rows, reps, [&] {
-    warm_rows = IneqEvaluate(db, q, warm_options).ValueOrDie().size();
+    warm_rows = IneqEvaluate(db, q, warm, options).ValueOrDie().size();
     return warm_rows;
   });
   if (cold_rows != warm_rows) {

@@ -213,7 +213,7 @@ void BenchAcyclicParity(size_t rows, int reps) {
   PlanStats plan_stats;
   Measure("acyclic_parity", "planned", 4 * rows, reps, [&] {
     plan_stats = PlanStats{};
-    planned_out = AcyclicEvaluate(db, q, {}, nullptr, &plan_stats).ValueOrDie();
+    planned_out = AcyclicEvaluate(db, q, {}, &plan_stats).ValueOrDie();
     return planned_out.size();
   });
   if (!legacy_out.EqualsAsSet(planned_out)) {

@@ -43,7 +43,7 @@ void BM_NScalingFixedK(benchmark::State& state) {
   ConjunctiveQuery q = SimplePathQuery(3);
   IneqStats stats;
   for (auto _ : state) {
-    auto r = IneqNonempty(db, q, McOptions(), &stats);
+    auto r = IneqNonempty(db, q, {}, McOptions(), &stats);
     benchmark::DoNotOptimize(r);
     if (!r.ok() || r.value()) state.SkipWithError("unexpected witness");
   }
@@ -66,7 +66,7 @@ void BM_KScalingFixedN(benchmark::State& state) {
   ConjunctiveQuery q = SimplePathQuery(k);
   IneqStats stats;
   for (auto _ : state) {
-    auto r = IneqNonempty(db, q, McOptions(), &stats);
+    auto r = IneqNonempty(db, q, {}, McOptions(), &stats);
     benchmark::DoNotOptimize(r);
   }
   state.counters["k"] = stats.k;
@@ -146,7 +146,7 @@ void BM_EmployeeProjectFpt(benchmark::State& state) {
   Database db = EmployeeProjects(employees, employees / 10, 1, 4, /*seed=*/7);
   ConjunctiveQuery q = MultiProjectQuery();
   for (auto _ : state) {
-    auto r = IneqEvaluate(db, q, McOptions(6.0));
+    auto r = IneqEvaluate(db, q, {}, McOptions(6.0));
     benchmark::DoNotOptimize(r);
   }
   state.counters["employees"] = employees;
@@ -181,7 +181,7 @@ void BM_Theorem2EvalLowered(benchmark::State& state) {
   ConjunctiveQuery q = SimplePathQuery(3);
   q.head = {Term::Var(0), Term::Var(3)};
   for (auto _ : state) {
-    auto r = IneqEvaluate(db, q, McOptions());
+    auto r = IneqEvaluate(db, q, {}, McOptions());
     if (!r.ok()) state.SkipWithError("evaluation failed");
     benchmark::DoNotOptimize(r);
   }
@@ -201,7 +201,7 @@ void BM_OutputSensitiveEvaluation(benchmark::State& state) {
   q.head = {Term::Var(0), Term::Var(3)};
   size_t answers = 0;
   for (auto _ : state) {
-    auto r = IneqEvaluate(db, q, McOptions());
+    auto r = IneqEvaluate(db, q, {}, McOptions());
     if (!r.ok()) state.SkipWithError("evaluation failed");
     answers = r.value().size();
     benchmark::DoNotOptimize(r);

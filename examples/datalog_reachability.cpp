@@ -22,7 +22,7 @@ int main() {
     DatalogProgram tc = TransitiveClosureProgram();
     DatalogStats stats;
     Timer t;
-    auto out = EvaluateDatalog(db, tc, {}, &stats);
+    auto out = EvaluateDatalog(db, tc, {}, {}, &stats);
     out.status().Expect("transitive closure");
     RelId e = db.FindRelation("E").ValueOrDie();
     std::printf("%8d %10zu %12zu %12zu %10.1f\n", n, db.relation(e).size(),
@@ -39,7 +39,7 @@ int main() {
     DatalogProgram prog = ArityRWalkProgram(r);
     DatalogStats stats;
     Timer t;
-    auto out = EvaluateDatalog(db, prog, {}, &stats);
+    auto out = EvaluateDatalog(db, prog, {}, {}, &stats);
     out.status().Expect("arity walk");
     std::printf("%8d %8d %14zu %12zu %10.1f\n", r, n, stats.derived_tuples,
                 stats.iterations, t.Millis());

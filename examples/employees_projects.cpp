@@ -36,7 +36,7 @@ int main() {
     options.mc_error_exponent = 8.0;
 
     Timer t1;
-    auto fpt = IneqEvaluate(db, query, options);
+    auto fpt = IneqEvaluate(db, query, {}, options);
     double fpt_ms = t1.Millis();
     fpt.status().Expect("theorem 2 engine");
 

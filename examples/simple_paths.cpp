@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     options.seed = 99;
     IneqStats stats;
     Timer timer;
-    auto found = IneqNonempty(db, query, options, &stats);
+    auto found = IneqNonempty(db, query, {}, options, &stats);
     double ms = timer.Millis();
     found.status().Expect("simple path decision");
     RelId e = db.FindRelation("E").ValueOrDie();

@@ -8,6 +8,7 @@
 #include "core/explain.hpp"
 #include "eval/acyclic.hpp"
 #include "eval/counting.hpp"
+#include "eval/naive.hpp"
 #include "query/comparison_closure.hpp"
 #include "query/parser.hpp"
 #include "relational/storage_cache_stats.hpp"
@@ -32,13 +33,6 @@ TextKind SniffKind(const std::string& text) {
     return TextKind::kDatalogProgram;
   }
   return TextKind::kRule;
-}
-
-// Engine-level limits override the per-evaluator options (whose own legacy
-// aliases apply only where the engine sets nothing).
-ResourceLimits Overlay(const ResourceLimits& engine,
-                       const ResourceLimits& evaluator) {
-  return engine.MergedWith(evaluator.max_rows, evaluator.max_steps);
 }
 
 // The empty answer in the query's answer shape: no rows for tuple and
@@ -84,8 +78,6 @@ std::string EngineStats::ToString() const {
         << " skipped_firings=" << datalog.skipped_firings
         << "\n  edb_materializations=" << datalog.edb_materializations
         << " edb_cache_hits=" << datalog.edb_cache_hits
-        << " edb_index_builds=" << datalog.edb_index_builds
-        << " edb_index_hits=" << datalog.edb_index_hits
         << "\n  plans_built=" << datalog.plans_built
         << " plan_reuses=" << datalog.plan_reuses
         << " replans=" << datalog.replans << "\n";
@@ -159,13 +151,19 @@ Engine::Engine(const Database& db, EngineOptions options)
       "pq_operator_rows", "rows produced per executed plan operator");
 }
 
-RuntimeOptions Engine::Runtime() const {
+EvalContext Engine::Context(QueryContext* qc) const {
   size_t want = options_.threads == 0 ? TaskScheduler::HardwareConcurrency()
                                       : options_.threads;
   // Sanity bound: an absurd width would die spawning real threads.
   want = std::min<size_t>(want, 1024);
   plan_cache_.set_capacity(options_.plan_cache_capacity);
-  RuntimeOptions runtime;
+  EvalContext ctx;
+  ctx.limits = options_.limits;
+  ctx.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
+  ctx.planner.vectorize = options_.vectorize;
+  ctx.planner.wcoj = options_.wcoj;
+  RuntimeOptions& runtime = ctx.runtime;
+  runtime.query_ctx = qc;
   runtime.morsel_rows = options_.morsel_rows;
   runtime.vec_min_source_rows = options_.vec_min_source_rows;
   runtime.metrics = &query_metrics_;
@@ -176,13 +174,13 @@ RuntimeOptions Engine::Runtime() const {
   }
   if (want <= 1) {
     scheduler_.reset();  // back to sequential: drop the idle pool
-    return runtime;
+    return ctx;
   }
   if (scheduler_ == nullptr || scheduler_->threads() != want) {
     scheduler_ = std::make_unique<TaskScheduler>(want);
   }
   runtime.scheduler = scheduler_.get();
-  return runtime;
+  return ctx;
 }
 
 Result<Relation> Engine::Run(const ConjunctiveQuery& q) const {
@@ -217,17 +215,10 @@ Result<Relation> Engine::Run(const ConjunctiveQuery& q) const {
     // then — the enumeration route applies the comparisons directly.
     if (q.answer.counting() && !effective->Validate().ok()) effective = &q;
   }
+  const EvalContext ctx = Context(qc);
   if (q.answer.counting()) {
     m_.counting_queries->Increment();
-    CountingOptions cnt;
-    cnt.limits = Overlay(options_.limits, options_.acyclic.EffectiveLimits());
-    cnt.runtime = Runtime();
-    cnt.runtime.query_ctx = qc;
-    cnt.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-    cnt.full_reducer = options_.acyclic.full_reducer;
-    cnt.vectorize = options_.vectorize;
-    cnt.wcoj = options_.wcoj;
-    auto result = CountingEvaluate(*db_, *effective, cnt, &stats_.plan);
+    auto result = CountingEvaluate(*db_, *effective, ctx, &stats_.plan);
     if (result.ok() && q.answer.kind == AnswerSpec::Kind::kGroupedCount) {
       m_.count_groups->Observe(result.value().size());
     }
@@ -243,38 +234,16 @@ Result<Relation> Engine::Run(const ConjunctiveQuery& q) const {
   }
   if (effective->IsAcyclic()) {
     if (!effective->HasComparisons()) {
-      AcyclicOptions eff = options_.acyclic;
-      eff.limits = Overlay(options_.limits, eff.EffectiveLimits());
-      eff.max_rows = 0;
-      eff.runtime = Runtime();
-      eff.runtime.query_ctx = qc;
-      eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-      return finish(AcyclicEvaluate(*db_, *effective, eff, &stats_.acyclic,
-                                    &stats_.plan));
+      return finish(AcyclicEvaluate(*db_, *effective, ctx, &stats_.plan));
     }
     if (effective->HasOnlyInequalities()) {
-      // Theorem 2 route: since the plan lowering, this is plan-routed too —
-      // it inherits the unified limits, the parallel runtime, and the plan
-      // cache (one residual plan per query, re-executed per coloring).
-      IneqOptions ineq = options_.inequality;
-      ineq.limits = Overlay(options_.limits, ineq.EffectiveLimits());
-      ineq.max_rows = 0;
-      ineq.runtime = Runtime();
-      ineq.runtime.query_ctx = qc;
-      ineq.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-      return finish(
-          IneqEvaluate(*db_, *effective, ineq, &stats_.ineq, &stats_.plan));
+      // Theorem 2 route: plan-routed too — one residual plan per query,
+      // re-executed per coloring.
+      return finish(IneqEvaluate(*db_, *effective, ctx, options_.inequality,
+                                 &stats_.ineq, &stats_.plan));
     }
   }
-  NaiveOptions eff = options_.naive;
-  eff.limits = Overlay(options_.limits, eff.EffectiveLimits());
-  eff.max_steps = 0;
-  eff.runtime = Runtime();
-  eff.runtime.query_ctx = qc;
-  eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-  eff.vectorize = options_.vectorize;
-  eff.wcoj = options_.wcoj;
-  return finish(NaiveEvaluateCq(*db_, *effective, eff, &stats_.plan));
+  return finish(NaiveEvaluateCq(*db_, *effective, ctx, &stats_.plan));
 }
 
 Result<Relation> Engine::Run(const PositiveQuery& q) const {
@@ -283,22 +252,17 @@ Result<Relation> Engine::Run(const PositiveQuery& q) const {
   Timer timer;
   QueryContext* qc = ArmQueryContext();
   ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  UcqOptions eff = options_.ucq;
-  eff.limits = Overlay(options_.limits, eff.EffectiveLimits());
-  eff.naive_max_steps = 0;
-  eff.runtime = Runtime();
-  eff.runtime.query_ctx = qc;
-  eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-  eff.vectorize = options_.vectorize;
+  const EvalContext ctx = Context(qc);
   const bool counting = q.fo().answer.counting();
   if (counting) m_.counting_queries->Increment();
-  auto result = counting ? EvaluatePositiveCount(*db_, q, eff, &stats_.ucq)
-                         : EvaluatePositive(*db_, q, eff, &stats_.ucq);
+  auto result = counting ? EvaluatePositiveCount(*db_, q, ctx, options_.ucq,
+                                                 &stats_.ucq, &stats_.plan)
+                         : EvaluatePositive(*db_, q, ctx, options_.ucq,
+                                            &stats_.ucq, &stats_.plan);
   if (counting && result.ok() &&
       q.fo().answer.kind == AnswerSpec::Kind::kGroupedCount) {
     m_.count_groups->Observe(result.value().size());
   }
-  stats_.plan = stats_.ucq.plan;
   stats_.plan_cache = plan_cache_.stats();
   FinishQuery(timer.Seconds(), result.status(), qc);
   return result;
@@ -318,10 +282,7 @@ Result<Relation> Engine::Run(const FirstOrderQuery& q) const {
   Timer timer;
   QueryContext* qc = ArmQueryContext();
   ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  FoOptions fo = options_.fo;
-  if (options_.limits.max_rows != 0) fo.max_rows = options_.limits.max_rows;
-  fo.runtime = Runtime();
-  fo.runtime.query_ctx = qc;
+  const EvalContext ctx = Context(qc);
   auto finish = [&](Result<Relation> r) {
     stats_.plan_cache = plan_cache_.stats();
     FinishQuery(timer.Seconds(), r.status(), qc);
@@ -339,7 +300,7 @@ Result<Relation> Engine::Run(const FirstOrderQuery& q) const {
     enum_q.answer = AnswerSpec::Tuples();
     enum_q.head.clear();
     for (VarId v : free_vars) enum_q.head.push_back(Term::Var(v));
-    auto rows = EvaluateFirstOrder(*db_, enum_q, fo);
+    auto rows = EvaluateFirstOrder(*db_, enum_q, ctx, options_.fo);
     if (!rows.ok()) return finish(rows.status());
     std::vector<int> gcols;
     for (const Term& t : q.head) {
@@ -352,7 +313,7 @@ Result<Relation> Engine::Run(const FirstOrderQuery& q) const {
     }
     return finish(std::move(counts));
   }
-  return finish(EvaluateFirstOrder(*db_, q, fo));
+  return finish(EvaluateFirstOrder(*db_, q, ctx, options_.fo));
 }
 
 Result<Relation> Engine::Run(const DatalogProgram& p) const {
@@ -361,15 +322,8 @@ Result<Relation> Engine::Run(const DatalogProgram& p) const {
   Timer timer;
   QueryContext* qc = ArmQueryContext();
   ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  DatalogOptions eff = options_.datalog;
-  eff.limits = Overlay(options_.limits, eff.EffectiveLimits());
-  eff.max_rows = 0;
-  eff.runtime = Runtime();
-  eff.runtime.query_ctx = qc;
-  eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-  eff.vectorize = options_.vectorize;
-  auto result = EvaluateDatalog(*db_, p, eff, &stats_.datalog);
-  stats_.plan = stats_.datalog.plan;
+  auto result = EvaluateDatalog(*db_, p, Context(qc), options_.datalog,
+                                &stats_.datalog, &stats_.plan);
   stats_.plan_cache = plan_cache_.stats();
   FinishQuery(timer.Seconds(), result.status(), qc);
   return result;
@@ -470,18 +424,19 @@ QueryContext* Engine::ArmQueryContext() const {
 }
 
 Result<std::string> Engine::ExplainText(const std::string& text) {
+  const PlannerOptions planner = Context(nullptr).planner;
   switch (SniffKind(text)) {
     case TextKind::kFormula: {
       PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, nullptr));
-      return ExplainFirstOrder(q, db_);
+      return ExplainFirstOrder(q, db_, planner);
     }
     case TextKind::kDatalogProgram: {
       PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, nullptr));
-      return ExplainDatalog(p, db_);
+      return ExplainDatalog(p, db_, planner);
     }
     case TextKind::kRule: {
       PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, nullptr));
-      return ExplainConjunctive(q, db_);
+      return ExplainConjunctive(q, db_, planner);
     }
   }
   return Status::Internal("unreachable");
@@ -511,6 +466,7 @@ Result<std::string> Engine::AnalyzeText(const std::string& text,
 
 Result<std::string> Engine::PlanText(const std::string& text,
                                      Dictionary* dict) {
+  const PlannerOptions planner = Context(nullptr).planner;
   switch (SniffKind(text)) {
     case TextKind::kFormula: {
       PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, dict));
@@ -521,15 +477,15 @@ Result<std::string> Engine::PlanText(const std::string& text,
       }
       PQ_ASSIGN_OR_RETURN(PositiveQuery pq,
                           PositiveQuery::FromFirstOrder(std::move(q)));
-      return RenderPositivePlan(*db_, pq);
+      return RenderPositivePlan(*db_, pq, planner);
     }
     case TextKind::kDatalogProgram: {
       PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, dict));
-      return RenderDatalogPlan(*db_, p);
+      return RenderDatalogPlan(*db_, p, planner);
     }
     case TextKind::kRule: {
       PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, dict));
-      return RenderConjunctivePlan(*db_, q);
+      return RenderConjunctivePlan(*db_, q, planner);
     }
   }
   return Status::Internal("unreachable");

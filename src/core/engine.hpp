@@ -28,11 +28,10 @@
 #include "obs/analyze.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "eval/acyclic.hpp"
+#include "eval/context.hpp"
 #include "eval/datalog_eval.hpp"
 #include "eval/fo.hpp"
 #include "eval/inequality.hpp"
-#include "eval/naive.hpp"
 #include "eval/ucq.hpp"
 #include "plan/plan.hpp"
 #include "plan/plan_cache.hpp"
@@ -41,16 +40,16 @@
 
 namespace paraquery {
 
-/// Engine-wide options (forwarded to the individual evaluators).
+/// Engine-wide options. Each Run turns the shared ones into one EvalContext
+/// (eval/context.hpp) that every evaluator receives unchanged; the
+/// per-evaluator structs at the end hold only each evaluator's own knobs.
 struct EngineOptions {
-  /// Unified resource guard, forwarded to every evaluator. Nonzero members
-  /// override the per-evaluator legacy aliases (AcyclicOptions::max_rows,
-  /// NaiveOptions::max_steps, UcqOptions::naive_max_steps,
-  /// DatalogOptions::max_rows, IneqOptions::max_rows). The color-coding
-  /// engine is plan-routed since the Theorem 2 lowering, so both members
-  /// apply to it (max_steps per coloring execution); the active-domain
-  /// algebra (FoOptions) honors max_rows plus the deadline/memory members
-  /// through its polled QueryContext (max_steps does not apply there).
+  /// Unified resource guard, carried to every evaluator through the
+  /// EvalContext. Every plan-routed engine enforces both row members on
+  /// each plan execution — the color-coding engine per coloring execution;
+  /// the active-domain algebra honors max_rows (in place of
+  /// FoOptions::max_rows) plus the deadline/memory members through its
+  /// polled QueryContext (max_steps does not apply there).
   ResourceLimits limits;
   /// Execution width of the parallel runtime: 1 (default) runs every plan
   /// sequentially — exactly the historical engine; 0 means hardware
@@ -78,10 +77,10 @@ struct EngineOptions {
   /// one, so another thread may Cancel() it mid-query. The caller controls
   /// its lifecycle: cancellation is sticky until QueryContext::Reset().
   QueryContext* query_ctx = nullptr;
-  /// Master switch for vectorized columnar execution: forwarded onto the
-  /// naive/UCQ/Datalog evaluators, whose planners place Materialize
-  /// boundaries over eligible Select/Project/HashJoin chains. Results are
-  /// byte-identical on or off; off forces row-at-a-time execution.
+  /// Master switch for vectorized columnar execution
+  /// (PlannerOptions::vectorize): planners place Materialize boundaries over
+  /// eligible Select/Project/HashJoin chains. Results are byte-identical on
+  /// or off; off forces row-at-a-time execution.
   bool vectorize = true;
   /// Master switch for worst-case-optimal multiway joins: comparison-free
   /// cyclic CQs route through a generalized hypertree decomposition with
@@ -100,9 +99,7 @@ struct EngineOptions {
   /// JSON or text profile). Results are byte-identical on or off; off costs
   /// one null-pointer test per instrumentation site.
   bool trace = false;
-  AcyclicOptions acyclic;
   IneqOptions inequality;
-  NaiveOptions naive;
   FoOptions fo;
   UcqOptions ucq;
   DatalogOptions datalog;
@@ -123,11 +120,10 @@ struct EngineStats {
   /// cumulative per-reason counts live in Engine::metrics()
   /// (pq_aborts_*_total).
   std::string abort_reason;
-  /// Shared plan-executor counters for whatever plan(s) the last call ran
-  /// (the unified home of the former per-evaluator operator counters).
+  /// Shared plan-executor counters for whatever plan(s) the last call ran,
+  /// on every route.
   PlanStats plan;
   DatalogStats datalog;
-  AcyclicStats acyclic;
   UcqStats ucq;
   /// Theorem 2 color-coding instrumentation (set when the last call routed
   /// through the inequality engine).
@@ -212,10 +208,12 @@ class Engine {
   Tracer* tracer() const { return tracer_.get(); }
 
  private:
-  /// The parallel-runtime binding options().threads selects: a null
-  /// scheduler for threads == 1, otherwise a lazily created (and reused)
-  /// TaskScheduler of the resolved width. Rebuilt when the option changes.
-  RuntimeOptions Runtime() const;
+  /// The one EvalContext of a Run, built from options(): limits, the plan
+  /// cache (when enabled), the planner switches, and the runtime binding —
+  /// `qc` for hardening, and a null scheduler for threads == 1, otherwise a
+  /// lazily created (and reused) TaskScheduler of the resolved width,
+  /// rebuilt when the option changes.
+  EvalContext Context(QueryContext* qc) const;
 
   /// The QueryContext for one Run: the caller's (options().query_ctx) if
   /// set, else a lazily created engine-owned context when `limits` arms a
@@ -275,7 +273,7 @@ class Engine {
   MetricHandles m_;
   QueryMetrics query_metrics_;
   /// Armed by AnalyzeText for the duration of one RunText; bound into
-  /// RuntimeOptions::analyze by Runtime().
+  /// RuntimeOptions::analyze by Context().
   mutable PlanCapture* analyze_ = nullptr;
 };
 

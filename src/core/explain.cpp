@@ -53,7 +53,8 @@ bool ClearScanEstimates(PlanNode* node,
 }  // namespace
 
 Result<std::string> RenderConjunctivePlan(const Database& db,
-                                          const ConjunctiveQuery& q) {
+                                          const ConjunctiveQuery& q,
+                                          const PlannerOptions& planner) {
   PQ_RETURN_NOT_OK(q.Validate());
   const ConjunctiveQuery* effective = &q;
   ComparisonClosure closure;
@@ -76,7 +77,8 @@ Result<std::string> RenderConjunctivePlan(const Database& db,
       return std::string(
           "(no plan: empty body, the count is answered directly)\n");
     }
-    PQ_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanConjunctive(db, *effective));
+    PQ_ASSIGN_OR_RETURN(PhysicalPlan plan,
+                        PlanConjunctive(db, *effective, planner));
     std::string rendered = plan.Render();
     if (!effective->HasComparisons() && effective->IsAcyclic()) {
       oss << "-- route: counting Yannakakis (upward multiplicity folding; "
@@ -111,7 +113,8 @@ Result<std::string> RenderConjunctivePlan(const Database& db,
   } else {
     // Cyclic route: the planner picks multiway (WCOJ) or binary per bag, so
     // report what the rendered plan actually contains.
-    PQ_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanConjunctive(db, *effective));
+    PQ_ASSIGN_OR_RETURN(PhysicalPlan plan,
+                        PlanConjunctive(db, *effective, planner));
     std::string rendered = plan.Render();
     if (rendered.find("MultiwayJoin") != std::string::npos) {
       oss << "-- route: worst-case-optimal multiway join "
@@ -123,13 +126,15 @@ Result<std::string> RenderConjunctivePlan(const Database& db,
     oss << rendered;
     return oss.str();
   }
-  PQ_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanConjunctive(db, *effective));
+  PQ_ASSIGN_OR_RETURN(PhysicalPlan plan,
+                      PlanConjunctive(db, *effective, planner));
   oss << plan.Render();
   return oss.str();
 }
 
 Result<std::string> RenderPositivePlan(const Database& db,
-                                       const PositiveQuery& q) {
+                                       const PositiveQuery& q,
+                                       const PlannerOptions& planner) {
   // Expand with the evaluator's own cap (so anything the engine can run,
   // this can report on), but keep the render readable by showing at most
   // kExplainRenderCap disjunct subplans and summarizing the rest.
@@ -149,7 +154,7 @@ Result<std::string> RenderPositivePlan(const Database& db,
   // apart), so the subplans are rendered one at a time with their own names.
   for (size_t i = 0; i < shown; ++i) {
     oss << "  disjunct " << i + 1 << ": " << cqs[i].ToString() << "\n";
-    auto plan = PlanConjunctive(db, cqs[i]);
+    auto plan = PlanConjunctive(db, cqs[i], planner);
     if (plan.ok()) {
       oss << Indent(plan.value().Render(), 4);
     } else {
@@ -163,7 +168,8 @@ Result<std::string> RenderPositivePlan(const Database& db,
 }
 
 Result<std::string> RenderDatalogPlan(const Database& db,
-                                      const DatalogProgram& p) {
+                                      const DatalogProgram& p,
+                                      const PlannerOptions& planner) {
   PQ_RETURN_NOT_OK(p.Validate());
   std::ostringstream oss;
   oss << "Fixpoint(" << p.goal << ") [semi-naive, " << p.rules.size()
@@ -197,7 +203,8 @@ Result<std::string> RenderDatalogPlan(const Database& db,
         }
       }
     }
-    auto plan = PlanRuleBody(rule, attrs, sizes, caches, /*delta_pos=*/-1);
+    auto plan = PlanRuleBody(rule, attrs, sizes, caches, /*delta_pos=*/-1,
+                             /*distinct=*/{}, planner.vectorize);
     if (!plan.ok()) {
       oss << "    unavailable: " << plan.status().message() << "\n";
       continue;
@@ -208,7 +215,8 @@ Result<std::string> RenderDatalogPlan(const Database& db,
   return oss.str();
 }
 
-std::string ExplainConjunctive(const ConjunctiveQuery& q, const Database* db) {
+std::string ExplainConjunctive(const ConjunctiveQuery& q, const Database* db,
+                               const PlannerOptions& planner) {
   std::ostringstream oss;
   oss << "query: " << q.ToString() << "\n";
   if (q.HasComparisons() && !q.HasOnlyInequalities()) {
@@ -223,42 +231,52 @@ std::string ExplainConjunctive(const ConjunctiveQuery& q, const Database* db) {
           << closure.value().rewritten.ToString() << "\n";
       oss << ClassifyConjunctive(closure.value().rewritten).ToString();
       if (db != nullptr) {
-        AppendPlanSection(&oss, RenderConjunctivePlan(*db, q));
+        AppendPlanSection(&oss, RenderConjunctivePlan(*db, q, planner));
       }
       return oss.str();
     }
   }
   oss << ClassifyConjunctive(q).ToString();
-  if (db != nullptr) AppendPlanSection(&oss, RenderConjunctivePlan(*db, q));
+  if (db != nullptr) {
+    AppendPlanSection(&oss, RenderConjunctivePlan(*db, q, planner));
+  }
   return oss.str();
 }
 
-std::string ExplainPositive(const PositiveQuery& q, const Database* db) {
+std::string ExplainPositive(const PositiveQuery& q, const Database* db,
+                            const PlannerOptions& planner) {
   std::ostringstream oss;
   oss << "query: " << q.ToString() << "\n";
   oss << ClassifyPositive(q).ToString();
-  if (db != nullptr) AppendPlanSection(&oss, RenderPositivePlan(*db, q));
+  if (db != nullptr) {
+    AppendPlanSection(&oss, RenderPositivePlan(*db, q, planner));
+  }
   return oss.str();
 }
 
-std::string ExplainFirstOrder(const FirstOrderQuery& q, const Database* db) {
+std::string ExplainFirstOrder(const FirstOrderQuery& q, const Database* db,
+                              const PlannerOptions& planner) {
   std::ostringstream oss;
   oss << "query: " << q.ToString() << "\n";
   oss << ClassifyFirstOrder(q).ToString();
   if (db != nullptr && q.IsPositive()) {
     auto positive = PositiveQuery::FromFirstOrder(q);
     if (positive.ok()) {
-      AppendPlanSection(&oss, RenderPositivePlan(*db, positive.value()));
+      AppendPlanSection(&oss,
+                        RenderPositivePlan(*db, positive.value(), planner));
     }
   }
   return oss.str();
 }
 
-std::string ExplainDatalog(const DatalogProgram& p, const Database* db) {
+std::string ExplainDatalog(const DatalogProgram& p, const Database* db,
+                           const PlannerOptions& planner) {
   std::ostringstream oss;
   oss << "program:\n" << p.ToString();
   oss << ClassifyDatalog(p).ToString();
-  if (db != nullptr) AppendPlanSection(&oss, RenderDatalogPlan(*db, p));
+  if (db != nullptr) {
+    AppendPlanSection(&oss, RenderDatalogPlan(*db, p, planner));
+  }
   return oss.str();
 }
 

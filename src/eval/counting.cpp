@@ -41,10 +41,10 @@ Relation GroupCountRows(const Relation& distinct_rows,
 
 Result<Relation> CountingEvaluate(const Database& db,
                                   const ConjunctiveQuery& q,
-                                  const CountingOptions& options,
+                                  const EvalContext& ctx,
                                   PlanStats* plan_stats) {
   PQ_FAULT_POINT("counting.plan");
-  TraceSpan route_span(options.runtime.tracer, "route.counting");
+  TraceSpan route_span(ctx.runtime.tracer, "route.counting");
   PQ_RETURN_NOT_OK(q.Validate());
   if (!q.answer.counting()) {
     return Status::InvalidArgument(
@@ -58,38 +58,32 @@ Result<Relation> CountingEvaluate(const Database& db,
     out.Add(std::vector<Value>{1});
     return out;
   }
-  PlannerOptions popt;
-  popt.full_reducer = options.full_reducer;
-  popt.vectorize = options.vectorize;
-  popt.wcoj = options.wcoj;
   std::shared_ptr<PhysicalPlan> plan;
-  if (options.plan_cache != nullptr) {
+  if (ctx.plan_cache != nullptr) {
     // Cache route, exactly like the tuple evaluators: compile (or fetch) the
     // canonical query's plan. The signature carries the answer shape, so the
     // same text in tuple mode maps to a different entry; the output columns
     // are the canonical group keys, which occupy the same head positions as
     // the original's, so no answer re-mapping is needed.
     CanonicalCq canonical = CanonicalizeCq(q);
-    std::string key =
-        internal::StrCat("cq-cnt:", options.full_reducer ? "" : "nored|",
-                         canonical.signature);
-    plan = options.plan_cache->Lookup<PhysicalPlan>(key, db);
+    std::string key = internal::StrCat(
+        "cq-cnt:", PlannerCacheTag(ctx.planner), canonical.signature);
+    plan = ctx.plan_cache->Lookup<PhysicalPlan>(key, db);
     if (plan == nullptr) {
       PQ_ASSIGN_OR_RETURN(PhysicalPlan built,
-                          PlanCountingCq(db, canonical.query, popt));
+                          PlanCountingCq(db, canonical.query, ctx.planner));
       plan = std::make_shared<PhysicalPlan>(std::move(built));
       PQ_FAULT_POINT("counting.cache.insert");
-      options.plan_cache->Insert(key, db, canonical.query, plan);
+      ctx.plan_cache->Insert(key, db, canonical.query, plan);
     }
   } else {
-    PQ_ASSIGN_OR_RETURN(PhysicalPlan built, PlanCountingCq(db, q, popt));
+    PQ_ASSIGN_OR_RETURN(PhysicalPlan built,
+                        PlanCountingCq(db, q, ctx.planner));
     plan = std::make_shared<PhysicalPlan>(std::move(built));
   }
-  PlanStats local;
   PQ_ASSIGN_OR_RETURN(
       NamedRelation root,
-      ExecutePhysicalPlan(*plan, options.limits, &local, options.runtime));
-  if (plan_stats != nullptr) plan_stats->Merge(local);
+      ExecutePhysicalPlan(*plan, ctx.limits, plan_stats, ctx.runtime));
   if (ngroup == 0) {
     // Scalar COUNT(*): the root aggregate emits one [total] row, or none at
     // all on an empty query — the 0 row is supplied HERE, never inside the
@@ -108,7 +102,7 @@ Result<Relation> CountingEvaluate(const Database& db,
   if (root.arity() != ngroup + 1) {
     return Status::Internal("grouped counting plan produced a malformed root");
   }
-  return SortAnswers(std::move(root.rel()), options.runtime);
+  return SortAnswers(std::move(root.rel()), ctx.runtime);
 }
 
 }  // namespace paraquery

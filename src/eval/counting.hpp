@@ -11,33 +11,11 @@
 #define PARAQUERY_EVAL_COUNTING_H_
 
 #include "common/status.hpp"
-#include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
+#include "eval/context.hpp"
 #include "query/conjunctive_query.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
-
-/// Options for the counting evaluator.
-struct CountingOptions {
-  /// Unified resource guard (row caps, step budget, deadline, memory).
-  ResourceLimits limits;
-  /// Parallel runtime binding (default: sequential plan execution).
-  RuntimeOptions runtime;
-  /// Cross-query plan cache (optional, engine-owned): counting plans are
-  /// cached under "cq-cnt:" + CanonicalCqSignature — the signature carries
-  /// the answer shape, so a counting plan is never served for a tuple query
-  /// over the same text (or vice versa).
-  PlanCache* plan_cache = nullptr;
-  /// Acyclic plans: include the downward semijoin pass (ablation knob).
-  bool full_reducer = true;
-  /// Forwarded to the enumeration fallback's planner.
-  bool vectorize = true;
-  /// Comparison-free cyclic queries: count over the hypertree-decomposition
-  /// bag tree (leapfrog bags) instead of enumerate-then-aggregate.
-  bool wcoj = true;
-};
 
 /// Evaluates a counting CQ (`q.answer.counting()` must hold). The result is
 /// the counting answer shape: COUNT(*) yields a single-column single-row
@@ -46,9 +24,12 @@ struct CountingOptions {
 /// plus the trailing count — sorted by group. `plan_stats`, when given,
 /// receives the shared executor's counters (peak_intermediate_rows stays
 /// bounded by the input and semijoin sizes on the counting-Yannakakis route).
+/// Counting plans are cached under "cq-cnt:" + CanonicalCqSignature — the
+/// signature carries the answer shape, so a counting plan is never served
+/// for a tuple query over the same text (or vice versa).
 Result<Relation> CountingEvaluate(const Database& db,
                                   const ConjunctiveQuery& q,
-                                  const CountingOptions& options = {},
+                                  const EvalContext& ctx = {},
                                   PlanStats* plan_stats = nullptr);
 
 /// Groups `distinct_rows` (assumed duplicate-free) by the value tuple at

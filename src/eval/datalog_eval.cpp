@@ -132,7 +132,7 @@ struct FiringResult {
 
 // One semi-naive fixpoint run: IDB state, the EDB atom cache, and the cached
 // per-(rule, delta position) body plans the shared executor re-runs every
-// iteration. With a scheduler bound (DatalogOptions::runtime), each round's
+// iteration. With a scheduler bound (EvalContext::runtime), each round's
 // variants fire as concurrent tasks: firings read the round-stable IDB/delta
 // state and return materialized FiringResults, which the round barrier
 // applies in variant order — so the derived tuple sets (and the fixpoint)
@@ -140,11 +140,17 @@ struct FiringResult {
 class DatalogRun {
  public:
   DatalogRun(const Database& db, const DatalogProgram& program,
-             const DatalogOptions& options, DatalogStats* stats)
-      : db_(db), program_(program), options_(options), stats_(stats) {}
+             const EvalContext& ctx, const DatalogOptions& options,
+             DatalogStats* stats, PlanStats* plan_stats)
+      : db_(db),
+        program_(program),
+        ctx_(ctx),
+        options_(options),
+        stats_(stats),
+        plan_stats_(plan_stats) {}
 
   Result<Relation> Run() {
-    TraceSpan route_span(options_.runtime.tracer, "route.datalog");
+    TraceSpan route_span(ctx_.runtime.tracer, "route.datalog");
     PQ_RETURN_NOT_OK(program_.Validate());
     for (const std::string& name : program_.IdbRelations()) {
       size_t arity = static_cast<size_t>(program_.ArityOf(name));
@@ -156,7 +162,7 @@ class DatalogRun {
     for (size_t ri = 0; ri < program_.rules.size(); ++ri) {
       edb_views_[ri].resize(program_.rules[ri].body.size());
     }
-    const uint64_t max_total_rows = options_.EffectiveLimits().max_rows;
+    const uint64_t max_total_rows = ctx_.limits.max_rows;
 
     // Iteration 0: fire every rule on the (empty) IDB state so EDB-only
     // rules seed the deltas.
@@ -178,7 +184,7 @@ class DatalogRun {
     while (changed) {
       // Round-boundary poll: a deadline/cancel/budget abort ends the
       // fixpoint within one semi-naive round.
-      PQ_RETURN_NOT_OK(options_.runtime.CheckInterrupt());
+      PQ_RETURN_NOT_OK(ctx_.runtime.CheckInterrupt());
       if (options_.max_iterations != 0 &&
           iterations >= options_.max_iterations) {
         return Status::ResourceExhausted("Datalog iteration limit exceeded");
@@ -219,11 +225,8 @@ class DatalogRun {
       for (const auto& [name, set] : idb_) {
         stats_->derived_tuples += set.size();
       }
-      stats_->edb_index_builds = stats_->plan.index_builds;
-      stats_->edb_index_hits = stats_->plan.index_hits;
     }
-    return SortAnswers(idb_.at(program_.goal).TakeRelation(),
-                       options_.runtime);
+    return SortAnswers(idb_.at(program_.goal).TakeRelation(), ctx_.runtime);
   }
 
  private:
@@ -333,8 +336,8 @@ class DatalogRun {
     PQ_FAULT_POINT("datalog.firing");
     const DatalogRule& rule = program_.rules[ri];
     TraceSpan firing_span(
-        options_.runtime.tracer, "firing",
-        options_.runtime.tracer != nullptr
+        ctx_.runtime.tracer, "firing",
+        ctx_.runtime.tracer != nullptr
             ? internal::StrCat(rule.head.relation, " delta=", delta_pos)
             : std::string());
     FiringResult out;
@@ -397,13 +400,12 @@ class DatalogRun {
       std::string cache_key;
       CanonicalCq canonical;
       bool from_cache = false;
-      if (options_.plan_cache != nullptr) {
+      if (ctx_.plan_cache != nullptr) {
         canonical = CanonicalizeRule(rule);
-        cache_key =
-            internal::StrCat("rule:", canonical.signature, "|d", delta_pos,
-                             options_.vectorize ? "|vec" : "");
+        cache_key = internal::StrCat("rule:", PlannerCacheTag(ctx_.planner),
+                                     canonical.signature, "|d", delta_pos);
         if (first_build) {
-          auto cached = options_.plan_cache->Lookup<CachedRulePlan>(
+          auto cached = ctx_.plan_cache->Lookup<CachedRulePlan>(
               cache_key, db_);
           if (cached != nullptr) {
             // Reject the hit if ANY input slot — not just the delta — has
@@ -441,9 +443,9 @@ class DatalogRun {
         PQ_ASSIGN_OR_RETURN(
             variant.plan,
             PlanRuleBody(rule, attrs, sizes, caches, delta_pos, distinct,
-                         options_.vectorize));
+                         ctx_.planner.vectorize));
         variant.planned_delta_rows = observed;
-        if (options_.plan_cache != nullptr) {
+        if (ctx_.plan_cache != nullptr) {
           // Publish the canonical form: rule var -> canonical id is the
           // inverse of the canonical order.
           std::vector<AttrId> inverse(rule.vars.size(), -1);
@@ -462,8 +464,8 @@ class DatalogRun {
           // Dependency stamps come from the rule's EDB body atoms (IDB
           // names do not resolve and carry no stamp — their content is
           // run-local, not the database's).
-          options_.plan_cache->Insert(cache_key, db_, canonical.query,
-                                      std::move(entry));
+          ctx_.plan_cache->Insert(cache_key, db_, canonical.query,
+                                  std::move(entry));
         }
       }
       // A cross-run cache hit built nothing (it cloned) — that is a reuse;
@@ -480,9 +482,9 @@ class DatalogRun {
     // Both guard members apply inside a firing (per-operator rows and the
     // step meter); max_rows additionally bounds the total derived tuples,
     // checked per iteration in Run().
-    ExecContext ctx{inputs, options_.EffectiveLimits(), plan_stats,
-                    options_.runtime};
-    PQ_ASSIGN_OR_RETURN(NamedRelation bindings, ExecutePlan(*variant.plan, ctx));
+    ExecContext exec{inputs, ctx_.limits, plan_stats, ctx_.runtime};
+    PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
+                        ExecutePlan(*variant.plan, exec));
     out.fired = true;
     out.derived =
         BindingsToAnswers(bindings, rule.head.terms, /*sort_output=*/false);
@@ -499,20 +501,18 @@ class DatalogRun {
                    bool* changed) {
     PQ_FAULT_POINT("datalog.round");
     TraceSpan round_span(
-        options_.runtime.tracer, "round",
-        options_.runtime.tracer != nullptr
+        ctx_.runtime.tracer, "round",
+        ctx_.runtime.tracer != nullptr
             ? internal::StrCat("round=", rounds_fired_++,
                                " variants=", variants.size())
             : std::string());
     // Materialize the variant plan slots up front so concurrent firings
     // never mutate a rule's variant map structurally.
     for (const auto& [ri, dpos] : variants) plans_[ri].try_emplace(dpos);
-    if (!options_.runtime.parallel() || variants.size() <= 1) {
+    if (!ctx_.runtime.parallel() || variants.size() <= 1) {
       for (const auto& [ri, dpos] : variants) {
-        PQ_ASSIGN_OR_RETURN(
-            FiringResult fr,
-            ComputeVariant(ri, dpos,
-                           stats_ != nullptr ? &stats_->plan : nullptr));
+        PQ_ASSIGN_OR_RETURN(FiringResult fr,
+                            ComputeVariant(ri, dpos, plan_stats_));
         if (fr.fired) {
           AddNew(program_.rules[ri].head.relation, fr.derived, next_delta,
                  changed);
@@ -523,20 +523,20 @@ class DatalogRun {
     std::vector<std::optional<Result<FiringResult>>> results(variants.size());
     std::vector<PlanStats> local(variants.size());
     {
-      TaskGroup group(options_.runtime.scheduler);
+      TaskGroup group(ctx_.runtime.scheduler);
       for (size_t i = 0; i < variants.size(); ++i) {
         group.Spawn([&, i] {
           auto [ri, dpos] = variants[i];
           results[i].emplace(ComputeVariant(
-              ri, dpos, stats_ != nullptr ? &local[i] : nullptr));
+              ri, dpos, plan_stats_ != nullptr ? &local[i] : nullptr));
           if (!results[i]->ok()) group.Cancel();
         });
       }
       group.Wait();
     }
-    if (stats_ != nullptr) {
-      stats_->plan.parallel_tasks += variants.size();
-      for (const PlanStats& ps : local) stats_->plan.Merge(ps);
+    if (plan_stats_ != nullptr) {
+      plan_stats_->parallel_tasks += variants.size();
+      for (const PlanStats& ps : local) plan_stats_->Merge(ps);
     }
     for (const std::optional<Result<FiringResult>>& r : results) {
       if (r.has_value()) PQ_RETURN_NOT_OK(r->status());
@@ -554,8 +554,10 @@ class DatalogRun {
 
   const Database& db_;
   const DatalogProgram& program_;
+  const EvalContext& ctx_;
   const DatalogOptions& options_;
   DatalogStats* stats_;
+  PlanStats* plan_stats_;
 
   std::unordered_map<std::string, RowHashSet> idb_;
   std::unordered_map<std::string, Relation> delta_;
@@ -577,9 +579,10 @@ class DatalogRun {
 
 Result<Relation> EvaluateDatalog(const Database& db,
                                  const DatalogProgram& program,
+                                 const EvalContext& ctx,
                                  const DatalogOptions& options,
-                                 DatalogStats* stats) {
-  DatalogRun run(db, program, options, stats);
+                                 DatalogStats* stats, PlanStats* plan_stats) {
+  DatalogRun run(db, program, ctx, options, stats, plan_stats);
   return run.Run();
 }
 

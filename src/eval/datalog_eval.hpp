@@ -9,17 +9,33 @@
 // scans (delta pinned first, then greedy smallest-first) and re-executed by
 // the shared plan executor every iteration; static EDB atoms keep their
 // program-wide cached materializations and memoized join indexes.
+//
+// Under the EvalContext: ctx.limits.max_rows bounds the total derived IDB
+// tuples, and both row members are enforced on every rule-plan execution.
+// With a scheduler, the independent (rule, delta position) firings of one
+// semi-naive round run as concurrent tasks — newly derived tuples are
+// applied to the IDB state in variant order after the round's barrier — and
+// each firing's plan may execute morsel-parallel. The fixpoint (and the goal
+// relation) is identical to the single-threaded run; iteration/firing
+// counts may differ, because the sequential engine lets a firing observe
+// tuples derived earlier in the same round while the parallel round is a
+// pure Jacobi step. With a plan cache, a variant's first firing fetches the
+// rule-body plan compiled by a previous program run (keyed by the rule's
+// canonical signature, delta position, planner options and database
+// generation) instead of re-running PlanRuleBody. Hits are CLONED into the
+// run — concurrent firings never share mutable plan nodes — with their Scan
+// join-index pointers rebound to this run's EDB caches; the >10x
+// delta-drift re-planning still applies on top and refreshes the cached
+// entry.
 #ifndef PARAQUERY_EVAL_DATALOG_EVAL_H_
 #define PARAQUERY_EVAL_DATALOG_EVAL_H_
 
 #include <cstdint>
 
 #include "common/status.hpp"
-#include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
+#include "eval/context.hpp"
 #include "query/datalog.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 
@@ -27,38 +43,6 @@ namespace paraquery {
 struct DatalogOptions {
   /// Abort after this many fixpoint iterations (0 = off).
   uint64_t max_iterations = 0;
-  /// Parallel runtime binding. With a scheduler, the independent (rule,
-  /// delta position) firings of one semi-naive round run as concurrent
-  /// tasks — newly derived tuples are applied to the IDB state in variant
-  /// order after the round's barrier — and each firing's plan may execute
-  /// morsel-parallel. The fixpoint (and the goal relation) is identical to
-  /// the single-threaded run; iteration/firing counts may differ, because
-  /// the sequential engine lets a firing observe tuples derived earlier in
-  /// the same round while the parallel round is a pure Jacobi step.
-  RuntimeOptions runtime;
-  /// Unified resource guard: limits.max_rows bounds the total derived IDB
-  /// tuples, and both members are forwarded to every rule-plan execution.
-  ResourceLimits limits;
-  /// Cross-query plan cache (optional, engine-owned): a variant's first
-  /// firing fetches the rule-body plan compiled by a previous program run
-  /// (keyed by the rule's canonical signature + delta position + database
-  /// generation) instead of re-running PlanRuleBody. Hits are CLONED into
-  /// the run — concurrent firings never share mutable plan nodes — with
-  /// their Scan join-index pointers rebound to this run's EDB caches; the
-  /// >10x delta-drift re-planning still applies on top and refreshes the
-  /// cached entry.
-  PlanCache* plan_cache = nullptr;
-  /// Let PlanRuleBody place Materialize boundaries so eligible rule bodies
-  /// run vectorized over columnar storage (byte-identical fixpoint either
-  /// way). The rule-plan cache key carries the flag, so cached plans never
-  /// leak across toggle states.
-  bool vectorize = true;
-  /// DEPRECATED alias for limits.max_rows. Used when limits.max_rows == 0.
-  uint64_t max_rows = 0;
-
-  ResourceLimits EffectiveLimits() const {
-    return limits.MergedWith(max_rows, /*legacy_max_steps=*/0);
-  }
 };
 
 /// Instrumentation.
@@ -74,11 +58,6 @@ struct DatalogStats {
   /// body-atom slots served by an existing one through a relabeled view.
   size_t edb_materializations = 0;
   size_t edb_cache_hits = 0;
-  /// Memoized join indexes over cached EDB materializations: builds vs
-  /// probe-column lookups answered by an already-built index (mirror of
-  /// plan.index_builds / plan.index_hits).
-  size_t edb_index_builds = 0;
-  size_t edb_index_hits = 0;
   /// Rule-body plans built (PlanRuleBody invocations) vs firings answered
   /// by a reused plan (re-execution across iterations, or a variant served
   /// by the cross-run plan cache) vs plans rebuilt because the observed
@@ -87,15 +66,18 @@ struct DatalogStats {
   size_t plans_built = 0;
   size_t plan_reuses = 0;
   size_t replans = 0;
-  /// Shared plan-executor counters aggregated over every rule firing.
-  PlanStats plan;
 };
 
 /// Computes the goal relation of `program` over `db` (semi-naive fixpoint).
+/// `plan_stats`, when given, receives the shared executor's counters
+/// aggregated over every rule firing — the memoized EDB join indexes show up
+/// there as index_builds / index_hits.
 Result<Relation> EvaluateDatalog(const Database& db,
                                  const DatalogProgram& program,
+                                 const EvalContext& ctx = {},
                                  const DatalogOptions& options = {},
-                                 DatalogStats* stats = nullptr);
+                                 DatalogStats* stats = nullptr,
+                                 PlanStats* plan_stats = nullptr);
 
 }  // namespace paraquery
 

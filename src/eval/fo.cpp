@@ -14,7 +14,8 @@ namespace {
 struct FoEval {
   const Database& db;
   const FirstOrderQuery& q;
-  const FoOptions& options;
+  const RuntimeOptions& runtime;
+  uint64_t max_rows;  // cap on any intermediate relation
   std::vector<Value> adom;
   std::map<int, NamedRelation> memo;  // node id -> result
 
@@ -33,7 +34,7 @@ struct FoEval {
                  : BooleanFalse();
     }
     PQ_ASSIGN_OR_RETURN(NamedRelation all,
-                        DomainPower(attrs, adom, options.max_rows));
+                        DomainPower(attrs, adom, max_rows));
     Predicate pred;
     auto col = [&all](const Term& t) { return all.ColumnOf(t.var()); };
     if (cmp.lhs.is_var() && cmp.rhs.is_var()) {
@@ -113,7 +114,7 @@ struct FoEval {
       // The group scan is the evaluator's longest uninterruptible stretch
       // (up to |adom|^arity rows): poll the abort state every ~1k groups.
       if ((++groups & 1023) == 0) {
-        PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+        PQ_RETURN_NOT_OK(runtime.CheckInterrupt());
       }
       size_t j = i;
       auto same_group = [&](size_t a, size_t b) {
@@ -138,7 +139,7 @@ struct FoEval {
   Result<NamedRelation> Eval(int id) {
     // One poll per subformula: a deadline/cancel/memory abort stops the
     // recursion within one algebra operation.
-    PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+    PQ_RETURN_NOT_OK(runtime.CheckInterrupt());
     auto it = memo.find(id);
     if (it != memo.end()) return it->second;
     using Kind = FirstOrderQuery::NodeKind;
@@ -156,7 +157,7 @@ struct FoEval {
       case Kind::kAnd: {
         PQ_ASSIGN_OR_RETURN(result, Eval(node.children[0]));
         JoinOptions jo;
-        jo.max_output_rows = options.max_rows;
+        jo.max_output_rows = max_rows;
         for (size_t i = 1; i < node.children.size(); ++i) {
           PQ_ASSIGN_OR_RETURN(NamedRelation next, Eval(node.children[i]));
           PQ_ASSIGN_OR_RETURN(result, NaturalJoin(result, next, jo));
@@ -187,9 +188,9 @@ struct FoEval {
           NamedRelation padded = std::move(part);
           if (!missing.empty()) {
             PQ_ASSIGN_OR_RETURN(NamedRelation pad,
-                                DomainPower(missing, adom, options.max_rows));
+                                DomainPower(missing, adom, max_rows));
             PQ_ASSIGN_OR_RETURN(padded,
-                                CrossProduct(padded, pad, options.max_rows));
+                                CrossProduct(padded, pad, max_rows));
           }
           if (first) {
             result = std::move(padded);
@@ -203,7 +204,7 @@ struct FoEval {
       case Kind::kNot: {
         PQ_ASSIGN_OR_RETURN(NamedRelation inner, Eval(node.children[0]));
         PQ_ASSIGN_OR_RETURN(result,
-                            Complement(inner, adom, options.max_rows));
+                            Complement(inner, adom, max_rows));
         break;
       }
       case Kind::kExists: {
@@ -241,7 +242,7 @@ struct FoEval {
     // Exit poll: an abort raised DURING this node's own algebra work
     // (domain-power padding, complement, division sort) must surface here —
     // entry polls only observe aborts raised before the node started.
-    PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+    PQ_RETURN_NOT_OK(runtime.CheckInterrupt());
     memo.emplace(id, result);
     return result;
   }
@@ -251,6 +252,7 @@ struct FoEval {
 
 Result<Relation> EvaluateFirstOrder(const Database& db,
                                     const FirstOrderQuery& q,
+                                    const EvalContext& ctx,
                                     const FoOptions& options) {
   PQ_RETURN_NOT_OK(q.Validate());
   std::vector<Value> adom = db.ActiveDomain();
@@ -258,7 +260,9 @@ Result<Relation> EvaluateFirstOrder(const Database& db,
     return Status::InvalidArgument(
         "first-order evaluation requires a nonempty active domain");
   }
-  FoEval ev{db, q, options, std::move(adom), {}};
+  const uint64_t max_rows =
+      ctx.limits.max_rows != 0 ? ctx.limits.max_rows : options.max_rows;
+  FoEval ev{db, q, ctx.runtime, max_rows, std::move(adom), {}};
   PQ_ASSIGN_OR_RETURN(NamedRelation root, ev.Eval(q.root));
   // Extend to head variables that are not free in the formula (they range
   // over the active domain).
@@ -272,19 +276,21 @@ Result<Relation> EvaluateFirstOrder(const Database& db,
   }
   if (!missing.empty()) {
     PQ_ASSIGN_OR_RETURN(NamedRelation pad,
-                        DomainPower(missing, ev.adom, options.max_rows));
-    PQ_ASSIGN_OR_RETURN(root, CrossProduct(root, pad, options.max_rows));
+                        DomainPower(missing, ev.adom, max_rows));
+    PQ_ASSIGN_OR_RETURN(root, CrossProduct(root, pad, max_rows));
   }
   // Final poll covers the head padding above (the last uninterruptible
   // stretch before answers are handed back).
-  PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+  PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
   return SortAnswers(BindingsToAnswers(root, q.head, /*sort_output=*/false),
-                     options.runtime);
+                     ctx.runtime);
 }
 
 Result<bool> FirstOrderNonempty(const Database& db, const FirstOrderQuery& q,
+                                const EvalContext& ctx,
                                 const FoOptions& options) {
-  PQ_ASSIGN_OR_RETURN(Relation result, EvaluateFirstOrder(db, q, options));
+  PQ_ASSIGN_OR_RETURN(Relation result,
+                      EvaluateFirstOrder(db, q, ctx, options));
   return !result.empty();
 }
 

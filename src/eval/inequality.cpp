@@ -622,9 +622,10 @@ Result<std::shared_ptr<IneqCompiled>> BuildCompiledWithFamily(
 Result<std::shared_ptr<IneqCompiled>> GetCompiled(const Database& db,
                                                   const ConjunctiveQuery& q,
                                                   const IneqFormula* phi,
+                                                  const EvalContext& ctx,
                                                   const IneqOptions& options) {
   PQ_FAULT_POINT("ineq.compile");
-  if (options.plan_cache == nullptr) {
+  if (ctx.plan_cache == nullptr) {
     return BuildCompiledWithFamily(db, q, phi, options);
   }
   CanonicalCq canonical = CanonicalizeCq(q);
@@ -647,13 +648,13 @@ Result<std::shared_ptr<IneqCompiled>> GetCompiled(const Database& db,
     renamed = RemapFormula(*phi, inverse);
     key += "|phi:" + FormulaSignature(renamed);
   }
-  auto cached = options.plan_cache->Lookup<IneqCompiled>(key, db);
+  auto cached = ctx.plan_cache->Lookup<IneqCompiled>(key, db);
   if (cached != nullptr) return cached;
   PQ_ASSIGN_OR_RETURN(
       auto compiled,
       BuildCompiledWithFamily(db, canonical.query,
                               phi != nullptr ? &renamed : nullptr, options));
-  options.plan_cache->Insert(key, db, canonical.query, compiled);
+  ctx.plan_cache->Insert(key, db, canonical.query, compiled);
   return compiled;
 }
 
@@ -717,23 +718,23 @@ struct ColoringShare {
 // parallel runtime the colorings run concurrently, and the executor writes
 // actuals into the nodes it runs, so each coloring executes a private clone
 // of the DAGs; inline, the compiled DAGs run directly.
-Status RunColoring(IneqCompiled& c, const IneqOptions& options, bool evaluate,
+Status RunColoring(IneqCompiled& c, const EvalContext& ctx, bool evaluate,
                    size_t m, ColoringShare& share) {
   // Per-coloring poll: Theorem 2's k^k loop is the longest-running site in
   // the engine, so deadline aborts must land between colorings.
-  PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+  PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
   PQ_FAULT_POINT("ineq.coloring");
   TraceSpan coloring_span(
-      options.runtime.tracer, "coloring",
-      options.runtime.tracer != nullptr ? internal::StrCat("m=", m)
-                                        : std::string());
+      ctx.runtime.tracer, "coloring",
+      ctx.runtime.tracer != nullptr ? internal::StrCat("m=", m)
+                                    : std::string());
   share.executed = true;
   const Plan& p = c.analysis;
   const ColoringFamily& family = *c.family;
   const bool decide = !evaluate || c.formula_mode;
   PlanNode* decision_root = c.decision_root.get();
   PlanNode* eval_root = c.eval_root.get();
-  RuntimeOptions runtime = options.runtime;
+  RuntimeOptions runtime = ctx.runtime;
   std::vector<PlanNodePtr> clones;
   if (runtime.parallel()) {
     std::vector<const PlanNode*> roots;
@@ -756,8 +757,8 @@ Status RunColoring(IneqCompiled& c, const IneqOptions& options, bool evaluate,
   std::vector<const NamedRelation*> ptrs;
   ptrs.reserve(inputs.size());
   for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-  ExecContext ctx{ptrs, options.EffectiveLimits(), &share.plan, runtime};
-  ExecSession session(ctx);
+  ExecContext exec{ptrs, ctx.limits, &share.plan, runtime};
+  ExecSession session(exec);
   if (decide) {
     PQ_ASSIGN_OR_RETURN(NamedRelation root, session.Run(*decision_root));
     if (c.formula_mode && !root.empty()) {
@@ -782,18 +783,17 @@ Status RunColoring(IneqCompiled& c, const IneqOptions& options, bool evaluate,
 // coloring that fails — or, deciding, finds a witness — settles the run:
 // colorings above it that have not started are skipped, while lower ones
 // still run, so the outcome is the sequential loop's at any width.
-std::vector<ColoringShare> RunColorings(IneqCompiled& c,
-                                        const IneqOptions& options,
+std::vector<ColoringShare> RunColorings(IneqCompiled& c, const EvalContext& ctx,
                                         bool evaluate) {
   const size_t n = c.family->size();
   std::vector<ColoringShare> shares(n);
   std::atomic<size_t> settled{n};  // lowest coloring that settled the run
-  TaskGroup group(options.runtime.scheduler);
+  TaskGroup group(ctx.runtime.scheduler);
   for (size_t m = 0; m < n; ++m) {
     group.Spawn([&, m] {
       if (m > settled.load()) return;
       ColoringShare& share = shares[m];
-      share.status = RunColoring(c, options, evaluate, m, share);
+      share.status = RunColoring(c, ctx, evaluate, m, share);
       if (share.status.ok() && !share.witness) return;
       size_t lowest = settled.load();
       while (m < lowest && !settled.compare_exchange_weak(lowest, m)) {
@@ -812,7 +812,7 @@ std::vector<ColoringShare> RunColorings(IneqCompiled& c,
 // that failed or found a witness: its error is returned, or a witness makes
 // the result true. Colorings above it may have run concurrently; their work
 // is counted and their errors are dropped.
-Result<bool> MergeShares(const IneqOptions& options,
+Result<bool> MergeShares(const EvalContext& ctx,
                          std::vector<ColoringShare>& shares, IneqStats* stats,
                          PlanStats* plan_stats) {
   PlanStats local;
@@ -820,7 +820,7 @@ Result<bool> MergeShares(const IneqOptions& options,
   bool found = false;
   for (ColoringShare& share : shares) {
     if (share.capture != nullptr) {
-      options.runtime.analyze->Absorb(
+      ctx.runtime.analyze->Absorb(
           *share.capture, [&share](const PlanNode* root) {
             for (size_t i = 0; i < share.clones.size(); ++i) {
               if (share.clones[i].get() == root) return share.cloned_from[i];
@@ -847,8 +847,8 @@ Result<bool> MergeShares(const IneqOptions& options,
   // One compile, `executed` executions: every re-binding past the first is
   // the cache's per-coloring reuse (counted per coloring, not per plan
   // pass).
-  if (options.plan_cache != nullptr && executed > 1) {
-    options.plan_cache->NoteReuse(executed - 1);
+  if (ctx.plan_cache != nullptr && executed > 1) {
+    ctx.plan_cache->NoteReuse(executed - 1);
   }
   if (plan_stats != nullptr) plan_stats->Merge(local);
   return found;
@@ -865,26 +865,24 @@ void ReportCompiled(const IneqCompiled& c, IneqStats* stats) {
 }
 
 // Plan-routed decision driver.
-Result<bool> PlanDriveNonempty(IneqCompiled& c, const IneqOptions& options,
+Result<bool> PlanDriveNonempty(IneqCompiled& c, const EvalContext& ctx,
                                IneqStats* stats, PlanStats* plan_stats) {
   if (c.analysis.always_false) return false;
   ReportCompiled(c, stats);
-  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
-  std::vector<ColoringShare> shares =
-      RunColorings(c, options, /*evaluate=*/false);
-  return MergeShares(options, shares, stats, plan_stats);
+  TraceSpan route_span(ctx.runtime.tracer, "route.theorem2");
+  std::vector<ColoringShare> shares = RunColorings(c, ctx, /*evaluate=*/false);
+  return MergeShares(ctx, shares, stats, plan_stats);
 }
 
 // Plan-routed evaluation driver.
-Result<Relation> PlanDriveEvaluate(IneqCompiled& c, const IneqOptions& options,
+Result<Relation> PlanDriveEvaluate(IneqCompiled& c, const EvalContext& ctx,
                                    IneqStats* stats, PlanStats* plan_stats) {
   const size_t arity = c.query.head.size();
   if (c.analysis.always_false) return Relation(arity);
   ReportCompiled(c, stats);
-  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
-  std::vector<ColoringShare> shares =
-      RunColorings(c, options, /*evaluate=*/true);
-  PQ_RETURN_NOT_OK(MergeShares(options, shares, stats, plan_stats).status());
+  TraceSpan route_span(ctx.runtime.tracer, "route.theorem2");
+  std::vector<ColoringShare> shares = RunColorings(c, ctx, /*evaluate=*/true);
+  PQ_RETURN_NOT_OK(MergeShares(ctx, shares, stats, plan_stats).status());
   // Every coloring's answers, unsorted, in one buffer (coloring order);
   // sorted once.
   size_t answer_rows = 0;
@@ -900,50 +898,56 @@ Result<Relation> PlanDriveEvaluate(IneqCompiled& c, const IneqOptions& options,
     std::vector<Value>().swap(share.answers);
   }
   return SortAnswers(AnswerRelation(arity, answer_rows, std::move(answers)),
-                     options.runtime);
+                     ctx.runtime);
 }
 
 }  // namespace
 
 Result<bool> IneqNonempty(const Database& db, const ConjunctiveQuery& q,
-                          const IneqOptions& options, IneqStats* stats,
-                          PlanStats* plan_stats) {
-  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, options));
-  return PlanDriveNonempty(*compiled, options, stats, plan_stats);
+                          const EvalContext& ctx, const IneqOptions& options,
+                          IneqStats* stats, PlanStats* plan_stats) {
+  PQ_ASSIGN_OR_RETURN(auto compiled,
+                      GetCompiled(db, q, nullptr, ctx, options));
+  return PlanDriveNonempty(*compiled, ctx, stats, plan_stats);
 }
 
 Result<Relation> IneqEvaluate(const Database& db, const ConjunctiveQuery& q,
+                              const EvalContext& ctx,
                               const IneqOptions& options, IneqStats* stats,
                               PlanStats* plan_stats) {
-  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, options));
-  return PlanDriveEvaluate(*compiled, options, stats, plan_stats);
+  PQ_ASSIGN_OR_RETURN(auto compiled,
+                      GetCompiled(db, q, nullptr, ctx, options));
+  return PlanDriveEvaluate(*compiled, ctx, stats, plan_stats);
 }
 
 Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
                                  const IneqFormula& phi,
+                                 const EvalContext& ctx,
                                  const IneqOptions& options, IneqStats* stats,
                                  PlanStats* plan_stats) {
-  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, options));
-  return PlanDriveNonempty(*compiled, options, stats, plan_stats);
+  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, ctx, options));
+  return PlanDriveNonempty(*compiled, ctx, stats, plan_stats);
 }
 
 Result<Relation> IneqFormulaEvaluate(const Database& db,
                                      const ConjunctiveQuery& q,
                                      const IneqFormula& phi,
+                                     const EvalContext& ctx,
                                      const IneqOptions& options,
                                      IneqStats* stats,
                                      PlanStats* plan_stats) {
-  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, options));
-  return PlanDriveEvaluate(*compiled, options, stats, plan_stats);
+  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, ctx, options));
+  return PlanDriveEvaluate(*compiled, ctx, stats, plan_stats);
 }
 
 Result<bool> IneqContains(const Database& db, const ConjunctiveQuery& q,
                           const std::vector<Value>& tuple,
-                          const IneqOptions& options, IneqStats* stats) {
+                          const EvalContext& ctx, const IneqOptions& options,
+                          IneqStats* stats) {
   if (tuple.size() != q.head.size()) {
     return Status::InvalidArgument("tuple arity does not match query head");
   }
-  return IneqNonempty(db, q.BindHead(tuple), options, stats);
+  return IneqNonempty(db, q.BindHead(tuple), ctx, options, stats);
 }
 
 Result<std::string> IneqPlanText(const Database& db,

@@ -33,6 +33,16 @@
 // and .plan rendering. The compiled plan also holds the coloring family
 // (ground set and certification), so a plan-cache hit rebuilds neither.
 //
+// Under the EvalContext: ctx.limits is enforced by the shared executor on
+// EVERY per-coloring plan execution (each coloring gets a fresh max_steps
+// budget: the bound is per residual query, not per family). With a plan
+// cache, the compiled residual plan — S_j inputs, join tree, Y sets, lowered
+// DAGs, coloring family — is keyed by the canonical query signature (+
+// formula), the IneqOptions that shape the family (driver, seed,
+// mc_error_exponent, certification budgets) and the database generation;
+// each additional coloring executed against it is credited as a cache hit
+// (PlanCache::NoteReuse).
+//
 // The colorings are independent, so they run concurrently: one scheduler
 // task per coloring, each on a private clone of the compiled DAGs (the
 // executor writes actuals into the nodes it runs), merged in coloring order
@@ -48,11 +58,9 @@
 #include <string>
 
 #include "common/status.hpp"
-#include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
+#include "eval/context.hpp"
 #include "query/conjunctive_query.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 
@@ -73,33 +81,9 @@ struct IneqOptions {
   /// witness.
   double mc_error_exponent = 4.0;
   uint64_t seed = 0xC0FFEE;
-  /// Unified resource guard, enforced by the shared executor on EVERY
-  /// per-coloring plan execution (each coloring gets a fresh max_steps
-  /// budget: the bound is per residual query, not per family).
-  ResourceLimits limits;
-  /// Parallel runtime binding: the colorings run as concurrent scheduler
-  /// tasks, and each coloring's plan execution may go morsel/structurally
-  /// parallel too. Decision mode skips the colorings that have not started
-  /// once a lower coloring finds a witness.
-  RuntimeOptions runtime;
-  /// Cross-query plan cache (optional, engine-owned): the compiled residual
-  /// plan — S_j inputs, join tree, Y sets, lowered DAGs, coloring family —
-  /// is keyed by the canonical query signature (+ formula), the options
-  /// that shape the family (driver, seed, mc_error_exponent, certification
-  /// budgets) and the database generation. Each
-  /// additional coloring executed against the compiled plan is credited as
-  /// a cache hit (PlanCache::NoteReuse).
-  PlanCache* plan_cache = nullptr;
-  /// DEPRECATED alias for limits.max_rows (the historical per-join guard).
-  /// Used only when limits.max_rows == 0.
-  uint64_t max_rows = 0;
   /// Certification budget: max number of k-subsets of the ground set.
   uint64_t certified_max_subsets = 2'000'000;
   size_t certified_max_members = 100'000;
-
-  ResourceLimits EffectiveLimits() const {
-    return limits.MergedWith(max_rows, /*legacy_max_steps=*/0);
-  }
 };
 
 /// Instrumentation reported by the engine.
@@ -119,6 +103,7 @@ struct IneqStats {
 /// `plan_stats`, when given, receives the shared executor's counters
 /// aggregated over every coloring executed.
 Result<bool> IneqNonempty(const Database& db, const ConjunctiveQuery& q,
+                          const EvalContext& ctx = {},
                           const IneqOptions& options = {},
                           IneqStats* stats = nullptr,
                           PlanStats* plan_stats = nullptr);
@@ -126,6 +111,7 @@ Result<bool> IneqNonempty(const Database& db, const ConjunctiveQuery& q,
 /// Computes Q(d). With a certified family the result is exact; with Monte
 /// Carlo each answer tuple is missed with probability <= e^-c.
 Result<Relation> IneqEvaluate(const Database& db, const ConjunctiveQuery& q,
+                              const EvalContext& ctx = {},
                               const IneqOptions& options = {},
                               IneqStats* stats = nullptr,
                               PlanStats* plan_stats = nullptr);
@@ -133,6 +119,7 @@ Result<Relation> IneqEvaluate(const Database& db, const ConjunctiveQuery& q,
 /// Decides t ∈ Q(d).
 Result<bool> IneqContains(const Database& db, const ConjunctiveQuery& q,
                           const std::vector<Value>& tuple,
+                          const EvalContext& ctx = {},
                           const IneqOptions& options = {},
                           IneqStats* stats = nullptr);
 
@@ -155,6 +142,7 @@ class IneqFormula;
 /// witness values and formula constants, exactly as in Theorem 2.
 Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
                                  const IneqFormula& phi,
+                                 const EvalContext& ctx = {},
                                  const IneqOptions& options = {},
                                  IneqStats* stats = nullptr,
                                  PlanStats* plan_stats = nullptr);
@@ -167,6 +155,7 @@ Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
 Result<Relation> IneqFormulaEvaluate(const Database& db,
                                      const ConjunctiveQuery& q,
                                      const IneqFormula& phi,
+                                     const EvalContext& ctx = {},
                                      const IneqOptions& options = {},
                                      IneqStats* stats = nullptr,
                                      PlanStats* plan_stats = nullptr);

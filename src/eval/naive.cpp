@@ -118,12 +118,12 @@ struct Search {
 };
 
 Result<Search> Prepare(const Database& db, const ConjunctiveQuery& q,
-                       const NaiveOptions& options, bool stop_at_first,
+                       const EvalContext& ctx, bool stop_at_first,
                        NamedRelation* out_bindings) {
   PQ_RETURN_NOT_OK(q.Validate());
-  Search s{q, {}, {}, {}, {}, 0, options.EffectiveLimits().max_steps,
+  Search s{q, {}, {}, {}, {}, 0, ctx.limits.max_steps,
            stop_at_first, Status::OK(), out_bindings, {}};
-  s.qc = options.runtime.query_ctx;
+  s.qc = ctx.runtime.query_ctx;
   // S_j per atom. Constant-free, repetition-free atoms come back as zero-copy
   // views over the stored relations (shared row blocks), so a query touching
   // the same relation k times holds one copy of its rows, not k. The
@@ -179,52 +179,47 @@ Result<Search> Prepare(const Database& db, const ConjunctiveQuery& q,
 }  // namespace
 
 Result<Relation> NaiveEvaluateCq(const Database& db, const ConjunctiveQuery& q,
-                                 const NaiveOptions& options,
-                                 PlanStats* plan_stats, bool sort_output) {
+                                 const EvalContext& ctx, PlanStats* plan_stats,
+                                 bool sort_output) {
   PQ_FAULT_POINT("naive.plan");
-  TraceSpan route_span(options.runtime.tracer, "route.cyclic");
-  PlannerOptions planner;
-  planner.vectorize = options.vectorize;
-  planner.wcoj = options.wcoj;
+  TraceSpan route_span(ctx.runtime.tracer, "route.cyclic");
   std::shared_ptr<PhysicalPlan> plan;
   std::vector<Term> head = q.head;
-  if (options.plan_cache != nullptr) {
+  if (ctx.plan_cache != nullptr) {
     // Cached route: plan the canonical query once per database generation;
     // renaming-equivalent repeats (and UCQ disjuncts) reuse it. Binding
     // attributes are canonical ids, so answers map through the canonical
-    // head. The key carries the vectorize and wcoj flags — a plan built for
-    // one physical configuration must not satisfy a request for another.
+    // head.
     CanonicalCq canonical = CanonicalizeCq(q);
     std::string key = internal::StrCat(
-        options.vectorize ? "cq-cyc:" : "cq-cyc-row:",
-        options.wcoj ? "" : "nowcoj:", canonical.signature);
-    plan = options.plan_cache->Lookup<PhysicalPlan>(key, db);
+        "cq-cyc:", PlannerCacheTag(ctx.planner), canonical.signature);
+    plan = ctx.plan_cache->Lookup<PhysicalPlan>(key, db);
     if (plan == nullptr) {
       PQ_ASSIGN_OR_RETURN(PhysicalPlan built,
-                          PlanCyclicCq(db, canonical.query, planner));
+                          PlanCyclicCq(db, canonical.query, ctx.planner));
       plan = std::make_shared<PhysicalPlan>(std::move(built));
-      options.plan_cache->Insert(key, db, canonical.query, plan);
+      ctx.plan_cache->Insert(key, db, canonical.query, plan);
     }
     head = canonical.query.head;
   } else {
-    PQ_ASSIGN_OR_RETURN(PhysicalPlan built, PlanCyclicCq(db, q, planner));
+    PQ_ASSIGN_OR_RETURN(PhysicalPlan built, PlanCyclicCq(db, q, ctx.planner));
     plan = std::make_shared<PhysicalPlan>(std::move(built));
   }
-  PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
-                      ExecutePhysicalPlan(*plan, options.EffectiveLimits(),
-                                          plan_stats, options.runtime));
+  PQ_ASSIGN_OR_RETURN(
+      NamedRelation bindings,
+      ExecutePhysicalPlan(*plan, ctx.limits, plan_stats, ctx.runtime));
   Relation answers = BindingsToAnswers(bindings, head, /*sort_output=*/false);
   if (!sort_output) return answers;
-  return SortAnswers(std::move(answers), options.runtime);
+  return SortAnswers(std::move(answers), ctx.runtime);
 }
 
 Result<Relation> BacktrackEvaluateCq(const Database& db,
                                      const ConjunctiveQuery& q,
-                                     const NaiveOptions& options) {
-  TraceSpan route_span(options.runtime.tracer, "route.backtrack");
+                                     const EvalContext& ctx) {
+  TraceSpan route_span(ctx.runtime.tracer, "route.backtrack");
   NamedRelation bindings{q.HeadVariables()};
   PQ_ASSIGN_OR_RETURN(
-      Search s, Prepare(db, q, options, /*stop_at_first=*/false, &bindings));
+      Search s, Prepare(db, q, ctx, /*stop_at_first=*/false, &bindings));
   s.out_vars = q.HeadVariables();
   // Constant/constant comparisons may already refute the query.
   if (!s.AllComparesOk()) return Relation(q.head.size());
@@ -235,10 +230,10 @@ Result<Relation> BacktrackEvaluateCq(const Database& db,
 }
 
 Result<bool> NaiveCqNonempty(const Database& db, const ConjunctiveQuery& q,
-                             const NaiveOptions& options) {
-  TraceSpan route_span(options.runtime.tracer, "route.backtrack");
+                             const EvalContext& ctx) {
+  TraceSpan route_span(ctx.runtime.tracer, "route.backtrack");
   PQ_ASSIGN_OR_RETURN(
-      Search s, Prepare(db, q, options, /*stop_at_first=*/true, nullptr));
+      Search s, Prepare(db, q, ctx, /*stop_at_first=*/true, nullptr));
   if (!s.AllComparesOk()) return false;
   bool found = s.Dfs(0);
   PQ_RETURN_NOT_OK(s.status);
@@ -247,11 +242,11 @@ Result<bool> NaiveCqNonempty(const Database& db, const ConjunctiveQuery& q,
 
 Result<bool> NaiveCqContains(const Database& db, const ConjunctiveQuery& q,
                              const std::vector<Value>& tuple,
-                             const NaiveOptions& options) {
+                             const EvalContext& ctx) {
   if (tuple.size() != q.head.size()) {
     return Status::InvalidArgument("tuple arity does not match query head");
   }
-  return NaiveCqNonempty(db, q.BindHead(tuple), options);
+  return NaiveCqNonempty(db, q.BindHead(tuple), ctx);
 }
 
 }  // namespace paraquery

@@ -16,56 +16,29 @@
 // the same GreedyAtomOrder the planner uses. The backtracking FULL evaluator
 // remains available (BacktrackEvaluateCq) as the constant-memory path and
 // the plan-independent oracle for differential tests.
+//
+// Every entry point takes the shared EvalContext. ctx.limits.max_steps
+// counts search steps for the backtracking entry points and rows produced
+// by operators for the plan-based evaluator; the backtracking entry points
+// are inherently sequential and use ctx.runtime only for abort polling
+// (query_ctx). With a plan cache, repeated cyclic queries reuse their plan
+// under the CanonicalCqSignature + database generation.
 #ifndef PARAQUERY_EVAL_NAIVE_H_
 #define PARAQUERY_EVAL_NAIVE_H_
 
-#include <cstdint>
-
 #include "common/status.hpp"
-#include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
+#include "eval/context.hpp"
 #include "query/conjunctive_query.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
-
-/// Options for the naive evaluator.
-struct NaiveOptions {
-  /// Unified resource guard (preferred; see ResourceLimits). For the
-  /// backtracking entry points max_steps counts search steps; for the
-  /// plan-based evaluator it counts rows produced by operators.
-  ResourceLimits limits;
-  /// Parallel runtime binding for the plan-based evaluator (ignored by the
-  /// backtracking entry points, which are inherently sequential searches).
-  RuntimeOptions runtime;
-  /// Cross-query plan cache (optional, engine-owned), used by the
-  /// plan-based evaluator only: repeated cyclic queries reuse their greedy
-  /// left-deep plan under the CanonicalCqSignature + database generation.
-  PlanCache* plan_cache = nullptr;
-  /// Plan-based evaluator: let the planner place Materialize boundaries so
-  /// eligible chains run vectorized over columnar storage (results are
-  /// byte-identical either way; see PlannerOptions::vectorize).
-  bool vectorize = true;
-  /// Plan-based evaluator: route comparison-free cyclic queries through the
-  /// hypertree decomposition + worst-case-optimal multiway join (results are
-  /// byte-identical either way; see PlannerOptions::wcoj).
-  bool wcoj = true;
-  /// DEPRECATED alias for limits.max_steps: abort with ResourceExhausted
-  /// after this many steps (0 = off). Used only when limits.max_steps == 0.
-  uint64_t max_steps = 0;
-
-  ResourceLimits EffectiveLimits() const {
-    return limits.MergedWith(/*legacy_max_rows=*/0, max_steps);
-  }
-};
 
 /// Computes the full answer Q(d) via the cyclic planner + shared executor,
 /// sorted and deduplicated. `plan_stats`, when given, receives the
 /// executor's counters. With `sort_output` false the answer is left
 /// unsorted, for callers that sort once over a union of answers.
 Result<Relation> NaiveEvaluateCq(const Database& db, const ConjunctiveQuery& q,
-                                 const NaiveOptions& options = {},
+                                 const EvalContext& ctx = {},
                                  PlanStats* plan_stats = nullptr,
                                  bool sort_output = true);
 
@@ -73,16 +46,16 @@ Result<Relation> NaiveEvaluateCq(const Database& db, const ConjunctiveQuery& q,
 /// materialized intermediates). Reference oracle for differential tests.
 Result<Relation> BacktrackEvaluateCq(const Database& db,
                                      const ConjunctiveQuery& q,
-                                     const NaiveOptions& options = {});
+                                     const EvalContext& ctx = {});
 
 /// Decides Q(d) != {} (backtracking; stops at the first witness).
 Result<bool> NaiveCqNonempty(const Database& db, const ConjunctiveQuery& q,
-                             const NaiveOptions& options = {});
+                             const EvalContext& ctx = {});
 
 /// Decides t ∈ Q(d) by binding the head and testing nonemptiness.
 Result<bool> NaiveCqContains(const Database& db, const ConjunctiveQuery& q,
                              const std::vector<Value>& tuple,
-                             const NaiveOptions& options = {});
+                             const EvalContext& ctx = {});
 
 }  // namespace paraquery
 

@@ -41,73 +41,61 @@ Result<std::vector<ConjunctiveQuery>> ExpandDedupedDisjuncts(
 
 namespace {
 
-bool RouteAcyclic(const ConjunctiveQuery& cq, const UcqOptions& options) {
-  return options.use_acyclic_evaluator && !cq.body.empty() &&
-         !cq.HasComparisons() && cq.IsAcyclic();
+bool RouteAcyclic(const ConjunctiveQuery& cq) {
+  return !cq.body.empty() && !cq.HasComparisons() && cq.IsAcyclic();
 }
 
 Result<Relation> EvaluateDisjunct(const Database& db,
                                   const ConjunctiveQuery& cq,
-                                  const UcqOptions& options, UcqStats* stats) {
-  PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+                                  const EvalContext& ctx, UcqStats* stats,
+                                  PlanStats* plan_stats) {
+  PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
   PQ_FAULT_POINT("ucq.disjunct");
-  TraceSpan span(options.runtime.tracer, "disjunct");
-  PlanStats* plan = stats != nullptr ? &stats->plan : nullptr;
+  TraceSpan span(ctx.runtime.tracer, "disjunct");
   if (stats != nullptr) ++stats->disjuncts_evaluated;
-  if (RouteAcyclic(cq, options)) {
+  if (RouteAcyclic(cq)) {
     if (stats != nullptr) ++stats->acyclic_disjuncts;
-    AcyclicOptions acyclic;
-    acyclic.limits = options.EffectiveLimits();
-    acyclic.runtime = options.runtime;
-    acyclic.plan_cache = options.plan_cache;
-    return AcyclicEvaluate(db, cq, acyclic, /*stats=*/nullptr, plan,
-                           /*sort_output=*/false);
+    return AcyclicEvaluate(db, cq, ctx, plan_stats, /*sort_output=*/false);
   }
   if (stats != nullptr) ++stats->naive_disjuncts;
-  NaiveOptions naive;
-  naive.limits = options.EffectiveLimits();
-  naive.runtime = options.runtime;
-  naive.plan_cache = options.plan_cache;
-  naive.vectorize = options.vectorize;
-  return NaiveEvaluateCq(db, cq, naive, plan, /*sort_output=*/false);
+  return NaiveEvaluateCq(db, cq, ctx, plan_stats, /*sort_output=*/false);
 }
 
 Result<bool> DisjunctNonempty(const Database& db, const ConjunctiveQuery& cq,
-                              const UcqOptions& options, UcqStats* stats) {
-  PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+                              const EvalContext& ctx, UcqStats* stats,
+                              PlanStats* plan_stats) {
+  PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
   PQ_FAULT_POINT("ucq.disjunct");
-  TraceSpan span(options.runtime.tracer, "disjunct");
-  PlanStats* plan = stats != nullptr ? &stats->plan : nullptr;
+  TraceSpan span(ctx.runtime.tracer, "disjunct");
   if (stats != nullptr) ++stats->disjuncts_evaluated;
-  if (RouteAcyclic(cq, options)) {
+  if (RouteAcyclic(cq)) {
     if (stats != nullptr) ++stats->acyclic_disjuncts;
-    AcyclicOptions acyclic;
-    acyclic.limits = options.EffectiveLimits();
-    acyclic.runtime = options.runtime;
-    acyclic.plan_cache = options.plan_cache;
-    return AcyclicNonempty(db, cq, acyclic, /*stats=*/nullptr, plan);
+    return AcyclicNonempty(db, cq, ctx, plan_stats);
   }
   if (stats != nullptr) ++stats->naive_disjuncts;
   // The backtracking decision search is inherently sequential; the runtime
   // binding is threaded for its abort polling (query_ctx), not for
   // parallelism — the runtime only parallelizes across disjuncts here.
-  NaiveOptions naive;
-  naive.limits = options.EffectiveLimits();
-  naive.runtime = options.runtime;
-  return NaiveCqNonempty(db, cq, naive);
+  return NaiveCqNonempty(db, cq, ctx);
 }
 
-// Folds per-task disjunct stats (in disjunct order) into `stats` after a
-// parallel fan-out of `tasks` disjuncts.
-void MergeDisjunctStats(UcqStats* stats, const std::vector<UcqStats>& parts,
-                        size_t tasks) {
-  if (stats == nullptr) return;
-  stats->plan.parallel_tasks += tasks;
-  for (const UcqStats& ps : parts) {
-    stats->disjuncts_evaluated += ps.disjuncts_evaluated;
-    stats->acyclic_disjuncts += ps.acyclic_disjuncts;
-    stats->naive_disjuncts += ps.naive_disjuncts;
-    stats->plan.Merge(ps.plan);
+// One disjunct task's counters in a parallel fan-out.
+struct DisjunctShare {
+  UcqStats ucq;
+  PlanStats plan;
+};
+
+// Folds the per-task shares (in disjunct order) into the caller's counters.
+void MergeDisjunctShares(const std::vector<DisjunctShare>& shares,
+                         UcqStats* stats, PlanStats* plan_stats) {
+  if (plan_stats != nullptr) plan_stats->parallel_tasks += shares.size();
+  for (const DisjunctShare& share : shares) {
+    if (stats != nullptr) {
+      stats->disjuncts_evaluated += share.ucq.disjuncts_evaluated;
+      stats->acyclic_disjuncts += share.ucq.acyclic_disjuncts;
+      stats->naive_disjuncts += share.ucq.naive_disjuncts;
+    }
+    if (plan_stats != nullptr) plan_stats->Merge(share.plan);
   }
 }
 
@@ -134,22 +122,22 @@ Relation ConcatAnswers(const std::vector<Relation>& parts, size_t arity) {
 // error in disjunct order wins and cancels the remaining tasks).
 Result<std::vector<Relation>> EvaluateAllDisjuncts(
     const Database& db, const std::vector<ConjunctiveQuery>& cqs,
-    const UcqOptions& options, UcqStats* stats) {
+    const EvalContext& ctx, UcqStats* stats, PlanStats* plan_stats) {
   std::vector<Relation> out;
   out.reserve(cqs.size());
-  if (options.runtime.parallel() && cqs.size() > 1) {
+  if (ctx.runtime.parallel() && cqs.size() > 1) {
     std::vector<std::optional<Result<Relation>>> parts(cqs.size());
-    std::vector<UcqStats> part_stats(cqs.size());
-    TaskGroup group(options.runtime.scheduler);
+    std::vector<DisjunctShare> shares(cqs.size());
+    TaskGroup group(ctx.runtime.scheduler);
     for (size_t i = 0; i < cqs.size(); ++i) {
       group.Spawn([&, i] {
-        parts[i].emplace(EvaluateDisjunct(
-            db, cqs[i], options, stats != nullptr ? &part_stats[i] : nullptr));
+        parts[i].emplace(EvaluateDisjunct(db, cqs[i], ctx, &shares[i].ucq,
+                                          &shares[i].plan));
         if (!parts[i]->ok()) group.Cancel();
       });
     }
     group.Wait();
-    MergeDisjunctStats(stats, part_stats, cqs.size());
+    MergeDisjunctShares(shares, stats, plan_stats);
     for (const std::optional<Result<Relation>>& part : parts) {
       if (part.has_value()) PQ_RETURN_NOT_OK(part->status());
     }
@@ -159,7 +147,8 @@ Result<std::vector<Relation>> EvaluateAllDisjuncts(
     return out;
   }
   for (const ConjunctiveQuery& cq : cqs) {
-    PQ_ASSIGN_OR_RETURN(Relation part, EvaluateDisjunct(db, cq, options, stats));
+    PQ_ASSIGN_OR_RETURN(Relation part,
+                        EvaluateDisjunct(db, cq, ctx, stats, plan_stats));
     out.push_back(std::move(part));
   }
   return out;
@@ -168,21 +157,23 @@ Result<std::vector<Relation>> EvaluateAllDisjuncts(
 }  // namespace
 
 Result<Relation> EvaluatePositive(const Database& db, const PositiveQuery& q,
-                                  const UcqOptions& options, UcqStats* stats) {
-  TraceSpan route_span(options.runtime.tracer, "route.ucq");
+                                  const EvalContext& ctx,
+                                  const UcqOptions& options, UcqStats* stats,
+                                  PlanStats* plan_stats) {
+  TraceSpan route_span(ctx.runtime.tracer, "route.ucq");
   PQ_ASSIGN_OR_RETURN(auto cqs,
                       ExpandDedupedDisjuncts(q, options.max_disjuncts, stats));
   PQ_ASSIGN_OR_RETURN(std::vector<Relation> parts,
-                      EvaluateAllDisjuncts(db, cqs, options, stats));
-  return SortAnswers(ConcatAnswers(parts, q.fo().head.size()),
-                     options.runtime);
+                      EvaluateAllDisjuncts(db, cqs, ctx, stats, plan_stats));
+  return SortAnswers(ConcatAnswers(parts, q.fo().head.size()), ctx.runtime);
 }
 
 Result<Relation> EvaluatePositiveCount(const Database& db,
                                        const PositiveQuery& q,
+                                       const EvalContext& ctx,
                                        const UcqOptions& options,
-                                       UcqStats* stats) {
-  TraceSpan route_span(options.runtime.tracer, "route.ucq_count");
+                                       UcqStats* stats, PlanStats* plan_stats) {
+  TraceSpan route_span(ctx.runtime.tracer, "route.ucq_count");
   PQ_FAULT_POINT("ucq.count");
   const FirstOrderQuery& fo = q.fo();
   if (!fo.answer.counting()) {
@@ -212,7 +203,7 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
     gcols.push_back(static_cast<int>(it - free_vars.begin()));
   }
   PQ_ASSIGN_OR_RETURN(std::vector<Relation> parts,
-                      EvaluateAllDisjuncts(db, cqs, options, stats));
+                      EvaluateAllDisjuncts(db, cqs, ctx, stats, plan_stats));
   const size_t n = parts.size();
   // Inclusion–exclusion over disjunct subsets: per group g,
   //   |∪ A_i restricted to g| = Σ_{∅≠S} (−1)^{|S|+1} |∩_{i∈S} A_i at g|.
@@ -224,7 +215,7 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
   // nothing to include-exclude over) the materialized union is counted
   // directly instead — identical answers, linear in the parts.
   constexpr size_t kMaxIeDisjuncts = 10;
-  const ParallelForFn pfor = MakeParallelFor(options.runtime.scheduler);
+  const ParallelForFn pfor = MakeParallelFor(ctx.runtime.scheduler);
   if (n >= 2 && n <= kMaxIeDisjuncts && !free_vars.empty()) {
     std::vector<AttrId> attrs(free_vars.size());
     for (size_t i = 0; i < attrs.size(); ++i) attrs[i] = static_cast<AttrId>(i);
@@ -244,7 +235,7 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
     std::map<std::vector<Value>, Value> acc;
     std::vector<Value> key(gcols.size());
     for (uint32_t m : masks) {
-      PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+      PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
       bool pruned = false;
       for (uint32_t e : empty_masks) {
         if ((m & e) == e) {
@@ -300,11 +291,13 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
 }
 
 Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
-                              const UcqOptions& options, UcqStats* stats) {
-  TraceSpan route_span(options.runtime.tracer, "route.ucq");
+                              const EvalContext& ctx,
+                              const UcqOptions& options, UcqStats* stats,
+                              PlanStats* plan_stats) {
+  TraceSpan route_span(ctx.runtime.tracer, "route.ucq");
   PQ_ASSIGN_OR_RETURN(auto cqs,
                       ExpandDedupedDisjuncts(q, options.max_disjuncts, stats));
-  if (options.runtime.parallel() && cqs.size() > 1) {
+  if (ctx.runtime.parallel() && cqs.size() > 1) {
     // Concurrent disjunct decisions, cancelling on the first witness (a
     // true answer decides the union regardless of the other disjuncts, so
     // dropping unstarted tasks is the parallel analogue of the sequential
@@ -314,17 +307,17 @@ Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
     // that a disjunct skipped by a witness's cancellation is treated as
     // false (sequentially it might have errored first).
     std::vector<std::optional<Result<bool>>> parts(cqs.size());
-    std::vector<UcqStats> part_stats(cqs.size());
-    TaskGroup group(options.runtime.scheduler);
+    std::vector<DisjunctShare> shares(cqs.size());
+    TaskGroup group(ctx.runtime.scheduler);
     for (size_t i = 0; i < cqs.size(); ++i) {
       group.Spawn([&, i] {
-        parts[i].emplace(DisjunctNonempty(
-            db, cqs[i], options, stats != nullptr ? &part_stats[i] : nullptr));
+        parts[i].emplace(DisjunctNonempty(db, cqs[i], ctx, &shares[i].ucq,
+                                          &shares[i].plan));
         if (parts[i]->ok() && parts[i]->value()) group.Cancel();
       });
     }
     group.Wait();
-    MergeDisjunctStats(stats, part_stats, cqs.size());
+    MergeDisjunctShares(shares, stats, plan_stats);
     for (const std::optional<Result<bool>>& part : parts) {
       if (!part.has_value()) continue;  // cancelled before it ran
       PQ_RETURN_NOT_OK(part->status());
@@ -334,7 +327,7 @@ Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
   }
   for (const ConjunctiveQuery& cq : cqs) {
     PQ_ASSIGN_OR_RETURN(bool nonempty,
-                        DisjunctNonempty(db, cq, options, stats));
+                        DisjunctNonempty(db, cq, ctx, stats, plan_stats));
     if (nonempty) return true;
   }
   return false;

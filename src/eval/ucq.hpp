@@ -2,20 +2,25 @@
 // queries (the paper's Theorem 1 upper-bound route for parameter q: the
 // expansion is exponential in q but each disjunct is a plain CQ).
 // Syntactically identical disjuncts (equal up to variable renaming) are
-// evaluated once; every disjunct runs through the shared plan executor with
-// the caller's resource limits, and per-disjunct PlanStats aggregate into
-// UcqStats.
+// evaluated once; every disjunct runs through the shared plan executor under
+// the caller's EvalContext, passed on unchanged — limits, plan cache and
+// planner options included — and the per-disjunct PlanStats aggregate into
+// the caller's `plan_stats`. Acyclic comparison-free disjuncts take the
+// Yannakakis plan, the rest the cyclic plan. With a scheduler, disjuncts
+// evaluate as concurrent tasks (results merge in disjunct order, so the
+// answer is identical to the sequential evaluation), and each disjunct's
+// plan may itself execute morsel-parallel. The plan cache is safe under
+// parallel disjunct evaluation because disjuncts are signature-deduplicated
+// first.
 #ifndef PARAQUERY_EVAL_UCQ_H_
 #define PARAQUERY_EVAL_UCQ_H_
 
 #include <cstdint>
 
 #include "common/status.hpp"
-#include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
+#include "eval/context.hpp"
 #include "query/positive_query.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 
@@ -23,32 +28,6 @@ namespace paraquery {
 struct UcqOptions {
   /// Cap on the number of disjuncts produced by the expansion.
   uint64_t max_disjuncts = 100'000;
-  /// Route acyclic disjuncts through the Yannakakis evaluator instead of
-  /// naive backtracking.
-  bool use_acyclic_evaluator = true;
-  /// Parallel runtime binding: with a scheduler, disjuncts evaluate as
-  /// concurrent tasks (results are merged in disjunct order, so the answer
-  /// is identical to the sequential evaluation) and each disjunct's plan
-  /// may itself execute morsel-parallel.
-  RuntimeOptions runtime;
-  /// Unified resource guard, forwarded to every disjunct evaluation.
-  ResourceLimits limits;
-  /// Cross-query plan cache (optional, engine-owned), forwarded to every
-  /// disjunct evaluation: re-expanded disjuncts of repeated positive queries
-  /// reuse their compiled plans. Safe under parallel disjunct evaluation
-  /// because disjuncts are signature-deduplicated first.
-  PlanCache* plan_cache = nullptr;
-  /// Forwarded to every cyclic disjunct's plan-based evaluation (see
-  /// NaiveOptions::vectorize). Acyclic disjuncts use Semijoin schedules,
-  /// which are never vectorized.
-  bool vectorize = true;
-  /// DEPRECATED alias for limits.max_steps (historically only applied to
-  /// cyclic disjuncts). Used only when limits.max_steps == 0.
-  uint64_t naive_max_steps = 0;
-
-  ResourceLimits EffectiveLimits() const {
-    return limits.MergedWith(/*legacy_max_rows=*/0, naive_max_steps);
-  }
 };
 
 /// Instrumentation for one EvaluatePositive/PositiveNonempty call.
@@ -65,19 +44,21 @@ struct UcqStats {
   /// sub-subset's intersection was already known empty.
   size_t ie_subsets = 0;
   size_t ie_pruned = 0;
-  /// Plan-executor counters aggregated over all evaluated disjuncts.
-  PlanStats plan;
 };
 
 /// Computes Q(d) for a positive query.
 Result<Relation> EvaluatePositive(const Database& db, const PositiveQuery& q,
+                                  const EvalContext& ctx = {},
                                   const UcqOptions& options = {},
-                                  UcqStats* stats = nullptr);
+                                  UcqStats* stats = nullptr,
+                                  PlanStats* plan_stats = nullptr);
 
 /// Decides Q(d) != {} (short-circuits across disjuncts).
 Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
+                              const EvalContext& ctx = {},
                               const UcqOptions& options = {},
-                              UcqStats* stats = nullptr);
+                              UcqStats* stats = nullptr,
+                              PlanStats* plan_stats = nullptr);
 
 /// Counting evaluation of a positive query whose AnswerSpec is counting
 /// (`q.fo().answer`): counts the distinct free-variable assignments
@@ -93,8 +74,10 @@ Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
 /// COUNT(*) (a [0] row when empty), else group keys + count sorted by group.
 Result<Relation> EvaluatePositiveCount(const Database& db,
                                        const PositiveQuery& q,
+                                       const EvalContext& ctx = {},
                                        const UcqOptions& options = {},
-                                       UcqStats* stats = nullptr);
+                                       UcqStats* stats = nullptr,
+                                       PlanStats* plan_stats = nullptr);
 
 // CanonicalCqSignature moved to plan/plan_cache.hpp (included above): the
 // disjunct dedup and the plan cache share one notion of query identity.

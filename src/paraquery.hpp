@@ -61,6 +61,7 @@
 
 // Evaluation engines.
 #include "eval/acyclic.hpp"
+#include "eval/context.hpp"
 #include "eval/datalog_eval.hpp"
 #include "eval/fo.hpp"
 #include "eval/inequality.hpp"

@@ -349,50 +349,6 @@ class Executor {
             Account(n, &PlanStats::semijoins, out, charge, morsels));
         return out;
       }
-      case PlanOp::kUnion: {
-        PQ_FAULT_POINT("executor.union");
-        if (n.children.empty()) {
-          return Status::Internal("union plan node has no children");
-        }
-        std::vector<Result<NamedRelation>> parts;
-        if (Parallel() && n.children.size() > 1) {
-          // Structural parallelism: every branch is an independent task;
-          // the merge below runs in branch order, so the result matches
-          // the sequential left-to-right union exactly. Branches are not
-          // speculative w.r.t. limits — the sequential executor runs every
-          // branch regardless of sibling emptiness — so they charge the
-          // current context directly.
-          parts.assign(n.children.size(), NamedRelation{});
-          {
-            TaskGroup group(ctx_.runtime.scheduler);
-            for (size_t i = 1; i < n.children.size(); ++i) {
-              PlanNode* child = n.children[i].get();
-              Result<NamedRelation>* slot = &parts[i];
-              group.Spawn(
-                  [this, child, slot, charge] { *slot = Exec(*child, charge); });
-            }
-            if (ctx_.stats != nullptr) {
-              std::lock_guard<std::mutex> lock(stats_mutex_);
-              ctx_.stats->parallel_tasks += n.children.size() - 1;
-            }
-            parts[0] = Exec(*n.children[0], charge);
-          }  // group destructor waits
-        } else {
-          for (const PlanNodePtr& c : n.children) {
-            parts.push_back(Exec(*c, charge));
-            if (!parts.back().ok()) break;  // sequential: stop at first error
-          }
-        }
-        for (const Result<NamedRelation>& p : parts) {
-          PQ_RETURN_NOT_OK(p.status());
-        }
-        NamedRelation acc = parts[0].value();
-        for (size_t i = 1; i < parts.size(); ++i) {
-          acc = UnionSet(acc, parts[i].value());
-        }
-        PQ_RETURN_NOT_OK(Account(n, &PlanStats::unions, acc, charge));
-        return acc;
-      }
       case PlanOp::kDedup: {
         PQ_FAULT_POINT("executor.dedup");
         PQ_ASSIGN_OR_RETURN(NamedRelation in, Exec(*n.children[0], charge));

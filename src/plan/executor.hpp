@@ -4,10 +4,10 @@
 //
 // With a TaskScheduler bound through ExecContext::runtime the executor goes
 // parallel on two axes, with results bit-identical to sequential runs:
-//   * structural — the two inputs of a HashJoin/Semijoin and the branches
-//     of a Union (independent subtrees of the DAG, e.g. Yannakakis sibling
-//     semijoin subtrees) execute as concurrent tasks, with shared nodes
-//     still computed exactly once;
+//   * structural — the two inputs of a HashJoin/Semijoin (independent
+//     subtrees of the DAG, e.g. Yannakakis sibling semijoin subtrees)
+//     execute as concurrent tasks, with shared nodes still computed exactly
+//     once;
 //   * morsel — Select, Project, the hash-join probe, and the semijoin probe
 //     split their input rows into morsels processed by scheduler tasks into
 //     per-worker buffers merged in deterministic morsel order

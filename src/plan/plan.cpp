@@ -78,8 +78,6 @@ const char* PlanOpName(PlanOp op) {
       return "HashJoin";
     case PlanOp::kSemijoin:
       return "Semijoin";
-    case PlanOp::kUnion:
-      return "Union";
     case PlanOp::kDedup:
       return "Dedup";
     case PlanOp::kFixpoint:
@@ -102,7 +100,6 @@ void PlanStats::Merge(const PlanStats& o) {
   projections += o.projections;
   semijoins += o.semijoins;
   joins += o.joins;
-  unions += o.unions;
   dedups += o.dedups;
   multiway_joins += o.multiway_joins;
   aggregates += o.aggregates;
@@ -125,7 +122,7 @@ std::string PlanStats::ToString() const {
   oss << "scans=" << scans << " selects=" << selects
       << " projections=" << projections << " semijoins=" << semijoins
       << " joins=" << joins << " multiway_joins=" << multiway_joins
-      << " unions=" << unions << " dedups=" << dedups
+      << " dedups=" << dedups
       << " aggregates=" << aggregates << " semijoin_counts=" << semijoin_counts
       << "\nrows_produced=" << rows_produced
       << " peak_intermediate_rows=" << peak_intermediate_rows
@@ -275,24 +272,6 @@ PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right) {
   }
   n->children.push_back(std::move(left));
   n->children.push_back(std::move(right));
-  return n;
-}
-
-PlanNodePtr MakeUnion(std::vector<PlanNodePtr> children,
-                      std::vector<AttrId> attrs) {
-  auto n = std::make_shared<PlanNode>();
-  n->op = PlanOp::kUnion;
-  n->attrs = std::move(attrs);
-  double est = 0;
-  for (const PlanNodePtr& c : children) {
-    if (c->est_rows < 0) {
-      est = -1.0;
-      break;
-    }
-    est += c->est_rows;
-  }
-  n->est_rows = est;
-  n->children = std::move(children);
   return n;
 }
 

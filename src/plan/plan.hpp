@@ -2,8 +2,11 @@
 // to. A plan is a DAG of PlanNodes (shared subplans are permitted — the
 // Yannakakis schedule reuses reduced relations in several places) over the
 // operators the paper's algorithms are stated in: Scan (an S_j input slot),
-// Select, Project, HashJoin, Semijoin, Union, Dedup, and Fixpoint (a marker
-// node whose iteration is driven by the Datalog engine).
+// Select, Project, HashJoin, Semijoin, Dedup, and Fixpoint (a marker node
+// whose iteration is driven by the Datalog engine), plus the physical
+// additions Materialize, MultiwayJoin, Aggregate and SemijoinCount. A union
+// of conjunctive queries is not one plan: the UCQ evaluator runs each
+// disjunct's plan and sorts the concatenated answers once.
 //
 // The planner (planner.hpp) lowers classified queries to plans; the executor
 // (executor.hpp) runs any plan on the RowBlock/RowIndex kernels and fills in
@@ -27,10 +30,8 @@
 
 namespace paraquery {
 
-/// Unified resource guard, forwarded from EngineOptions to every evaluator
-/// and plan execution. Replaces the historical AcyclicOptions::max_rows /
-/// NaiveOptions::max_steps / UcqOptions::naive_max_steps trio (those fields
-/// remain as deprecated aliases).
+/// Unified resource guard, carried from EngineOptions through the
+/// EvalContext (eval/context.hpp) to every evaluator and plan execution.
 struct ResourceLimits {
   /// Abort (ResourceExhausted) when a single operator's output exceeds this
   /// many rows (0 = off). Scans are inputs and are exempt.
@@ -47,15 +48,6 @@ struct ResourceLimits {
   /// query exceeds this many bytes (0 = off). Same arming path as
   /// max_wall_ms.
   uint64_t max_bytes = 0;
-
-  /// `legacy` wins only where this struct has no value (legacy-alias merge).
-  ResourceLimits MergedWith(uint64_t legacy_max_rows,
-                            uint64_t legacy_max_steps) const {
-    ResourceLimits out = *this;
-    if (out.max_rows == 0) out.max_rows = legacy_max_rows;
-    if (out.max_steps == 0) out.max_steps = legacy_max_steps;
-    return out;
-  }
 };
 
 /// Physical operators.
@@ -65,10 +57,6 @@ enum class PlanOp {
   kProject,   // keep `attrs`, optionally deduplicating
   kHashJoin,  // natural join, right side probed through a RowIndex
   kSemijoin,  // left ⋉ right
-  kUnion,     // set union of same-attribute children. The UCQ evaluator
-              // currently iterates disjunct plans itself (their head
-              // variables are standardized apart), so this op is executable
-              // but not yet planner-emitted.
   kDedup,     // explicit set-semantics enforcement
   kFixpoint,  // Datalog marker: children are per-rule body plans; iteration
               // is driven by the semi-naive engine, not the plan executor
@@ -112,17 +100,16 @@ enum class PlanRepr {
   kColumnar,
 };
 
-/// Counters shared by every plan execution. This is the unified home the
-/// per-evaluator AcyclicStats/DatalogStats operator counters folded into;
-/// evaluator-specific structs keep their non-operator counters (fixpoint
-/// iterations, EDB cache hits) and mirror these for backward compatibility.
+/// Counters shared by every plan execution: the one operator-level stats
+/// record every evaluator reports through its `plan_stats` out-parameter.
+/// Evaluator-specific structs (DatalogStats, UcqStats, IneqStats) keep only
+/// their non-operator counters (fixpoint iterations, disjuncts, colorings).
 struct PlanStats {
   size_t scans = 0;
   size_t selects = 0;
   size_t projections = 0;
   size_t semijoins = 0;
   size_t joins = 0;
-  size_t unions = 0;
   size_t dedups = 0;
   /// Worst-case-optimal multiway joins executed (leapfrog triejoin).
   size_t multiway_joins = 0;
@@ -245,8 +232,6 @@ PlanNodePtr MakeProject(PlanNodePtr child, std::vector<AttrId> attrs,
 PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
                          Predicate post_filter = {});
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right);
-PlanNodePtr MakeUnion(std::vector<PlanNodePtr> children,
-                      std::vector<AttrId> attrs);
 PlanNodePtr MakeDedup(PlanNodePtr child);
 PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,
                          std::string label);

@@ -12,8 +12,10 @@
 //
 // Keys are built from CanonicalCqSignature (moved here from eval/ucq.* — it
 // identifies queries up to variable renaming), namespaced by a short route
-// prefix ("cq-eval:", "cq-dec:", "cq-cyc:", "ineq:", "rule:") because each
-// route caches a different artifact type. Because signatures equate queries
+// prefix ("cq-eval:", "cq-dec:", "cq-cyc:", "cq-cnt:", "ineq:", "rule:")
+// because each route caches a different artifact type; planner-built
+// entries also carry PlannerCacheTag, so a plan built under one planner
+// setting is never served under another. Because signatures equate queries
 // that differ only in variable ids, cached plans are compiled from the
 // CANONICAL form of the query (CanonicalizeCq) so their attribute ids are
 // renaming-independent.
@@ -25,7 +27,7 @@
 // no longer evicts plans that never touch it. Whole-cache flushes remain
 // only for explicit Clear(). Capacity is bounded by a real LRU (see
 // set_capacity). The Engine owns one cache per database and threads it to
-// the evaluators through their options.
+// the evaluators through the EvalContext.
 //
 // Thread-safety: Lookup/Insert/stats are mutex-guarded (concurrent UCQ
 // disjuncts and Datalog rule firings share the cache). The cached ARTIFACTS

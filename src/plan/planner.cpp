@@ -660,6 +660,12 @@ Result<PhysicalPlan> PlanCountingCq(const Database& db,
   return plan;
 }
 
+std::string PlannerCacheTag(const PlannerOptions& options) {
+  auto digit = [](bool on) { return on ? '1' : '0'; };
+  return {'p', digit(options.full_reducer), digit(options.reorder),
+          digit(options.vectorize), digit(options.wcoj), ':'};
+}
+
 Result<PhysicalPlan> PlanConjunctive(const Database& db,
                                      const ConjunctiveQuery& q,
                                      const PlannerOptions& options) {

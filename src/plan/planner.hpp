@@ -3,8 +3,7 @@
 //   * Acyclic comparison-free CQs lower along a GYO join tree to the exact
 //     Yannakakis schedule: upward semijoins, downward semijoins (the full
 //     reducer), then the upward join-and-project pass — one Semijoin/HashJoin
-//     node per legacy operator call, so PlanStats reproduces the historical
-//     AcyclicStats counts.
+//     node per operator call of the textbook algorithm.
 //   * Comparison-free cyclic CQs lower along a generalized hypertree
 //     decomposition, with worst-case-optimal multiway joins inside the
 //     cyclic bags (PlannerOptions::wcoj).
@@ -32,8 +31,9 @@
 namespace paraquery {
 
 struct PlannerOptions {
-  /// Acyclic plans: include the downward semijoin pass (ablation knob,
-  /// mirrors AcyclicOptions::full_reducer).
+  /// Acyclic plans: include the downward semijoin pass. Disabling it
+  /// (ablation E7b) keeps correctness but loses the output-sensitivity
+  /// guarantee: dangling tuples inflate intermediate joins.
   bool full_reducer = true;
   /// Cyclic plans: apply the greedy atom ordering. Off = join in the query's
   /// textual atom order (the seed-order baseline bench_planner measures).
@@ -51,6 +51,11 @@ struct PlannerOptions {
   /// the historical left-deep HashJoin plans everywhere.
   bool wcoj = true;
 };
+
+/// The planner-option part of a plan-cache key: one digit per
+/// PlannerOptions field, so a plan built under one setting is never served
+/// under another. Every cache key of a planner-built plan carries it.
+std::string PlannerCacheTag(const PlannerOptions& options);
 
 /// A lowered plan plus everything needed to run it: the slot-bound input
 /// relations (the S_j materializations; scans reference them by slot), the

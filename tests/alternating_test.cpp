@@ -103,7 +103,7 @@ TEST_P(AlternatingPropertyTest, FoQueryMatchesSolver) {
   auto red = AlternatingToFo(inst).ValueOrDie();
   FoOptions fo;
   fo.max_rows = 50'000'000;
-  bool query = FirstOrderNonempty(red.db, red.query, fo).ValueOrDie();
+  bool query = FirstOrderNonempty(red.db, red.query, {}, fo).ValueOrDie();
   EXPECT_EQ(truth, query) << "|V1|=" << v1.size() << " |V2|=" << v2.size();
 }
 
@@ -136,7 +136,7 @@ TEST(AlternatingReductionTest, ForallWeightTwo) {
   auto red = AlternatingToFo(inst).ValueOrDie();
   FoOptions fo;
   fo.max_rows = 50'000'000;
-  EXPECT_TRUE(FirstOrderNonempty(red.db, red.query, fo).ValueOrDie());
+  EXPECT_TRUE(FirstOrderNonempty(red.db, red.query, {}, fo).ValueOrDie());
 }
 
 }  // namespace

@@ -150,7 +150,7 @@ TEST(EngineTest, LastStatsExposeEvaluatorCounters) {
   // Acyclic run: the constant-free atom comes back as a zero-copy view.
   auto cq = engine.RunText("ans(x) :- E(x, y).");
   ASSERT_TRUE(cq.ok());
-  EXPECT_EQ(engine.last_stats().acyclic.shared_atom_storage, 1u);
+  EXPECT_EQ(engine.last_stats().plan.shared_atom_storage, 1u);
 }
 
 TEST(EngineTest, RunTextWithStringConstants) {

@@ -109,8 +109,8 @@ TEST(NaiveTest, StepLimit) {
                "p() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,g), "
                "E(g,h), E(h,a), a != b.")
                .ValueOrDie();
-  NaiveOptions limited;
-  limited.max_steps = 10;
+  EvalContext limited;
+  limited.limits.max_steps = 10;
   auto full = NaiveEvaluateCq(db, q, limited);
   EXPECT_EQ(full.status().code(), StatusCode::kResourceExhausted);
 }
@@ -172,8 +172,8 @@ TEST(AcyclicTest, FullReducerAblationStillCorrect) {
   Database db = GraphDb(GnpRandom(10, 0.4, 5));
   auto q = ParseConjunctive("ans(a, c) :- E(a,b), E(b,c), E(c,d).")
                .ValueOrDie();
-  AcyclicOptions no_reducer;
-  no_reducer.full_reducer = false;
+  EvalContext no_reducer;
+  no_reducer.planner.full_reducer = false;
   auto fast = AcyclicEvaluate(db, q).ValueOrDie();
   auto slow = AcyclicEvaluate(db, q, no_reducer).ValueOrDie();
   EXPECT_TRUE(fast.EqualsAsSet(slow));
@@ -183,7 +183,7 @@ TEST(AcyclicTest, StatsCountZeroCopyViews) {
   Database db = MakeDb({{"R", {{1, 2}, {3, 4}}}, {"S", {{1, 2}, {5, 6}}}},
                        {2, 2});
   auto q = ParseConjunctive("ans(x, y) :- R(x, y), S(x, y).").ValueOrDie();
-  AcyclicStats stats;
+  PlanStats stats;
   auto out = AcyclicEvaluate(db, q, {}, &stats).ValueOrDie();
   EXPECT_EQ(out.size(), 1u);  // R ∩ S = {(1,2)}
   // Both atoms are constant- and repetition-free, so S_j is a zero-copy view
@@ -376,7 +376,7 @@ TEST(FoTest, RowLimitEnforced) {
                .ValueOrDie();
   FoOptions tight;
   tight.max_rows = 1000;
-  EXPECT_EQ(EvaluateFirstOrder(db, q, tight).status().code(),
+  EXPECT_EQ(EvaluateFirstOrder(db, q, {}, tight).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -391,7 +391,7 @@ TEST(DatalogTest, TransitiveClosure) {
                   "tc(x, y) :- E(x, z), tc(z, y).\n")
                   .ValueOrDie();
   DatalogStats stats;
-  auto out = EvaluateDatalog(db, prog, {}, &stats).ValueOrDie();
+  auto out = EvaluateDatalog(db, prog, {}, {}, &stats).ValueOrDie();
   EXPECT_EQ(out.size(), 6u);  // all pairs i<j in the chain
   EXPECT_TRUE(out.Contains(std::vector<Value>{1, 4}));
   EXPECT_FALSE(out.Contains(std::vector<Value>{4, 1}));
@@ -413,7 +413,7 @@ TEST(DatalogTest, SameEdbAtomAcrossRulesSharesOneMaterialization) {
                   "@goal g.\n")
                   .ValueOrDie();
   DatalogStats stats;
-  auto out = EvaluateDatalog(db, prog, {}, &stats).ValueOrDie();
+  auto out = EvaluateDatalog(db, prog, {}, {}, &stats).ValueOrDie();
   EXPECT_EQ(stats.edb_materializations, 1u);
   EXPECT_EQ(stats.edb_cache_hits, 2u);
   // g = heads(E) ∩ tails(E) ∩ heads(E) = {2}.
@@ -436,7 +436,7 @@ TEST(DatalogTest, DifferentEdbAtomShapesDoNotShare) {
                   "@goal g.\n")
                   .ValueOrDie();
   DatalogStats stats;
-  auto out = EvaluateDatalog(db, prog, {}, &stats).ValueOrDie();
+  auto out = EvaluateDatalog(db, prog, {}, {}, &stats).ValueOrDie();
   EXPECT_EQ(stats.edb_materializations, 3u);
   EXPECT_EQ(stats.edb_cache_hits, 0u);
   EXPECT_EQ(out.size(), 1u);
@@ -455,7 +455,7 @@ TEST(DatalogTest, SharedEdbCacheMatchesPerRuleResults) {
                     "tc(x, y) :- E(x, z), tc(z, y).\n")
                     .ValueOrDie();
     DatalogStats stats;
-    auto out = EvaluateDatalog(db, prog, {}, &stats).ValueOrDie();
+    auto out = EvaluateDatalog(db, prog, {}, {}, &stats).ValueOrDie();
     EXPECT_EQ(out.size(), static_cast<size_t>(n) * (n - 1) / 2);
     EXPECT_EQ(stats.edb_materializations, 1u);
     EXPECT_EQ(stats.edb_cache_hits, 1u);
@@ -473,7 +473,7 @@ TEST(DatalogTest, RuleFiringsCountsOnlyRulesThatFire) {
                   "@goal p.\n")
                   .ValueOrDie();
   DatalogStats stats;
-  auto out = EvaluateDatalog(db, prog, {}, &stats).ValueOrDie();
+  auto out = EvaluateDatalog(db, prog, {}, {}, &stats).ValueOrDie();
   EXPECT_EQ(out.size(), 1u);
   // Round 0 evaluates both rules, but only the E rule actually fires; the
   // F rule is counted as skipped, not fired.
@@ -581,7 +581,7 @@ TEST(DatalogTest, IterationLimit) {
                   .ValueOrDie();
   DatalogOptions limited;
   limited.max_iterations = 3;
-  EXPECT_EQ(EvaluateDatalog(db, prog, limited).status().code(),
+  EXPECT_EQ(EvaluateDatalog(db, prog, {}, limited).status().code(),
             StatusCode::kResourceExhausted);
 }
 

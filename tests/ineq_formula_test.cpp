@@ -97,7 +97,7 @@ TEST(IneqFormulaEvalTest, DisjunctionOfInequalities) {
   int diff = phi.AddAtom({CompareOp::kNeq, Term::Var(p), Term::Var(r)});
   int marked = phi.AddAtom({CompareOp::kNeq, Term::Var(p), Term::Const(777)});
   phi.root = phi.AddOr({diff, marked});
-  auto out = IneqFormulaEvaluate(db, q, phi, Certified()).ValueOrDie();
+  auto out = IneqFormulaEvaluate(db, q, phi, {}, Certified()).ValueOrDie();
   auto truth = NaiveFormulaEvaluate(db, q, phi);
   EXPECT_TRUE(out.EqualsAsSet(truth));
   // Employees 1, 2 satisfy via p != 777; employee 1 also via p != r;
@@ -132,7 +132,7 @@ TEST(IneqFormulaEvalTest, ParameterVRefinementPushesVarConstConjuncts) {
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
   IneqStats stats;
-  auto out = IneqFormulaEvaluate(db, q, phi, certified, &stats).ValueOrDie();
+  auto out = IneqFormulaEvaluate(db, q, phi, {}, certified, &stats).ValueOrDie();
   // Hash range covers only the two formula variables, not the constants.
   EXPECT_EQ(stats.k, 2);
   EXPECT_EQ(stats.i2_atoms, 2u);
@@ -152,8 +152,8 @@ TEST(IneqFormulaEvalTest, DecisionMatchesEvaluation) {
   int x = phi.AddAtom({CompareOp::kNeq, Term::Var(a), Term::Var(c)});
   int y = phi.AddAtom({CompareOp::kNeq, Term::Var(a), Term::Var(d)});
   phi.root = phi.AddAnd({x, y});
-  bool dec = IneqFormulaNonempty(db, q, phi, Certified()).ValueOrDie();
-  auto full = IneqFormulaEvaluate(db, q, phi, Certified()).ValueOrDie();
+  bool dec = IneqFormulaNonempty(db, q, phi, {}, Certified()).ValueOrDie();
+  auto full = IneqFormulaEvaluate(db, q, phi, {}, Certified()).ValueOrDie();
   EXPECT_EQ(dec, !full.empty());
 }
 
@@ -198,12 +198,12 @@ TEST_P(IneqFormulaPropertyTest, MatchesDnfGroundTruth) {
   phi.root = disjuncts.size() == 1 ? disjuncts[0] : phi.AddOr(disjuncts);
 
   IneqStats stats;
-  auto out = IneqFormulaEvaluate(db, q, phi, Certified(), &stats).ValueOrDie();
+  auto out = IneqFormulaEvaluate(db, q, phi, {}, Certified(), &stats).ValueOrDie();
   auto truth = NaiveFormulaEvaluate(db, q, phi);
   EXPECT_TRUE(out.EqualsAsSet(truth))
       << q.ToString() << "\nphi: " << phi.ToString(q.vars)
       << "\nk=" << stats.k;
-  EXPECT_EQ(IneqFormulaNonempty(db, q, phi, Certified()).ValueOrDie(),
+  EXPECT_EQ(IneqFormulaNonempty(db, q, phi, {}, Certified()).ValueOrDie(),
             !truth.empty());
 }
 

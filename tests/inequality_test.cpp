@@ -44,7 +44,7 @@ TEST(IneqTest, PaperEmployeeProjectExample) {
   auto q = ParseConjunctive("g(e) :- EP(e, p), EP(e, q), p != q.")
                .ValueOrDie();
   IneqStats stats;
-  auto out = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(out.size(), 1u);
   EXPECT_TRUE(out.Contains(std::vector<Value>{1}));
   EXPECT_TRUE(stats.certified);
@@ -71,7 +71,7 @@ TEST(IneqTest, PaperStudentCourseExample) {
   auto q = ParseConjunctive(
                "g(s) :- SD(s, d), SC(s, c), CD(c, e), d != e.")
                .ValueOrDie();
-  auto out = IneqEvaluate(db, q, Certified()).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified()).ValueOrDie();
   EXPECT_EQ(out.size(), 1u);
   EXPECT_TRUE(out.Contains(std::vector<Value>{1}));
 }
@@ -80,7 +80,7 @@ TEST(IneqTest, CoOccurringInequalityGoesToI2) {
   Database db = GraphDb(CycleGraph(4));
   auto q = ParseConjunctive("ans(x, y) :- E(x, y), x != y.").ValueOrDie();
   IneqStats stats;
-  auto out = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(stats.k, 0);  // handled entirely by selections
   EXPECT_EQ(stats.i2_atoms, 1u);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
@@ -92,7 +92,7 @@ TEST(IneqTest, VarConstInequalitiesPushed) {
   auto q = ParseConjunctive("ans(x) :- E(x, y), x != 0, y != 3.")
                .ValueOrDie();
   IneqStats stats;
-  auto out = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(stats.k, 0);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(out.EqualsAsSet(naive));
@@ -102,7 +102,7 @@ TEST(IneqTest, PureAcyclicDegeneratesToYannakakis) {
   Database db = GraphDb(GnpRandom(10, 0.3, 7));
   auto q = ParseConjunctive("ans(a, c) :- E(a,b), E(b,c).").ValueOrDie();
   IneqStats stats;
-  auto out = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(stats.k, 0);
   EXPECT_EQ(stats.family_size, 1u);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
@@ -121,11 +121,11 @@ TEST(IneqTest, RejectsOrderComparisonsAndCyclicQueries) {
 TEST(IneqTest, TriviallyFalseComparisons) {
   Database db = GraphDb(PathGraph(3));
   auto q = ParseConjunctive("p() :- E(x, y), x != x.").ValueOrDie();
-  EXPECT_FALSE(IneqNonempty(db, q, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqNonempty(db, q, {}, Certified()).ValueOrDie());
   auto q2 = ParseConjunctive("p() :- E(x, y), 3 != 3.").ValueOrDie();
-  EXPECT_FALSE(IneqNonempty(db, q2, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqNonempty(db, q2, {}, Certified()).ValueOrDie());
   auto q3 = ParseConjunctive("p() :- E(x, y), 3 != 4.").ValueOrDie();
-  EXPECT_TRUE(IneqNonempty(db, q3, Certified()).ValueOrDie());
+  EXPECT_TRUE(IneqNonempty(db, q3, {}, Certified()).ValueOrDie());
 }
 
 TEST(IneqTest, SimplePathsOfLengthK) {
@@ -138,12 +138,12 @@ TEST(IneqTest, SimplePathsOfLengthK) {
   auto q = ParseConjunctive(text).ValueOrDie();
 
   Database path = GraphDb(PathGraph(5));
-  EXPECT_TRUE(IneqNonempty(path, q, Certified()).ValueOrDie());
+  EXPECT_TRUE(IneqNonempty(path, q, {}, Certified()).ValueOrDie());
 
   Graph star(6);
   for (int i = 1; i < 6; ++i) star.AddEdge(0, i);
   Database stardb = GraphDb(star);
-  EXPECT_FALSE(IneqNonempty(stardb, q, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqNonempty(stardb, q, {}, Certified()).ValueOrDie());
 }
 
 TEST(IneqTest, DisconnectedQueryComponentsWithCrossInequality) {
@@ -154,10 +154,10 @@ TEST(IneqTest, DisconnectedQueryComponentsWithCrossInequality) {
   db.relation(a).Add({1});
   db.relation(b).Add({1});
   auto q = ParseConjunctive("p() :- A(x), B(y), x != y.").ValueOrDie();
-  EXPECT_FALSE(IneqNonempty(db, q, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqNonempty(db, q, {}, Certified()).ValueOrDie());
   db.relation(b).Add({2});
-  EXPECT_TRUE(IneqNonempty(db, q, Certified()).ValueOrDie());
-  auto out = IneqEvaluate(db, q, Certified()).ValueOrDie();
+  EXPECT_TRUE(IneqNonempty(db, q, {}, Certified()).ValueOrDie());
+  auto out = IneqEvaluate(db, q, {}, Certified()).ValueOrDie();
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -165,8 +165,8 @@ TEST(IneqTest, ContainsDecision) {
   Database db = GraphDb(PathGraph(4));
   auto q = ParseConjunctive("ans(x, z) :- E(x, y), E(y, z), x != z.")
                .ValueOrDie();
-  EXPECT_TRUE(IneqContains(db, q, {0, 2}, Certified()).ValueOrDie());
-  EXPECT_FALSE(IneqContains(db, q, {0, 0}, Certified()).ValueOrDie());
+  EXPECT_TRUE(IneqContains(db, q, {0, 2}, {}, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqContains(db, q, {0, 0}, {}, Certified()).ValueOrDie());
 }
 
 TEST(IneqTest, MonteCarloIsSoundAndUsuallyComplete) {
@@ -181,7 +181,7 @@ TEST(IneqTest, MonteCarloIsSoundAndUsuallyComplete) {
   mc.mc_error_exponent = 6.0;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     mc.seed = seed;
-    EXPECT_TRUE(IneqNonempty(db, q, mc).ValueOrDie()) << "seed=" << seed;
+    EXPECT_TRUE(IneqNonempty(db, q, {}, mc).ValueOrDie()) << "seed=" << seed;
   }
 }
 
@@ -189,7 +189,7 @@ TEST(IneqTest, StatsReportFamilyAndTrials) {
   Database db = GraphDb(PathGraph(6));
   auto q = ParseConjunctive("p() :- E(a,b), E(c,d), a != c.").ValueOrDie();
   IneqStats stats;
-  ASSERT_TRUE(IneqNonempty(db, q, Certified(), &stats).ValueOrDie());
+  ASSERT_TRUE(IneqNonempty(db, q, {}, Certified(), &stats).ValueOrDie());
   EXPECT_EQ(stats.k, 2);
   EXPECT_GE(stats.family_size, 1u);
   EXPECT_GE(stats.trials, 1u);
@@ -242,11 +242,11 @@ TEST_P(IneqPropertyTest, MatchesNaiveOnRandomAcyclicNeqQueries) {
   ASSERT_TRUE(q.IsAcyclic());
 
   IneqStats stats;
-  auto fpt = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto fpt = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive))
       << q.ToString() << "\nk=" << stats.k << " i1=" << stats.i1_atoms;
-  EXPECT_EQ(IneqNonempty(db, q, Certified()).ValueOrDie(), !naive.empty());
+  EXPECT_EQ(IneqNonempty(db, q, {}, Certified()).ValueOrDie(), !naive.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IneqPropertyTest,
@@ -357,15 +357,16 @@ TEST_P(IneqLoweringDifferentialTest, PlanMatchesRecordedOracleByteForByte) {
     options.seed = GetParam();
     const RecordedIneqAnswer& rec = FindRecorded(
         GetParam(), driver == IneqOptions::Driver::kCertified ? 0 : 1);
-    auto planned = IneqEvaluate(db, q, options);
+    auto planned = IneqEvaluate(db, q, {}, options);
     ASSERT_TRUE(planned.ok()) << planned.status();
     ExpectMatchesRecorded(planned.value(), rec, q.ToString());
-    EXPECT_EQ(IneqNonempty(db, q, options).ValueOrDie(), rec.nonempty);
+    EXPECT_EQ(IneqNonempty(db, q, {}, options).ValueOrDie(), rec.nonempty);
     // A warm plan cache must not change a single byte either.
     PlanCache cache;
-    options.plan_cache = &cache;
+    EvalContext ctx;
+    ctx.plan_cache = &cache;
     for (int round = 0; round < 2; ++round) {
-      auto cached = IneqEvaluate(db, q, options);
+      auto cached = IneqEvaluate(db, q, ctx, options);
       ASSERT_TRUE(cached.ok()) << cached.status();
       ExpectMatchesRecorded(cached.value(), rec, q.ToString() + " (cached)");
     }
@@ -395,15 +396,16 @@ TEST(IneqTest, FormulaModePlanMatchesRecordedOracle) {
     options.seed = seed;
     const RecordedIneqAnswer& rec = kRecordedFormulaAnswers[seed - 1];
     ASSERT_EQ(rec.seed, seed);
-    auto planned = IneqFormulaEvaluate(db, q, phi, options);
+    auto planned = IneqFormulaEvaluate(db, q, phi, {}, options);
     ASSERT_TRUE(planned.ok()) << planned.status();
     ExpectMatchesRecorded(planned.value(), rec, "formula mode");
-    EXPECT_EQ(IneqFormulaNonempty(db, q, phi, options).ValueOrDie(),
+    EXPECT_EQ(IneqFormulaNonempty(db, q, phi, {}, options).ValueOrDie(),
               rec.nonempty);
     // Cached formula compilation: same bytes again.
     PlanCache cache;
-    options.plan_cache = &cache;
-    auto cached = IneqFormulaEvaluate(db, q, phi, options);
+    EvalContext ctx;
+    ctx.plan_cache = &cache;
+    auto cached = IneqFormulaEvaluate(db, q, phi, ctx, options);
     ASSERT_TRUE(cached.ok()) << cached.status();
     ExpectMatchesRecorded(cached.value(), rec, "formula cached");
   }
@@ -415,7 +417,7 @@ TEST(IneqTest, LoweredPathReportsPlanStats) {
                .ValueOrDie();
   IneqStats stats;
   PlanStats plan;
-  auto out = IneqEvaluate(db, q, Certified(), &stats, &plan).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats, &plan).ValueOrDie();
   EXPECT_GT(plan.joins + plan.semijoins, 0u);  // went through the executor
   EXPECT_GT(plan.scans, 0u);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
@@ -429,16 +431,16 @@ TEST(IneqTest, LoweredPathHonorsResourceLimits) {
   auto q = ParseConjunctive(
                "ans(a, d) :- E(a, b), E(b, c), E(c, d), a != d.")
                .ValueOrDie();
-  IneqOptions options;
-  options.limits.max_rows = 10;
-  EXPECT_EQ(IneqEvaluate(db, q, options).status().code(),
+  EvalContext ctx;
+  ctx.limits.max_rows = 10;
+  EXPECT_EQ(IneqEvaluate(db, q, ctx).status().code(),
             StatusCode::kResourceExhausted);
-  options.limits.max_rows = 0;
-  options.limits.max_steps = 20;
-  EXPECT_EQ(IneqEvaluate(db, q, options).status().code(),
+  ctx.limits.max_rows = 0;
+  ctx.limits.max_steps = 20;
+  EXPECT_EQ(IneqEvaluate(db, q, ctx).status().code(),
             StatusCode::kResourceExhausted);
-  options.limits.max_steps = 0;
-  EXPECT_TRUE(IneqEvaluate(db, q, options).ok());
+  ctx.limits.max_steps = 0;
+  EXPECT_TRUE(IneqEvaluate(db, q, ctx).ok());
 }
 
 TEST(IneqTest, PlanTextRendersLoweredDag) {
@@ -467,7 +469,7 @@ TEST(IneqTest, DeepTreeCrossSubtreeInequalities) {
                .ValueOrDie();
   ASSERT_TRUE(q.IsAcyclic());
   IneqStats stats;
-  auto fpt = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto fpt = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(stats.k, 3);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive));
@@ -487,25 +489,27 @@ struct WidthCase {
   std::optional<IneqFormula> phi;
 };
 
-IneqOptions AtWidth(TaskScheduler* scheduler) {
-  IneqOptions o = Certified();
-  o.runtime.scheduler = scheduler;
-  o.runtime.morsel_rows = 16;  // the colorings' operators go parallel too
-  return o;
+EvalContext AtWidth(TaskScheduler* scheduler) {
+  EvalContext ctx;
+  ctx.runtime.scheduler = scheduler;
+  ctx.runtime.morsel_rows = 16;  // the colorings' operators go parallel too
+  return ctx;
 }
 
-Result<Relation> EvaluateCase(const WidthCase& c, const IneqOptions& o,
+Result<Relation> EvaluateCase(const WidthCase& c, const EvalContext& ctx,
                               IneqStats* stats = nullptr,
                               PlanStats* plan = nullptr) {
-  return c.phi.has_value()
-             ? IneqFormulaEvaluate(*c.db, c.q, *c.phi, o, stats, plan)
-             : IneqEvaluate(*c.db, c.q, o, stats, plan);
+  return c.phi.has_value() ? IneqFormulaEvaluate(*c.db, c.q, *c.phi, ctx,
+                                                 Certified(), stats, plan)
+                           : IneqEvaluate(*c.db, c.q, ctx, Certified(), stats,
+                                          plan);
 }
 
-Result<bool> NonemptyCase(const WidthCase& c, const IneqOptions& o,
+Result<bool> NonemptyCase(const WidthCase& c, const EvalContext& ctx,
                           IneqStats* stats = nullptr) {
-  return c.phi.has_value() ? IneqFormulaNonempty(*c.db, c.q, *c.phi, o, stats)
-                           : IneqNonempty(*c.db, c.q, o, stats);
+  return c.phi.has_value()
+             ? IneqFormulaNonempty(*c.db, c.q, *c.phi, ctx, Certified(), stats)
+             : IneqNonempty(*c.db, c.q, ctx, Certified(), stats);
 }
 
 class IneqWidthTest : public ::testing::Test {
@@ -583,8 +587,8 @@ TEST_F(IneqWidthTest, StepBudgetPassingAtOneThreadPassesAtFour) {
   size_t passed = 0, failed = 0;
   for (uint64_t budget = 1; budget <= top; budget += budget / 4 + 1) {
     SCOPED_TRACE(budget);
-    IneqOptions one = AtWidth(nullptr);
-    IneqOptions four = AtWidth(&wide);
+    EvalContext one = AtWidth(nullptr);
+    EvalContext four = AtWidth(&wide);
     one.limits.max_steps = four.limits.max_steps = budget;
     auto r1 = EvaluateCase(c, one);
     auto d1 = NonemptyCase(c, one);

@@ -33,7 +33,7 @@ TEST_P(ThreeWayAgreementTest, EngineIneqNaiveAgree) {
   Engine engine(db, eo);
 
   auto via_engine = engine.Run(q).ValueOrDie();
-  auto via_ineq = IneqEvaluate(db, q, certified).ValueOrDie();
+  auto via_ineq = IneqEvaluate(db, q, {}, certified).ValueOrDie();
   auto via_naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(via_engine.EqualsAsSet(via_naive)) << q.ToString();
   EXPECT_TRUE(via_ineq.EqualsAsSet(via_naive)) << q.ToString();
@@ -114,8 +114,8 @@ TEST_P(DecisionConsistencyTest, NonemptyIffAnswersExist) {
 
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
-  auto fpt_full = IneqEvaluate(db, boolean, certified).ValueOrDie();
-  EXPECT_EQ(IneqNonempty(db, boolean, certified).ValueOrDie(),
+  auto fpt_full = IneqEvaluate(db, boolean, {}, certified).ValueOrDie();
+  EXPECT_EQ(IneqNonempty(db, boolean, {}, certified).ValueOrDie(),
             !fpt_full.empty());
 
   if (!boolean.HasComparisons()) {

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "eval/inequality.hpp"
+#include "eval/naive.hpp"
 #include "graph/generators.hpp"
 #include "plan/plan_cache.hpp"
 #include "query/parser.hpp"
@@ -180,6 +181,27 @@ TEST(PlanCacheTest, CyclicRouteCachesToo) {
   EXPECT_TRUE(first.EqualsAsSet(second));
   EXPECT_GT(engine.last_stats().plan_cache.hits, 0u);
   EXPECT_EQ(engine.last_stats().plan_cache.misses, misses);
+}
+
+TEST(PlanCacheTest, EveryPlannerOptionIsPartOfTheKey) {
+  // Flipping any planner option after a cached run must compile a new
+  // entry, never serve the plan built under the old setting.
+  Database db = SmallGraphDb(12, 0.4, 5);
+  auto q = ParseConjunctive("ans(x) :- E(x, y), E(y, z), E(z, x), x < y.")
+               .ValueOrDie();
+  PlanCache cache;
+  EvalContext ctx;
+  ctx.plan_cache = &cache;
+  auto reference = NaiveEvaluateCq(db, q, ctx).ValueOrDie();
+  for (bool PlannerOptions::* field :
+       {&PlannerOptions::full_reducer, &PlannerOptions::reorder,
+        &PlannerOptions::vectorize, &PlannerOptions::wcoj}) {
+    const size_t entries = cache.stats().entries;
+    ctx.planner.*field = !(ctx.planner.*field);
+    auto out = NaiveEvaluateCq(db, q, ctx).ValueOrDie();
+    EXPECT_EQ(cache.stats().entries, entries + 1);
+    EXPECT_TRUE(out.data() == reference.data());
+  }
 }
 
 TEST(PlanCacheTest, UcqDisjunctsReuseAcrossCalls) {

@@ -195,9 +195,8 @@ TEST(PlanParityTest, YannakakisScheduleCountsAndAnswers) {
     ConjunctiveQuery q = RandomAcyclicNeqQuery(3, 5, 0, seed);
     LegacyStats legacy;
     auto reference = LegacyYannakakis(db, q, &legacy).ValueOrDie();
-    AcyclicStats stats;
     PlanStats plan_stats;
-    auto planned = AcyclicEvaluate(db, q, {}, &stats, &plan_stats).ValueOrDie();
+    auto planned = AcyclicEvaluate(db, q, {}, &plan_stats).ValueOrDie();
     EXPECT_TRUE(planned.EqualsAsSet(reference)) << "seed=" << seed;
     if (!reference.empty()) {
       // Nonempty runs execute the full schedule: counts must be identical
@@ -206,9 +205,6 @@ TEST(PlanParityTest, YannakakisScheduleCountsAndAnswers) {
       EXPECT_EQ(plan_stats.joins, legacy.joins) << "seed=" << seed;
       EXPECT_EQ(plan_stats.semijoins, 2 * (q.body.size() - 1));
       EXPECT_EQ(plan_stats.joins, q.body.size() - 1);
-      // The deprecated AcyclicStats mirror agrees with PlanStats.
-      EXPECT_EQ(stats.semijoins, plan_stats.semijoins);
-      EXPECT_EQ(stats.joins, plan_stats.joins);
     }
   }
 }
@@ -222,8 +218,7 @@ TEST(PlanParityTest, EvalTestQueriesKeepTheirCounts) {
   auto reference = LegacyYannakakis(db, q, &legacy).ValueOrDie();
   ASSERT_FALSE(reference.empty());
   PlanStats plan_stats;
-  auto planned =
-      AcyclicEvaluate(db, q, {}, nullptr, &plan_stats).ValueOrDie();
+  auto planned = AcyclicEvaluate(db, q, {}, &plan_stats).ValueOrDie();
   EXPECT_TRUE(planned.EqualsAsSet(reference));
   EXPECT_EQ(plan_stats.semijoins, legacy.semijoins);
   EXPECT_EQ(plan_stats.joins, legacy.joins);
@@ -233,10 +228,10 @@ TEST(PlanParityTest, FullReducerAblationMatches) {
   Database db = GraphDb(GnpRandom(10, 0.4, 5));
   auto q = ParseConjunctive("ans(a, c) :- E(a,b), E(b,c), E(c,d).")
                .ValueOrDie();
-  AcyclicOptions no_reducer;
-  no_reducer.full_reducer = false;
+  EvalContext no_reducer;
+  no_reducer.planner.full_reducer = false;
   PlanStats ps;
-  auto out = AcyclicEvaluate(db, q, no_reducer, nullptr, &ps).ValueOrDie();
+  auto out = AcyclicEvaluate(db, q, no_reducer, &ps).ValueOrDie();
   EXPECT_EQ(ps.semijoins, 0u);  // the reducer passes are gone from the plan
   EXPECT_EQ(ps.joins, q.body.size() - 1);
   auto reduced = AcyclicEvaluate(db, q).ValueOrDie();
@@ -290,23 +285,24 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PlanDifferentialTest,
 // Executor mechanics.
 // ---------------------------------------------------------------------------
 
-TEST(PlanExecutorTest, UnionAndActualRows) {
+TEST(PlanExecutorTest, SemijoinAndActualRows) {
   NamedRelation a({0});
   a.rel().Add({1});
   a.rel().Add({2});
+  a.rel().Add({3});
   NamedRelation b({0});
   b.rel().Add({2});
   b.rel().Add({3});
-  auto u = MakeUnion({MakeScan(0, {0}, "A", 2), MakeScan(1, {0}, "B", 2)},
-                     {0});
+  b.rel().Add({4});
+  auto sj = MakeSemijoin(MakeScan(0, {0}, "A", 3), MakeScan(1, {0}, "B", 3));
   std::vector<const NamedRelation*> inputs = {&a, &b};
   PlanStats stats;
   ExecContext ctx{inputs, {}, &stats};
-  auto out = ExecutePlan(*u, ctx).ValueOrDie();
-  EXPECT_EQ(out.size(), 3u);
-  EXPECT_EQ(stats.unions, 1u);
-  EXPECT_EQ(u->actual_rows, 3u);
-  EXPECT_NE(RenderPlan(*u).find("actual=3"), std::string::npos);
+  auto out = ExecutePlan(*sj, ctx).ValueOrDie();
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(stats.semijoins, 1u);
+  EXPECT_EQ(sj->actual_rows, 2u);
+  EXPECT_NE(RenderPlan(*sj).find("actual=2"), std::string::npos);
 }
 
 TEST(PlanExecutorTest, FixpointNodesAreRejected) {
@@ -335,31 +331,26 @@ TEST(PlanExecutorTest, ExecutedPlanRenderShowsActuals) {
 // Unified resource limits.
 // ---------------------------------------------------------------------------
 
-TEST(ResourceLimitsTest, StepLimitThroughNaiveOptions) {
+TEST(ResourceLimitsTest, StepLimitThroughEvalContext) {
   Database db = GraphDb(CompleteGraph(20));
   auto q = ParseConjunctive("ans(a, d) :- E(a,b), E(b,c), E(c,d).")
                .ValueOrDie();
-  NaiveOptions limited;
+  EvalContext limited;
   limited.limits.max_steps = 50;
   EXPECT_EQ(NaiveEvaluateCq(db, q, limited).status().code(),
             StatusCode::kResourceExhausted);
-  // The deprecated alias still works when the unified field is unset.
-  NaiveOptions legacy;
-  legacy.max_steps = 50;
-  EXPECT_EQ(NaiveEvaluateCq(db, q, legacy).status().code(),
-            StatusCode::kResourceExhausted);
 }
 
-TEST(ResourceLimitsTest, RowLimitThroughAcyclicOptions) {
+TEST(ResourceLimitsTest, RowLimitThroughEvalContext) {
   Database db = GraphDb(CompleteGraph(30));
   auto q = ParseConjunctive("ans(a, c) :- E(a, b), E(b, c).").ValueOrDie();
-  AcyclicOptions tight;
+  EvalContext tight;
   tight.limits.max_rows = 100;
   EXPECT_EQ(AcyclicEvaluate(db, q, tight).status().code(),
             StatusCode::kResourceExhausted);
 }
 
-TEST(ResourceLimitsTest, EngineLimitsOverrideEvaluatorOptions) {
+TEST(ResourceLimitsTest, EngineLimitsReachEvaluators) {
   Database db = GraphDb(CompleteGraph(20));
   EngineOptions options;
   options.limits.max_steps = 10;
@@ -388,7 +379,7 @@ TEST(UcqPlanTest, DuplicateDisjunctsAreDeduped) {
   db.relation(a).Add({2});
   auto q = ParsePositive("ans(x) := A(x) or A(x).").ValueOrDie();
   UcqStats stats;
-  auto out = EvaluatePositive(db, q, {}, &stats).ValueOrDie();
+  auto out = EvaluatePositive(db, q, {}, {}, &stats).ValueOrDie();
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(stats.disjuncts_expanded, 2u);
   EXPECT_EQ(stats.disjuncts_deduped, 1u);
@@ -396,15 +387,15 @@ TEST(UcqPlanTest, DuplicateDisjunctsAreDeduped) {
 }
 
 TEST(UcqPlanTest, LimitsReachAcyclicDisjuncts) {
-  // Before the unification the acyclic path dropped UcqOptions entirely; a
-  // row guard must now abort the oversized disjunct.
+  // The caller's context reaches every disjunct: a row guard must abort the
+  // oversized acyclic disjunct.
   Database db;
   RelId a = db.AddRelation("A", 1).ValueOrDie();
   for (Value v = 0; v < 200; ++v) db.relation(a).Add({v});
   auto q = ParsePositive("ans(x) := A(x) or A(x).").ValueOrDie();
-  UcqOptions options;
-  options.limits.max_rows = 10;
-  EXPECT_EQ(EvaluatePositive(db, q, options).status().code(),
+  EvalContext ctx;
+  ctx.limits.max_rows = 10;
+  EXPECT_EQ(EvaluatePositive(db, q, ctx).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -413,12 +404,13 @@ TEST(UcqPlanTest, StatsAggregateAcrossDisjuncts) {
   auto q = ParsePositive("ans(x) := exists y . (E(x, y) or E(y, x)).")
                .ValueOrDie();
   UcqStats stats;
-  auto out = EvaluatePositive(db, q, {}, &stats).ValueOrDie();
+  PlanStats plan;
+  auto out = EvaluatePositive(db, q, {}, {}, &stats, &plan).ValueOrDie();
   EXPECT_EQ(out.size(), 4u);
   EXPECT_EQ(stats.disjuncts_evaluated, 2u);
   EXPECT_EQ(stats.acyclic_disjuncts, 2u);
-  EXPECT_GE(stats.plan.scans, 2u);
-  EXPECT_GE(stats.plan.projections, 2u);
+  EXPECT_GE(plan.scans, 2u);
+  EXPECT_GE(plan.projections, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -430,8 +422,10 @@ TEST(DatalogPlanTest, RulePlansAreReusedAcrossIterations) {
   RelId e = db.AddRelation("E", 2).ValueOrDie();
   for (Value v = 0; v < 30; ++v) db.relation(e).Add({v, v + 1});
   DatalogStats stats;
-  auto out =
-      EvaluateDatalog(db, TransitiveClosureProgram(), {}, &stats).ValueOrDie();
+  PlanStats plan;
+  auto out = EvaluateDatalog(db, TransitiveClosureProgram(), {}, {}, &stats,
+                             &plan)
+                 .ValueOrDie();
   EXPECT_EQ(out.size(), 30u * 31u / 2u);
   // Three variants ever fire: the EDB-only rule at round 0, the recursive
   // rule at round 0 (the base rule's tuples are already in the IDB by then),
@@ -444,9 +438,8 @@ TEST(DatalogPlanTest, RulePlansAreReusedAcrossIterations) {
   EXPECT_EQ(stats.replans, 1u);
   EXPECT_EQ(stats.rule_firings,
             stats.plans_built + stats.plan_reuses + stats.replans);
-  // The shared executor's counters surface through DatalogStats::plan.
-  EXPECT_EQ(stats.edb_index_builds, stats.plan.index_builds);
-  EXPECT_GT(stats.plan.joins, 10u);
+  // The shared executor's counters surface through `plan_stats`.
+  EXPECT_GT(plan.joins, 10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,13 +475,50 @@ TEST(EnginePlanTest, PlanTextDoesNotExecute) {
   EXPECT_FALSE(engine.PlanText("p() := not (exists x . E(x, x)).").ok());
 }
 
+TEST(EnginePlanTest, PlanTextShowsTheExecutedPlanUnderEveryToggle) {
+  // `.plan` must render with the planner options Run executes under: a
+  // MultiwayJoin or Materialize node appears in the rendered plan exactly
+  // when it appears in the executed one.
+  Database db = GraphDb(GnpRandom(12, 0.4, 3));
+  const char* queries[] = {
+      "ans(x) :- E(x, y), E(y, z), E(z, x).",
+      "ans(x, z) :- E(x, y), E(y, z), x < z.",
+      "ans(x) := exists y, z . ((E(x, y) and E(y, z) and E(z, x)) or "
+      "E(x, x)).",
+      "tc(x, y) :- E(x, y).\n"
+      "tc(x, y) :- E(x, z), tc(z, y).\n",
+  };
+  for (const char* text : queries) {
+    for (bool wcoj : {false, true}) {
+      for (bool vectorize : {false, true}) {
+        SCOPED_TRACE(testing::Message() << text << " wcoj=" << wcoj
+                                        << " vectorize=" << vectorize);
+        EngineOptions options;
+        options.wcoj = wcoj;
+        options.vectorize = vectorize;
+        Engine engine(db, options);
+        auto planned = engine.PlanText(text);
+        auto analyzed = engine.AnalyzeText(text);
+        ASSERT_TRUE(planned.ok()) << planned.status();
+        ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+        for (const char* op : {"MultiwayJoin", "Materialize"}) {
+          EXPECT_EQ(planned.value().find(op) != std::string::npos,
+                    analyzed.value().find(op) != std::string::npos)
+              << op << "\nplan:\n"
+              << planned.value() << "analyzed:\n"
+              << analyzed.value();
+        }
+      }
+    }
+  }
+}
+
 TEST(EnginePlanTest, LastStatsCarryPlanCounters) {
   Database db = GraphDb(CycleGraph(4));
   Engine engine(db);
   ASSERT_TRUE(engine.RunText("ans(a, c) :- E(a, b), E(b, c).").ok());
   EXPECT_EQ(engine.last_stats().plan.joins, 1u);
   EXPECT_EQ(engine.last_stats().plan.semijoins, 2u);
-  EXPECT_EQ(engine.last_stats().acyclic.joins, 1u);  // legacy mirror
   ASSERT_TRUE(engine
                   .RunText(
                       "tc(x, y) :- E(x, y).\n"

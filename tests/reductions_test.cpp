@@ -344,7 +344,7 @@ TEST_P(HamPathTest, QueryNonemptyIffHamiltonianPath) {
   mc.driver = IneqOptions::Driver::kMonteCarlo;
   mc.mc_error_exponent = 3.0;
   mc.seed = 42;
-  bool fpt = IneqNonempty(red.db, red.query, mc).ValueOrDie();
+  bool fpt = IneqNonempty(red.db, red.query, {}, mc).ValueOrDie();
   if (ham) {
     // Monte Carlo may miss with tiny probability; these seeds succeed.
     EXPECT_TRUE(fpt);

@@ -72,7 +72,7 @@ TEST(RobustnessTest, ExtremeValuesSurviveHashingAndJoins) {
                .ValueOrDie();
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
-  auto fpt = IneqEvaluate(db, q, certified).ValueOrDie();
+  auto fpt = IneqEvaluate(db, q, {}, certified).ValueOrDie();
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive));
 }
@@ -121,19 +121,34 @@ TEST(RobustnessTest, ParserFuzzMutations) {
 }
 
 TEST(RobustnessTest, RowLimitsSurfaceAsResourceExhausted) {
+  // EngineOptions::limits must reach every route: on K40 (1560 edges) each
+  // query below runs an operator whose output exceeds the 100-row cap.
   Database db = GraphDatabase(CompleteGraph(40));
-  auto q = ParseConjunctive("ans(a, c) :- E(a, b), E(b, c).").ValueOrDie();
-  AcyclicOptions tight;
-  tight.max_rows = 100;
-  EXPECT_EQ(AcyclicEvaluate(db, q, tight).status().code(),
-            StatusCode::kResourceExhausted);
-  IneqOptions itight;
-  itight.max_rows = 100;
-  itight.driver = IneqOptions::Driver::kMonteCarlo;
-  auto q2 = ParseConjunctive("ans(a, c) :- E(a, b), E(b, c), a != c.")
-                .ValueOrDie();
-  EXPECT_EQ(IneqEvaluate(db, q2, itight).status().code(),
-            StatusCode::kResourceExhausted);
+  struct Route {
+    const char* name;
+    const char* text;
+  };
+  const Route routes[] = {
+      {"acyclic", "ans(a, c) :- E(a, b), E(b, c)."},
+      {"theorem2", "ans(a, c) :- E(a, b), E(b, c), a != c."},
+      {"cyclic wcoj", "ans(x) :- E(x, y), E(y, z), E(z, x)."},
+      {"cyclic <", "ans(x) :- E(x, y), E(y, z), E(z, x), x < y."},
+      {"ucq cyclic disjunct",
+       "ans(x) := exists y, z . ((E(x, y) and E(y, z) and E(z, x)) or "
+       "E(x, x))."},
+      {"count", "COUNT(*) :- E(a, b), E(b, c)."},
+      {"datalog",
+       "tc(x, y) :- E(x, y).\n"
+       "tc(x, y) :- E(x, z), tc(z, y).\n"},
+  };
+  for (const Route& route : routes) {
+    EngineOptions options;
+    options.limits.max_rows = 100;
+    Engine engine(db, options);
+    EXPECT_EQ(engine.RunText(route.text).status().code(),
+              StatusCode::kResourceExhausted)
+        << route.name;
+  }
 }
 
 TEST(RobustnessTest, CertifiedDriverFailsCleanlyOnHugeDomain) {
@@ -144,7 +159,7 @@ TEST(RobustnessTest, CertifiedDriverFailsCleanlyOnHugeDomain) {
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
   certified.certified_max_subsets = 1000;
-  auto result = IneqNonempty(db, q, certified);
+  auto result = IneqNonempty(db, q, {}, certified);
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   }
@@ -206,7 +221,7 @@ TEST(RobustnessTest, DuplicateAtomsAndComparisons) {
                .ValueOrDie();
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
-  auto fpt = IneqEvaluate(db, q, certified).ValueOrDie();
+  auto fpt = IneqEvaluate(db, q, {}, certified).ValueOrDie();
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive));
 }
@@ -230,7 +245,7 @@ TEST(RobustnessTest, DatalogDeepRecursionTerminates) {
   for (Value v = 0; v < 200; ++v) db.relation(e).Add({v, v + 1});
   DatalogStats stats;
   auto out =
-      EvaluateDatalog(db, TransitiveClosureProgram(), {}, &stats).ValueOrDie();
+      EvaluateDatalog(db, TransitiveClosureProgram(), {}, {}, &stats).ValueOrDie();
   EXPECT_EQ(out.size(), 200u * 201u / 2u);
   EXPECT_GT(stats.iterations, 2u);
 }

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/fault_injection.hpp"
 #include "core/engine.hpp"
+#include "eval/fo.hpp"
 #include "eval/naive.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/hypertree.hpp"
@@ -213,11 +215,18 @@ TEST_P(WcojDifferentialTest, MatchesBinaryAndOracleAtAllWidths) {
       // Inequalities keep the binary route (the WCOJ gate requires a
       // comparison-free core); included to pin the routing down.
       "ans(x) :- E(x,y), E(y,z), E(z,x), x != y.",
+      // A UCQ whose cyclic disjunct must follow the engine's wcoj switch.
+      "ans(x) := exists y, z . ((E(x,y) and E(y,z) and E(z,x)) or E(x,x)).",
   };
   for (const char* text : queries) {
     SCOPED_TRACE(text);
-    auto q = ParseConjunctive(text).ValueOrDie();
-    auto oracle = BacktrackEvaluateCq(db, q).ValueOrDie();
+    const bool positive = std::string(text).find(":=") != std::string::npos;
+    Relation oracle =
+        positive
+            ? EvaluateFirstOrder(db, ParseFirstOrder(text).ValueOrDie())
+                  .ValueOrDie()
+            : BacktrackEvaluateCq(db, ParseConjunctive(text).ValueOrDie())
+                  .ValueOrDie();
     Relation reference(oracle.arity());
     bool first = true;
     for (bool wcoj : {false, true}) {
@@ -226,10 +235,17 @@ TEST_P(WcojDifferentialTest, MatchesBinaryAndOracleAtAllWidths) {
         options.wcoj = wcoj;
         options.threads = threads;
         Engine engine(db, options);
-        auto got = engine.Run(q);
+        auto got = engine.RunText(text);
         ASSERT_TRUE(got.ok()) << got.status();
         EXPECT_TRUE(got.value().EqualsAsSet(oracle))
             << "wcoj=" << wcoj << " threads=" << threads;
+        if (!wcoj) {
+          // Off means off on every route, UCQ disjuncts included.
+          auto analyzed = engine.AnalyzeText(text);
+          ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+          EXPECT_EQ(analyzed.value().find("MultiwayJoin"), std::string::npos)
+              << "threads=" << threads;
+        }
         if (first) {
           reference = std::move(got).value();
           first = false;
@@ -278,16 +294,20 @@ TEST(WcojFaultTest, MultiwayOperatorFailsCleanlyAndRecovers) {
 
 TEST(WcojPlanCacheTest, WcojFlagDiscriminatesCacheEntries) {
   Database db = GraphDatabase(GnpRandom(12, 0.3, 7));
-  const char* text = "ans(x) :- E(x, y), E(y, z), E(z, x).";
-  EngineOptions options;
-  Engine engine(db, options);
-  auto wcoj_answer = engine.RunText(text).ValueOrDie();
-  EXPECT_GT(engine.last_stats().plan.multiway_joins, 0u);
-  // Flipping the option must not satisfy the request from the wcoj entry.
-  engine.options().wcoj = false;
-  auto binary_answer = engine.RunText(text).ValueOrDie();
-  EXPECT_EQ(engine.last_stats().plan.multiway_joins, 0u);
-  EXPECT_TRUE(binary_answer.data() == wcoj_answer.data());
+  // The tuple route and the counting route (bag-tree counting vs
+  // enumeration) both cache plans that depend on the flag.
+  for (const char* text : {"ans(x) :- E(x, y), E(y, z), E(z, x).",
+                           "COUNT(*) :- E(x, y), E(y, z), E(z, x)."}) {
+    SCOPED_TRACE(text);
+    Engine engine(db);
+    auto wcoj_answer = engine.RunText(text).ValueOrDie();
+    EXPECT_GT(engine.last_stats().plan.multiway_joins, 0u);
+    // Flipping the option must not satisfy the request from the wcoj entry.
+    engine.options().wcoj = false;
+    auto binary_answer = engine.RunText(text).ValueOrDie();
+    EXPECT_EQ(engine.last_stats().plan.multiway_joins, 0u);
+    EXPECT_TRUE(binary_answer.data() == wcoj_answer.data());
+  }
 }
 
 // ---------------------------------------------------------------------------

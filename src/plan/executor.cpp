@@ -283,6 +283,9 @@ class Executor {
       }
       case PlanOp::kHashJoin: {
         PQ_FAULT_POINT("executor.hashjoin");
+        // A join whose attrs drop a child attribute is a fused join-project
+        // (never with a post-filter; MakeHashJoin enforces it).
+        const bool project = !JoinProjectedOut(n).empty();
         Result<NamedRelation> lres = NamedRelation{n.attrs};
         Result<NamedRelation> rres = NamedRelation{n.attrs};
         PQ_RETURN_NOT_OK(ExecChildren(n, &lres, &rres, charge));
@@ -293,38 +296,34 @@ class Executor {
         JoinOptions jo;
         jo.max_output_rows = ctx_.limits.max_rows;
         jo.post_filter = n.predicate;  // pushed σ_F (empty = plain join)
-        JoinIndexCache* cache = n.children[1]->index_cache;
-        bool cached_scan = n.children[1]->op == PlanOp::kScan && cache != nullptr;
         size_t morsels = 0;
         Result<NamedRelation> joined = [&]() -> Result<NamedRelation> {
           PQ_FAULT_POINT("executor.hashjoin.build");
+          const std::vector<int> keys = JoinKeyColumns(left, right);
+          JoinIndexCache* cache = n.children[1]->index_cache;
+          std::optional<RowIndex> local;
+          // A cached scan builds over the caller-owned slot relation, NOT
+          // the local `right` copy: the cache (and the RowIndex's Relation
+          // pointer) outlives this call, and the slot input is the one
+          // relation guaranteed to outlive the cache.
+          const RowIndex& idx =
+              n.children[1]->op == PlanOp::kScan && cache != nullptr
+                  ? cache->GetOrBuild(
+                        ctx_.inputs[n.children[1]->input_slot]->rel(), keys,
+                        ctx_.stats, pfor_)
+                  : local.emplace(right.rel(), keys, pfor_);
+          if (project) {
+            return JoinProject(left, right, idx, n.attrs, ctx_.runtime,
+                               ctx_.limits.max_rows, &morsels);
+          }
           // Morsel-parallel probe: the fast path only (no row cap, no
           // pushed filter, nonzero output arity); the sequential kernel
           // keeps the filtered/limited cases.
           if (jo.max_output_rows == 0 && jo.post_filter.empty() &&
               !n.attrs.empty() && ctx_.runtime.ShouldMorsel(left.size())) {
-            if (cached_scan) {
-              const Relation& stable =
-                  ctx_.inputs[n.children[1]->input_slot]->rel();
-              const RowIndex& idx = cache->GetOrBuild(
-                  stable, JoinKeyColumns(left, right), ctx_.stats, pfor_);
-              return ParallelJoin(left, right, idx, ctx_.runtime, &morsels);
-            }
-            RowIndex idx(right.rel(), JoinKeyColumns(left, right), pfor_);
             return ParallelJoin(left, right, idx, ctx_.runtime, &morsels);
           }
-          if (cached_scan) {
-            // Build over the caller-owned slot relation, NOT the local
-            // `right` copy: the cache (and the RowIndex's Relation pointer)
-            // outlives this call, and the slot input is the one relation
-            // guaranteed to outlive the cache.
-            const Relation& stable =
-                ctx_.inputs[n.children[1]->input_slot]->rel();
-            const RowIndex& idx = cache->GetOrBuild(
-                stable, JoinKeyColumns(left, right), ctx_.stats, pfor_);
-            return NaturalJoin(left, right, idx, jo);
-          }
-          return NaturalJoin(left, right, jo);
+          return NaturalJoin(left, right, idx, jo);
         }();
         PQ_RETURN_NOT_OK(joined.status());
         PQ_RETURN_NOT_OK(

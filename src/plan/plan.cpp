@@ -209,7 +209,9 @@ PlanNodePtr MakeProject(PlanNodePtr child, std::vector<AttrId> attrs,
 }
 
 PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
-                         Predicate post_filter) {
+                         Predicate post_filter, std::vector<AttrId> project) {
+  PQ_CHECK(project.empty() || post_filter.empty(),
+           "MakeHashJoin: a projection excludes a post-filter");
   auto n = std::make_shared<PlanNode>();
   n->op = PlanOp::kHashJoin;
   n->attrs = left->attrs;
@@ -256,9 +258,41 @@ PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
       n->attr_distinct.push_back(CapDistinct(v, n->est_rows));
     }
   }
+  if (!project.empty()) {
+    // The fused projection deduplicates, exactly like MakeProject's.
+    std::vector<double> distinct;
+    for (AttrId a : project) {
+      PQ_CHECK(std::find(n->attrs.begin(), n->attrs.end(), a) !=
+                   n->attrs.end(),
+               "MakeHashJoin: projected attribute not in the join");
+      if (!n->attr_distinct.empty()) distinct.push_back(DistinctOf(*n, a));
+    }
+    PQ_CHECK(project.size() < n->attrs.size(),
+             "MakeHashJoin: a projection must drop an attribute");
+    if (!distinct.empty()) {
+      n->est_rows = DedupCardinalityCap(distinct, n->est_rows);
+      for (double& v : distinct) v = CapDistinct(v, n->est_rows);
+    }
+    n->attrs = std::move(project);
+    n->attr_distinct = std::move(distinct);
+  }
   n->children.push_back(std::move(left));
   n->children.push_back(std::move(right));
   return n;
+}
+
+std::vector<AttrId> JoinProjectedOut(const PlanNode& n) {
+  std::vector<AttrId> out;
+  if (n.op != PlanOp::kHashJoin) return out;
+  for (const PlanNodePtr& c : n.children) {
+    for (AttrId a : c->attrs) {
+      if (std::find(n.attrs.begin(), n.attrs.end(), a) == n.attrs.end() &&
+          std::find(out.begin(), out.end(), a) == out.end()) {
+        out.push_back(a);
+      }
+    }
+  }
+  return out;
 }
 
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right) {
@@ -468,6 +502,11 @@ struct Renderer {
       out << AttrName(n.attrs[i]);
     }
     out << ")";
+    const std::vector<AttrId> dropped = JoinProjectedOut(n);
+    for (size_t i = 0; i < dropped.size(); ++i) {
+      out << (i == 0 ? " project-out(" : ", ") << AttrName(dropped[i]);
+      if (i + 1 == dropped.size()) out << ")";
+    }
     if (n.repr == PlanRepr::kColumnar) out << " [vec]";
     if (!n.label.empty()) out << " " << n.label;
     if (reference) {

@@ -55,7 +55,11 @@ enum class PlanOp {
   kScan,      // read input slot `input_slot` (an S_j or an IDB/delta view)
   kSelect,    // filter by `predicate` (columns index the child's attrs)
   kProject,   // keep `attrs`, optionally deduplicating
-  kHashJoin,  // natural join, right side probed through a RowIndex
+  kHashJoin,  // natural join, right side probed through a RowIndex. When
+              // `attrs` omits a child attribute (JoinProjectedOut) the node
+              // is a fused join-project π_attrs(L ⋈ R) with set semantics:
+              // the grouped kernel (runtime/parallel_ops.hpp JoinProject)
+              // never materializes the join
   kSemijoin,  // left ⋉ right
   kDedup,     // explicit set-semantics enforcement
   kFixpoint,  // Datalog marker: children are per-rule body plans; iteration
@@ -229,8 +233,21 @@ PlanNodePtr MakeProject(PlanNodePtr child, std::vector<AttrId> attrs,
 /// `post_filter` (columns index the OUTPUT attrs: left then right-only) is
 /// applied inside the join kernel; non-empty filters disable the
 /// morsel-parallel probe fast path for this node.
+///
+/// A nonempty `project` (a subset of the join's attributes that drops at
+/// least one, in output order; exclusive with `post_filter`) makes the node
+/// a fused join-project: attrs = `project`, and the executor computes the
+/// distinct rows of π_project(L ⋈ R) in one grouped pass, never
+/// materializing the join. The planner emits it for the Yannakakis root
+/// projection over the upward pass's last join. EXPLAIN renders the dropped
+/// attributes, e.g. "HashJoin(x, z) project-out(y)".
 PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
-                         Predicate post_filter = {});
+                         Predicate post_filter = {},
+                         std::vector<AttrId> project = {});
+
+/// The attributes a kHashJoin node projects away: its children's attributes
+/// absent from its own attrs, in child order. Empty for a plain join.
+std::vector<AttrId> JoinProjectedOut(const PlanNode& n);
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right);
 PlanNodePtr MakeDedup(PlanNodePtr child);
 PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,

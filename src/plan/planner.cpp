@@ -179,6 +179,29 @@ Status PrepareAcyclic(const Database& db, const ConjunctiveQuery& q,
   return Status::OK();
 }
 
+// π_{Z_j}(P_j) of the upward join-and-project pass. Every node of the
+// Yannakakis schedules is already duplicate-free (deduplicated scans, and
+// semijoins and joins of sets), so a projection onto exactly the node's
+// attributes is the node itself.
+PlanNodePtr ProjectChild(const PlanNodePtr& node,
+                         const std::vector<AttrId>& zj) {
+  if (zj == node->attrs) return node;
+  return MakeProject(node, zj, /*dedup=*/true);
+}
+
+// The root's head projection. Directly over the upward pass's last join, a
+// projection that drops an attribute fuses into that join (one grouped
+// join-project, no materialized join); otherwise it is a deduplicating
+// Project. A Boolean head (no variables) keeps the Project.
+PlanNodePtr ProjectHead(const PlanNodePtr& root,
+                        const std::vector<AttrId>& head_vars) {
+  if (root->op == PlanOp::kHashJoin && root->predicate.empty() &&
+      !head_vars.empty() && head_vars.size() < root->attrs.size()) {
+    return MakeHashJoin(root->children[0], root->children[1], {}, head_vars);
+  }
+  return MakeProject(root, head_vars, /*dedup=*/true);
+}
+
 // --- Worst-case-optimal route for comparison-free cyclic CQs -------------
 //
 // The query hypergraph is covered by a generalized hypertree decomposition
@@ -336,9 +359,9 @@ Result<PlanNodePtr> PlanWcojRoot(const ConjunctiveQuery& q,
     for (AttrId a : subtree_head[b]) {
       if (std::find(zj.begin(), zj.end(), a) == zj.end()) zj.push_back(a);
     }
-    cur[u] = MakeHashJoin(cur[u], MakeProject(cur[b], zj, /*dedup=*/true));
+    cur[u] = MakeHashJoin(cur[u], ProjectChild(cur[b], zj));
   }
-  return MakeProject(cur[d.root], head_vars, /*dedup=*/true);
+  return ProjectHead(cur[d.root], head_vars);
 }
 
 // Counting-Yannakakis upward pass over a reduced join tree (GYO atom tree or
@@ -480,9 +503,9 @@ Result<PhysicalPlan> PlanAcyclicCq(const Database& db,
     for (AttrId a : subtree_head[j]) {
       if (std::find(zj.begin(), zj.end(), a) == zj.end()) zj.push_back(a);
     }
-    cur[u] = MakeHashJoin(cur[u], MakeProject(cur[j], zj, /*dedup=*/true));
+    cur[u] = MakeHashJoin(cur[u], ProjectChild(cur[j], zj));
   }
-  plan.root = MakeProject(cur[tree.root], head_vars, /*dedup=*/true);
+  plan.root = ProjectHead(cur[tree.root], head_vars);
   return plan;
 }
 

@@ -3,7 +3,9 @@
 //   * Acyclic comparison-free CQs lower along a GYO join tree to the exact
 //     Yannakakis schedule: upward semijoins, downward semijoins (the full
 //     reducer), then the upward join-and-project pass — one Semijoin/HashJoin
-//     node per operator call of the textbook algorithm.
+//     node per operator call of the textbook algorithm. The head projection
+//     fuses into the last join when it drops an attribute (a join-project
+//     HashJoin; see MakeHashJoin).
 //   * Comparison-free cyclic CQs lower along a generalized hypertree
 //     decomposition, with worst-case-optimal multiway joins inside the
 //     cyclic bags (PlannerOptions::wcoj).

@@ -159,9 +159,25 @@ void RadixSortDedup(std::vector<Value>& rows, size_t n, RowShape<K> shape,
   rows.resize(chunk_off[chunks] * w);
 }
 
+// True iff every row is lexicographically greater than the one before it
+// (already sorted and duplicate-free). Stops at the first row that is not,
+// so random input costs O(1).
+template <size_t K>
+bool StrictlyIncreasing(const Value* base, size_t n, RowShape<K> shape) {
+  const size_t w = shape.width();
+  for (size_t i = 1; i < n; ++i) {
+    const Value* prev = base + (i - 1) * w;
+    if (!std::lexicographical_compare(prev, prev + w, prev + w, prev + 2 * w)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 template <size_t K>
 void SortDedup(std::vector<Value>& rows, size_t n, RowShape<K> shape,
                const ParallelForFn& pfor) {
+  if (StrictlyIncreasing(rows.data(), n, shape)) return;
   if (n < kRadixMinRows) {
     ComparisonSortDedup(rows, n, shape);
     return;

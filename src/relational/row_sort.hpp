@@ -16,6 +16,13 @@
 // and up), use a comparison sort instead. Duplicates are dropped in the
 // final compaction pass.
 //
+// Input that is already strictly increasing (sorted, no duplicates) is
+// detected by one pass that stops at the first row not greater than its
+// predecessor — O(1) on random input — and returned untouched; sorted input
+// with a duplicate still takes the full path. Kernels that emit their rows
+// in order (the grouped join-project) thus pay one linear check here instead
+// of a sort.
+//
 // With `pfor` bound, large inputs run their min/max, histogram and scatter
 // passes chunk-parallel. Sorted-then-deduplicated output is unique, so the
 // result is byte-identical at any width and on either path.

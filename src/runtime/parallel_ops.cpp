@@ -1,12 +1,16 @@
 #include "runtime/parallel_ops.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "obs/trace.hpp"
 #include "relational/ops.hpp"
 #include "relational/row_index.hpp"
+#include "relational/row_sort.hpp"
+#include "relational/trie_index.hpp"
 
 namespace paraquery {
 
@@ -99,8 +103,8 @@ NamedRelation ParallelProject(const NamedRelation& in,
   if (morsels != nullptr) *morsels += chunks;
   NamedRelation out = MergeMorsels(attrs, out_arity, bufs);
   // Same order as the sequential kernel, so first-occurrence dedup keeps
-  // identical rows in identical positions.
-  if (dedup) out.rel().HashDedup();
+  // identical rows in identical positions (at any width; see HashDedup).
+  if (dedup) out.rel().HashDedup(MakeParallelFor(runtime.scheduler));
   return out;
 }
 
@@ -172,6 +176,135 @@ NamedRelation ParallelJoin(const NamedRelation& left,
   if (morsels != nullptr) *morsels += chunks;
   return NamedRelation{std::move(out_attrs),
                        Relation(out_arity, std::move(out_data))};
+}
+
+Result<NamedRelation> JoinProject(const NamedRelation& left,
+                                  const NamedRelation& right,
+                                  const RowIndex& right_index,
+                                  const std::vector<AttrId>& out_attrs,
+                                  const RuntimeOptions& runtime,
+                                  uint64_t max_rows, size_t* morsels) {
+  PQ_DCHECK((right.arity() == 0 ||
+             right_index.rel().SharesStorageWith(right.rel())) &&
+                right_index.key_cols() == JoinKeyColumns(left, right),
+            "JoinProject: index does not match the join's key columns");
+  const size_t out_arity = out_attrs.size();
+  PQ_CHECK(out_arity > 0, "JoinProject requires a nonempty output schema");
+  if (left.empty() || right.empty()) return NamedRelation{out_attrs};
+  // Output positions fed by the left (the group key K) and by the right.
+  std::vector<int> trie_cols, rcols;
+  std::vector<size_t> kpos, rpos;
+  for (size_t i = 0; i < out_arity; ++i) {
+    int lc = left.ColumnOf(out_attrs[i]);
+    if (lc >= 0) {
+      trie_cols.push_back(lc);
+      kpos.push_back(i);
+      continue;
+    }
+    int rc = right.ColumnOf(out_attrs[i]);
+    PQ_CHECK(rc >= 0, "JoinProject: output attribute in neither input");
+    rcols.push_back(rc);
+    rpos.push_back(i);
+  }
+  const size_t nk = kpos.size(), nr = rcols.size();
+  // Trie level of each probe-key value (JoinKeyColumns order); join columns
+  // the output does not keep become trie levels after K.
+  std::vector<size_t> key_level;
+  for (size_t c = 0; c < left.arity(); ++c) {
+    if (!right.HasAttr(left.attrs()[c])) continue;
+    const int col = static_cast<int>(c);
+    auto it = std::find(trie_cols.begin(), trie_cols.end(), col);
+    key_level.push_back(static_cast<size_t>(it - trie_cols.begin()));
+    if (it == trie_cols.end()) trie_cols.push_back(col);
+  }
+  // No trie levels (no kept and no join column on the left): one group of
+  // one empty-key probe.
+  std::shared_ptr<const TrieIndex> trie;
+  const size_t w = trie_cols.size();
+  size_t trows = 1;
+  if (w > 0) {
+    trie = left.rel().TrieView(trie_cols, MakeParallelFor(runtime.scheduler));
+    trows = trie->rows();
+  }
+  const Value* tdata = w > 0 ? trie->data() : nullptr;
+  // Group boundaries: runs of trie rows sharing their first nk levels.
+  std::vector<size_t> group_start{0};
+  for (size_t r = 1; r < trows && nk > 0; ++r) {
+    const Value* row = tdata + r * w;
+    if (!std::equal(row, row + nk, row - w)) group_start.push_back(r);
+  }
+  const size_t ngroups = group_start.size();
+  group_start.push_back(trows);
+
+  // About morsel_rows trie rows per morsel; one morsel when sequential.
+  const bool par = runtime.ShouldMorsel(trows);
+  const size_t grain =
+      par ? std::max<size_t>(1, ngroups * runtime.morsel_rows / trows)
+          : ngroups;
+  const Value* rdata = right.rel().data().data();
+  const size_t rarity = right.arity();
+  std::vector<std::vector<Value>> bufs(ChunkCount(ngroups, grain));
+  std::atomic<uint64_t> emitted{0};
+  std::atomic<bool> over{false};
+  size_t chunks = ParallelChunks(
+      par ? runtime.scheduler : nullptr, ngroups, grain,
+      [&](size_t c, size_t gb, size_t ge) {
+        if (runtime.Interrupted()) return;  // abort: caller discards below
+        TraceSpan span(runtime.tracer, "morsel.join_project");
+        std::vector<Value>& buf = bufs[c];
+        std::vector<Value> key(key_level.size()), tuples;
+        for (size_t g = gb; g < ge; ++g) {
+          if (over.load()) return;
+          tuples.clear();
+          bool matched = false;
+          for (size_t r = group_start[g]; r < group_start[g + 1]; ++r) {
+            for (size_t i = 0; i < key_level.size(); ++i) {
+              key[i] = tdata[r * w + key_level[i]];
+            }
+            for (uint32_t rr = right_index.Find(key); rr != RowIndex::kNone;
+                 rr = right_index.Next(rr)) {
+              matched = true;
+              if (nr == 0) break;  // K alone is the output row
+              const Value* rrow = rdata + static_cast<size_t>(rr) * rarity;
+              for (int col : rcols) tuples.push_back(rrow[col]);
+            }
+            if (matched && nr == 0) break;
+          }
+          if (!matched) continue;
+          // Single values sort in place (measurably faster on the many tiny
+          // groups of a 2-path); wider tuples use the row kernel.
+          if (nr == 1) {
+            std::sort(tuples.begin(), tuples.end());
+            tuples.erase(std::unique(tuples.begin(), tuples.end()),
+                         tuples.end());
+          } else if (nr > 1) {
+            SortDedupRows(tuples, nr);
+          }
+          const size_t rows = nr == 0 ? 1 : tuples.size() / nr;
+          if (max_rows != 0 && emitted.fetch_add(rows) + rows > max_rows) {
+            over.store(true);
+            return;
+          }
+          const Value* krow = nk > 0 ? tdata + group_start[g] * w : nullptr;
+          size_t at = buf.size();
+          buf.resize(at + rows * out_arity);
+          for (size_t t = 0; t < rows; ++t, at += out_arity) {
+            for (size_t i = 0; i < nk; ++i) buf[at + kpos[i]] = krow[i];
+            for (size_t i = 0; i < nr; ++i) {
+              buf[at + rpos[i]] = tuples[t * nr + i];
+            }
+          }
+        }
+      });
+  if (over.load()) {
+    return Status::ResourceExhausted(internal::StrCat(
+        "join-project output exceeds limit of ", max_rows, " rows"));
+  }
+  if (!par) {  // one morsel: its buffer is the result
+    return NamedRelation{out_attrs, Relation(out_arity, std::move(bufs[0]))};
+  }
+  if (morsels != nullptr) *morsels += chunks;
+  return MergeMorsels(out_attrs, out_arity, bufs);
 }
 
 NamedRelation ParallelSemijoin(const NamedRelation& left,

@@ -12,8 +12,10 @@
 #ifndef PARAQUERY_RUNTIME_PARALLEL_OPS_H_
 #define PARAQUERY_RUNTIME_PARALLEL_OPS_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "common/status.hpp"
 #include "relational/named_relation.hpp"
 #include "relational/predicate.hpp"
 #include "runtime/scheduler.hpp"
@@ -31,7 +33,8 @@ NamedRelation ParallelSelect(const NamedRelation& in, const Predicate& pred,
 
 /// Morsel-parallel π. Output identical to Project(in, attrs, dedup),
 /// including the zero-copy view for a no-op projection (deduplication of
-/// the merged output runs sequentially, preserving first occurrences).
+/// the merged output runs hash-partitioned over the scheduler and keeps
+/// first occurrences, byte-identical to the sequential pass).
 NamedRelation ParallelProject(const NamedRelation& in,
                               const std::vector<AttrId>& attrs, bool dedup,
                               const RuntimeOptions& runtime,
@@ -47,6 +50,31 @@ NamedRelation ParallelJoin(const NamedRelation& left,
                            const RowIndex& right_index,
                            const RuntimeOptions& runtime,
                            size_t* morsels = nullptr);
+
+/// Fused join-project: the distinct rows of π_{out_attrs}(left ⋈ right),
+/// without materializing the join. `right_index` indexes `right` on
+/// JoinKeyColumns(left, right), as for ParallelJoin; `out_attrs` (nonempty)
+/// draws each attribute from `left` when left has it, else from `right`.
+///
+/// The left side is grouped through its cached sorted trie
+/// (Relation::TrieView) over K ++ J: K are the left columns the output
+/// keeps, in output order, and J the join columns K lacks. Per K-group the
+/// kernel probes the right with every J value, gathers the matching right
+/// rows' kept columns and sort-deduplicates them. Rows come out group by
+/// group in ascending K, each group's right tuples ascending; when K is a
+/// prefix of `out_attrs` the output is therefore sorted and duplicate-free.
+/// Morsels split the groups (when runtime.ShouldMorsel on the trie's rows)
+/// and merge in group order, so the output is byte-identical at any width.
+/// Fails with ResourceExhausted once the output exceeds `max_rows` (0 =
+/// unlimited). An aborted query skips the remaining morsels; the caller must
+/// re-check the abort state before using the result.
+Result<NamedRelation> JoinProject(const NamedRelation& left,
+                                  const NamedRelation& right,
+                                  const RowIndex& right_index,
+                                  const std::vector<AttrId>& out_attrs,
+                                  const RuntimeOptions& runtime,
+                                  uint64_t max_rows = 0,
+                                  size_t* morsels = nullptr);
 
 /// Morsel-parallel ⋉. Output identical to Semijoin(left, right), including
 /// the zero-copy all-survivors and nonempty-right degenerate paths.

@@ -130,22 +130,20 @@ TEST(PlanGoldenTest, AcyclicPathQuery) {
                .ValueOrDie();
   auto plan = PlanAcyclicCq(db, q).ValueOrDie();
   EXPECT_EQ(plan.Render(),
-            "Project(a, d) est=1\n"
-            "  HashJoin(b, c, d, a) est=1\n"
-            "    HashJoin(b, c, d) est=1\n"
-            "      Semijoin(b, c) est=1 as #1\n"
-            "        Semijoin(b, c) est=2\n"
-            "          Scan(b, c) E(b, c) rows=4\n"
-            "          Scan(c, d) E(c, d) rows=4 as #2\n"
-            "        Scan(a, b) E(a, b) rows=4 as #3\n"
-            "      Project(c, d) est=2\n"
-            "        Semijoin(c, d) est=2\n"
-            "          Scan(c, d) E(c, d) see #2\n"
-            "          Semijoin(b, c) see #1\n"
-            "    Project(b, a) est=2\n"
-            "      Semijoin(a, b) est=2\n"
-            "        Scan(a, b) E(a, b) see #3\n"
-            "        Semijoin(b, c) see #1\n");
+            "HashJoin(a, d) project-out(b, c) est=1\n"
+            "  HashJoin(b, c, d) est=1\n"
+            "    Semijoin(b, c) est=1 as #1\n"
+            "      Semijoin(b, c) est=2\n"
+            "        Scan(b, c) E(b, c) rows=4\n"
+            "        Scan(c, d) E(c, d) rows=4 as #2\n"
+            "      Scan(a, b) E(a, b) rows=4 as #3\n"
+            "    Semijoin(c, d) est=2\n"
+            "      Scan(c, d) E(c, d) see #2\n"
+            "      Semijoin(b, c) see #1\n"
+            "  Project(b, a) est=2\n"
+            "    Semijoin(a, b) est=2\n"
+            "      Scan(a, b) E(a, b) see #3\n"
+            "      Semijoin(b, c) see #1\n");
 }
 
 TEST(PlanGoldenTest, CyclicTriangleWithInequality) {

@@ -262,10 +262,11 @@ TEST(RobustnessTest, FoWithConstantsInAtoms) {
 // Hardened execution: deadlines, cancellation, memory budgets, fault sweep.
 // ------------------------------------------------------------------------
 
-// A join whose intermediates run to millions of rows: several hundred
-// milliseconds of work, so millisecond-scale deadlines and mid-run
+// A join whose intermediates run to millions of rows (the 3-path's inner
+// join over K120 has 1.7M): over a hundred milliseconds of work even with
+// the fused root join-project, so millisecond-scale deadlines and mid-run
 // cancellations reliably land while it executes.
-Database HeavyJoinDb() { return GraphDatabase(CompleteGraph(50)); }
+Database HeavyJoinDb() { return GraphDatabase(CompleteGraph(120)); }
 const char* kHeavyQuery = "ans(x, w) :- E(x, y), E(y, z), E(z, w).";
 const char* kLightQuery = "ans(x, y) :- E(x, y).";
 

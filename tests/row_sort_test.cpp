@@ -180,6 +180,48 @@ TEST(RowSortTest, LargeInput) {
   CheckCase(Pattern::kSmallDomain, 200'000, 2, MakeParallelFor(&scheduler));
 }
 
+// Strictly increasing input exits after one linear check; anything else —
+// an adjacent duplicate, one row out of place — takes the full path.
+TEST(RowSortTest, EarlyExitOnlyForStrictlyIncreasingInput) {
+  TaskScheduler scheduler(4);
+  const ParallelForFn widths[] = {ParallelForFn(),
+                                  MakeParallelFor(&scheduler)};
+  for (size_t k = 1; k <= 5; ++k) {
+    for (size_t n : {kCutoff / 2, size_t{5000}, kParallelThreshold + 10}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+      Rng rng(31 * n + k);
+      std::vector<Value> random(n * k);
+      for (Value& v : random) v = rng.Range(-1000000, 1000000);
+      const std::vector<Value> sorted = Reference(random, k);
+      ASSERT_GT(sorted.size() / k, size_t{2});
+      const size_t rows = sorted.size() / k;
+      const size_t mid = rows / 2;
+      // One adjacent duplicate: row `mid` twice.
+      std::vector<Value> dup = sorted;
+      dup.insert(dup.begin() + mid * k, sorted.begin() + mid * k,
+                 sorted.begin() + (mid + 1) * k);
+      // Sorted except the last row, which belongs at the front.
+      std::vector<Value> last = sorted;
+      last.insert(last.end(), sorted.begin(), sorted.begin() + k);
+      last.back() -= 1;
+      const std::vector<Value> last_expected = Reference(last, k);
+      for (const ParallelForFn& pfor : widths) {
+        std::vector<Value> out = sorted;
+        SortDedupRows(out, k, pfor);
+        EXPECT_TRUE(out == sorted);  // unchanged = the reference
+        out = dup;
+        SortDedupRows(out, k, pfor);
+        EXPECT_TRUE(out == sorted);
+        out = last;
+        SortDedupRows(out, k, pfor);
+        EXPECT_TRUE(out == last_expected);
+        EXPECT_EQ(out.size(), last.size());  // the moved row is distinct
+        EXPECT_FALSE(out == last);
+      }
+    }
+  }
+}
+
 TEST(RowSortTest, RelationSortAndDedupUsesKernelAndSkipsSortedInput) {
   std::vector<Value> rows = MakeRows(Pattern::kSmallDomain, 5000, 2, 9);
   const std::vector<Value> expected = Reference(rows, 2);

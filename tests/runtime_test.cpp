@@ -160,6 +160,25 @@ TEST(ParallelOpsTest, OperatorsMatchSequentialKernels) {
   }
 }
 
+TEST(ParallelOpsTest, ProjectDedupIsPartitionedAndWidthIndependent) {
+  // 20k rows projected onto a 900-value domain: the merged projection is
+  // past HashDedup's partitioned-path threshold (8192 rows) and full of
+  // duplicates, so the parallel dedup really runs.
+  NamedRelation in = RandomRelation({0, 1, 2}, 20000, 30, 7);
+  const NamedRelation expected = Project(in, {2, 0}, /*dedup=*/true);
+  ASSERT_LT(expected.size(), 1000u);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    TaskScheduler scheduler(threads);
+    RuntimeOptions runtime{&scheduler, /*morsel_rows=*/1024};
+    size_t morsels = 0;
+    ExpectIdentical(
+        ParallelProject(in, {2, 0}, /*dedup=*/true, runtime, &morsels),
+        expected);
+    EXPECT_EQ(morsels, 20u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: engine results at N threads == 1 thread, byte for byte.
 // ---------------------------------------------------------------------------

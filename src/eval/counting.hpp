@@ -41,6 +41,18 @@ Result<Relation> CountingEvaluate(const Database& db,
 Relation GroupCountRows(const Relation& distinct_rows,
                         const std::vector<int>& group_cols);
 
+/// Groups the rows of `rows` (assumed duplicate-free) by the value tuple at
+/// `group_cols` (nonempty) and sums each group's weight: the value at
+/// `weight_col`, or 1 per row when `weight_col` is negative. Returns one row
+/// per group whose sum is nonzero — the group values followed by the sum —
+/// sorted by group, or OutOfRange when a sum overflows. A single group
+/// column whose value range (KeyRange) has fewer than 2 × |rows| values sums
+/// into an array over that range; any other grouping sorts the rows, group
+/// columns first, with SortDedupRows and sums the runs.
+Result<Relation> SumGroups(const Relation& rows,
+                           const std::vector<int>& group_cols, int weight_col,
+                           const ParallelForFn& pfor = {});
+
 }  // namespace paraquery
 
 #endif  // PARAQUERY_EVAL_COUNTING_H_

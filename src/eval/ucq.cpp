@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -232,8 +231,13 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
       return std::popcount(a) < std::popcount(b);
     });
     std::vector<uint32_t> empty_masks;
-    std::map<std::vector<Value>, Value> acc;
-    std::vector<Value> key(gcols.size());
+    // Per subset, the signed group counts of its intersection, as rows
+    // (group values..., subset mask, signed count): distinct, because each
+    // subset contributes one row per group. SumGroups adds them per group.
+    // (Exact inclusion–exclusion leaves every nonempty group a positive
+    // count.)
+    Value total = 0;  // the scalar COUNT(*) accumulator
+    std::vector<Value> terms;
     for (uint32_t m : masks) {
       PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
       bool pruned = false;
@@ -261,27 +265,31 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
         continue;
       }
       const Value sign = (std::popcount(m) % 2 == 1) ? 1 : -1;
-      for (size_t r = 0; r < inter.size(); ++r) {
-        for (size_t i = 0; i < gcols.size(); ++i) {
-          key[i] = inter.rel().At(r, gcols[i]);
+      if (gcols.empty()) {
+        if (__builtin_add_overflow(
+                total, sign * static_cast<Value>(inter.size()), &total)) {
+          return Status::OutOfRange("count exceeds the signed 64-bit range");
         }
-        acc[key] += sign;
+        continue;
+      }
+      const Relation counts = GroupCountRows(inter.rel(), gcols);
+      for (size_t r = 0; r < counts.size(); ++r) {
+        auto row = counts.Row(r);
+        terms.insert(terms.end(), row.begin(), row.end() - 1);
+        terms.push_back(static_cast<Value>(m));
+        terms.push_back(sign * row.back());
       }
     }
     if (gcols.empty()) {
       Relation out(1);
-      out.Add(std::vector<Value>{acc.empty() ? 0 : acc.begin()->second});
+      out.Add(std::vector<Value>{total});
       return out;
     }
-    Relation out(gcols.size() + 1);
-    std::vector<Value> row;
-    for (const auto& [g, count] : acc) {
-      if (count <= 0) continue;  // exact I-E never leaves a zero, but guard
-      row.assign(g.begin(), g.end());
-      row.push_back(count);
-      out.Add(row);
-    }
-    return out;
+    const size_t ngroup = gcols.size();
+    std::vector<int> group_cols(ngroup);
+    for (size_t i = 0; i < ngroup; ++i) group_cols[i] = static_cast<int>(i);
+    return SumGroups(Relation(ngroup + 2, std::move(terms)), group_cols,
+                     static_cast<int>(ngroup + 1), pfor);
   }
   // GroupCountRows orders the groups itself; the union only needs to be a
   // set.

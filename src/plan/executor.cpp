@@ -340,10 +340,10 @@ class Executor {
         PQ_ASSIGN_OR_RETURN(NamedRelation right, std::move(rres));
         if (right.empty()) return NamedRelation{n.attrs};
         size_t morsels = 0;
+        KeyKind key = KeyKind::kNone;
         NamedRelation out =
-            ctx_.runtime.ShouldMorsel(left.size())
-                ? ParallelSemijoin(left, right, ctx_.runtime, &morsels)
-                : Semijoin(left, right);
+            ParallelSemijoin(left, right, ctx_.runtime, &morsels, &key);
+        NoteKey(n, key);
         PQ_RETURN_NOT_OK(
             Account(n, &PlanStats::semijoins, out, charge, morsels));
         return out;
@@ -496,6 +496,16 @@ class Executor {
     return NamedRelation{attrs, Relation(attrs.size(), std::move(out))};
   }
 
+  // Records the key structure a keyed kernel ran with (EXPLAIN ANALYZE's
+  // key=dense / key=hash, PlanStats::dense_keys).
+  void NoteKey(PlanNode& n, KeyKind key) {
+    n.actual_key = key;
+    if (key == KeyKind::kDense && ctx_.stats != nullptr) {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++ctx_.stats->dense_keys;
+    }
+  }
+
   static Status CountOverflow() {
     return Status::OutOfRange("count exceeds the signed 64-bit range");
   }
@@ -545,7 +555,9 @@ class Executor {
   // row order at any build width. A scalar aggregate (no group attributes)
   // emits one [total] row — or NO row on empty input, so a downstream
   // SemijoinCount sees emptiness rather than a spurious 0-count group (the
-  // eval layer supplies the 0 row for a genuinely empty scalar query).
+  // eval layer supplies the 0 row for a genuinely empty scalar query). One
+  // group column over a dense value range sums into an array instead
+  // (DenseAggregate), with the same output.
   Result<NamedRelation> AggregateCounts(PlanNode& n, const NamedRelation& in,
                                         size_t* morsels) {
     const int mult_col = in.ColumnOf(kCountAttr);
@@ -573,6 +585,14 @@ class Executor {
             "aggregate group attribute missing from its input");
       }
     }
+    if (ngroup == 1) {
+      const KeyRange range(in.rel(), gcols[0]);
+      if (range.DenseForCounts(in.size())) {
+        NoteKey(n, KeyKind::kDense);
+        return DenseAggregate(n, in, gcols[0], mult_col, range);
+      }
+    }
+    NoteKey(n, KeyKind::kHash);
     RowIndex idx(in.rel(), gcols, pfor_);
     std::span<const int> gspan(gcols);
     return RowWalk(
@@ -598,13 +618,47 @@ class Executor {
         });
   }
 
+  // AggregateCounts over one group column `gcol` whose values span `range`:
+  // sums the multiplicities into an array indexed by the key's offset in
+  // the range, then emits each group at its first occurrence — the order,
+  // sums and overflow outcome of the RowIndex walk (both add a group's
+  // multiplicities in row order).
+  Result<NamedRelation> DenseAggregate(PlanNode& n, const NamedRelation& in,
+                                       int gcol, int mult_col,
+                                       const KeyRange& range) {
+    const size_t rows = in.size(), arity = in.arity();
+    const Value* data = in.rel().data().data();
+    std::vector<Value> sums(range.slots(), 0);
+    KeyBitmap pending(range.slots());
+    uint64_t off = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      range.Offset(data[r * arity + gcol], &off);
+      const Value m = mult_col < 0 ? 1 : data[r * arity + mult_col];
+      if (__builtin_add_overflow(sums[off], m, &sums[off])) {
+        return CountOverflow();
+      }
+      pending.Set(off);
+    }
+    std::vector<Value> buf;
+    for (size_t r = 0; r < rows; ++r) {
+      const Value v = data[r * arity + gcol];
+      range.Offset(v, &off);
+      if (!pending.TestAndClear(off)) continue;  // group already out
+      buf.push_back(v);
+      buf.push_back(sums[off]);
+    }
+    return NamedRelation{n.attrs, Relation(2, std::move(buf))};
+  }
+
   // Counting semijoin: per left row matching the right side on their shared
   // regular attributes, emits the left row's regular values extended by each
   // matching distinct right extension, with multiplicity left × right; a
   // non-matching left row is dropped (the semijoin filter). With no
   // right-only attributes the matches collapse to one output row whose
-  // multiplicity sums the right side's. Left rows probe in row order
-  // (morsel-parallel like ParallelJoin), so output order is deterministic.
+  // multiplicity sums the right side's; over one key column with a dense
+  // value range those sums come from an array, not a RowIndex. Left rows
+  // probe in row order (morsel-parallel like ParallelJoin), so output order
+  // is deterministic.
   Result<NamedRelation> SemijoinCounts(PlanNode& n, const NamedRelation& left,
                                        const NamedRelation& right,
                                        size_t* morsels) {
@@ -632,6 +686,50 @@ class Executor {
       return Status::Internal(
           "semijoin-count output attributes do not match its inputs");
     }
+    const Value* ldata = left.rel().data().data();
+    const size_t larity = left.arity();
+    auto emit_sum = [&](std::vector<Value>& buf, size_t r, Value rsum) {
+      const Value lm = lmult < 0 ? 1 : ldata[r * larity + lmult];
+      Value mult;
+      if (__builtin_mul_overflow(lm, rsum, &mult)) return false;
+      for (int c : lregular) buf.push_back(ldata[r * larity + c]);
+      buf.push_back(mult);
+      return true;
+    };
+    if (rextra.empty() && rkey.size() == 1) {
+      const KeyRange range(right.rel(), rkey[0]);
+      if (range.DenseForCounts(right.size())) {
+        // Per-key right sums in an array. A sum that overflows is marked
+        // and fails only the left rows that reach it, as the lazy per-probe
+        // sum of the RowIndex path does.
+        NoteKey(n, KeyKind::kDense);
+        const Value* rdata = right.rel().data().data();
+        const size_t rarity = right.arity();
+        std::vector<Value> rsums(range.slots(), 0);
+        KeyBitmap present(range.slots()), overflowed(range.slots());
+        uint64_t off = 0;
+        for (size_t r = 0; r < right.size(); ++r) {
+          range.Offset(rdata[r * rarity + rkey[0]], &off);
+          const Value m = rmult < 0 ? 1 : rdata[r * rarity + rmult];
+          present.Set(off);
+          if (__builtin_add_overflow(rsums[off], m, &rsums[off])) {
+            overflowed.Set(off);
+          }
+        }
+        return RowWalk(
+            n.attrs, left.size(), morsels,
+            [&](std::vector<Value>& buf, size_t r) {
+              uint64_t at = 0;
+              if (!range.Offset(ldata[r * larity + lkey[0]], &at) ||
+                  !present.Test(at)) {
+                return true;  // filtered out
+              }
+              if (overflowed.Test(at)) return false;
+              return emit_sum(buf, r, rsums[at]);
+            });
+      }
+    }
+    NoteKey(n, KeyKind::kHash);
     RowIndex idx(right.rel(), rkey, pfor_);
     std::span<const int> lkey_span(lkey);
     return RowWalk(
@@ -639,8 +737,6 @@ class Executor {
         [&](std::vector<Value>& buf, size_t r) {
           uint32_t head = idx.Find(left.rel(), r, lkey_span);
           if (head == RowIndex::kNone) return true;  // filtered out
-          const Value lm = lmult < 0 ? 1 : left.rel().At(r, lmult);
-          Value mult;
           if (rextra.empty()) {
             Value rsum = 0;
             if (rmult < 0) {
@@ -654,11 +750,10 @@ class Executor {
                 }
               }
             }
-            if (__builtin_mul_overflow(lm, rsum, &mult)) return false;
-            for (int c : lregular) buf.push_back(left.rel().At(r, c));
-            buf.push_back(mult);
-            return true;
+            return emit_sum(buf, r, rsum);
           }
+          const Value lm = lmult < 0 ? 1 : left.rel().At(r, lmult);
+          Value mult;
           for (uint32_t row = head; row != RowIndex::kNone;
                row = idx.Next(row)) {
             const Value rm = rmult < 0 ? 1 : right.rel().At(row, rmult);

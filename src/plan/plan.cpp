@@ -104,6 +104,7 @@ void PlanStats::Merge(const PlanStats& o) {
   multiway_joins += o.multiway_joins;
   aggregates += o.aggregates;
   semijoin_counts += o.semijoin_counts;
+  dense_keys += o.dense_keys;
   peak_intermediate_rows =
       std::max(peak_intermediate_rows, o.peak_intermediate_rows);
   rows_produced += o.rows_produced;
@@ -124,6 +125,7 @@ std::string PlanStats::ToString() const {
       << " joins=" << joins << " multiway_joins=" << multiway_joins
       << " dedups=" << dedups
       << " aggregates=" << aggregates << " semijoin_counts=" << semijoin_counts
+      << " dense_keys=" << dense_keys
       << "\nrows_produced=" << rows_produced
       << " peak_intermediate_rows=" << peak_intermediate_rows
       << "\nshared_atom_storage=" << shared_atom_storage
@@ -154,6 +156,7 @@ void PlanNode::ResetActuals() {
   actual_rows = kNotExecuted;
   actual_morsels = 0;
   actual_batches = 0;
+  actual_key = KeyKind::kNone;
   actual_ns = 0;
   for (const PlanNodePtr& c : children) c->ResetActuals();
 }
@@ -529,6 +532,9 @@ struct Renderer {
         out << " actual=" << n.actual_rows;
         if (n.actual_morsels > 0) out << " morsels=" << n.actual_morsels;
         if (n.actual_batches > 0) out << " vec=" << n.actual_batches;
+        if (n.actual_key != KeyKind::kNone) {
+          out << (n.actual_key == KeyKind::kDense ? " key=dense" : " key=hash");
+        }
       }
     }
     if (analyzed && n.actual_ns > 0) {

@@ -120,6 +120,9 @@ struct PlanStats {
   /// Counting operators executed (counting-Yannakakis / COUNT plans).
   size_t aggregates = 0;
   size_t semijoin_counts = 0;
+  /// Semijoin, Aggregate and SemijoinCount executions keyed through a
+  /// dense KeyRange array rather than a RowIndex.
+  size_t dense_keys = 0;
   /// Largest operator output (scans excluded) seen during execution.
   size_t peak_intermediate_rows = 0;
   /// Total rows produced by operators (the ResourceLimits::max_steps meter).
@@ -213,6 +216,10 @@ struct PlanNode {
   /// Column batches a kMaterialize boundary pushed through its vectorized
   /// pipeline (0 = not executed vectorized); rendered as "vec=N".
   uint64_t actual_batches = 0;
+  /// Key structure a Semijoin, Aggregate or SemijoinCount probed (a
+  /// KeyRange-indexed array or a RowIndex); rendered as "key=dense" or
+  /// "key=hash".
+  KeyKind actual_key = KeyKind::kNone;
   /// Cumulative wall nanoseconds spent computing this node, children
   /// included (the compute recursion runs through the children). Filled only
   /// when the executor runs with timing armed (tracing or EXPLAIN ANALYZE);

@@ -189,12 +189,15 @@ PlanNodePtr ProjectChild(const PlanNodePtr& node,
   return MakeProject(node, zj, /*dedup=*/true);
 }
 
-// The root's head projection. Directly over the upward pass's last join, a
-// projection that drops an attribute fuses into that join (one grouped
-// join-project, no materialized join); otherwise it is a deduplicating
-// Project. A Boolean head (no variables) keeps the Project.
+// The root's head projection. A head equal to the root's attributes is the
+// root itself (like ProjectChild: every root of the upward pass is already a
+// set). Directly over the upward pass's last join, a projection that drops
+// an attribute fuses into that join (one grouped join-project, no
+// materialized join); otherwise it is a deduplicating Project. A Boolean
+// head (no variables) keeps the Project.
 PlanNodePtr ProjectHead(const PlanNodePtr& root,
                         const std::vector<AttrId>& head_vars) {
+  if (head_vars == root->attrs) return root;
   if (root->op == PlanOp::kHashJoin && root->predicate.empty() &&
       !head_vars.empty() && head_vars.size() < root->attrs.size()) {
     return MakeHashJoin(root->children[0], root->children[1], {}, head_vars);

@@ -262,6 +262,20 @@ void RowIndex::BatchFind(std::span<const Value* const> probe_cols,
   }
 }
 
+KeyRange::KeyRange(const Relation& rel, int col) {
+  const size_t n = rel.size(), arity = rel.arity();
+  if (n == 0) return;
+  const Value* p = rel.data().data() + col;
+  Value lo = *p, hi = *p;
+  for (size_t r = 1; r < n; ++r) {
+    const Value v = p[r * arity];
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  min_ = static_cast<uint64_t>(lo);
+  span_ = static_cast<uint64_t>(hi) - min_;
+}
+
 RowHashSet::RowHashSet(size_t arity) : rel_(arity) {
   // Detach the backing relation from the global empty block up front so the
   // AppendRowUnchecked fast path in Insert owns its storage exclusively.

@@ -141,6 +141,69 @@ class RowIndex {
   std::vector<uint64_t> part_mask_;
 };
 
+/// Which key structure a keyed kernel probed: a KeyRange-indexed array, a
+/// RowIndex, or none (the kernel did not run or needed no key).
+enum class KeyKind : uint8_t { kNone, kDense, kHash };
+
+/// The dense-key alternative to a RowIndex for single-column keys: the value
+/// range [min, max] of one column, found in one pass. When the range is
+/// small relative to the input, a kernel indexes a plain array (a bitmap of
+/// present keys, per-key sums) by Offset(v) = v − min instead of hashing —
+/// the RAM-model indexing by domain values Durand and Grandjean use for
+/// linear-time acyclic evaluation. Above a size limit (FitsIn for the
+/// semijoin's bitmap, DenseForCounts for the counting kernels' sums) the
+/// kernels fall back to a RowIndex.
+///
+/// Offsets and the span are computed in unsigned arithmetic, so a column
+/// holding both INT64_MIN and INT64_MAX has span 2^64 − 1 (no signed
+/// overflow) and fits no limit. An empty column gets the range [0, 0], so
+/// an array over it has one slot that no key ever fills.
+class KeyRange {
+ public:
+  KeyRange(const Relation& rel, int col);
+
+  /// True when the range has at most `slots` values (max − min < slots).
+  bool FitsIn(uint64_t slots) const { return span_ < slots; }
+  /// max − min + 1; meaningful only after FitsIn(...) returned true.
+  size_t slots() const { return static_cast<size_t>(span_) + 1; }
+  /// The counting kernels' rule (Aggregate, SemijoinCount, SumGroups): sum
+  /// into an array over the range when it has fewer than 2 values per input
+  /// row, so the array of 8-byte sums stays under 16 bytes per row.
+  bool DenseForCounts(size_t rows) const {
+    return rows > 0 && span_ < 2 * static_cast<uint64_t>(rows) - 1;
+  }
+
+  /// Sets `*off` to v − min and returns true when v lies in [min, max].
+  bool Offset(Value v, uint64_t* off) const {
+    *off = static_cast<uint64_t>(v) - min_;
+    return *off <= span_;
+  }
+  /// The value at offset `off` (the inverse of Offset).
+  Value ValueAt(uint64_t off) const { return static_cast<Value>(min_ + off); }
+
+ private:
+  uint64_t min_ = 0;   // the minimum, as its two's-complement bits
+  uint64_t span_ = 0;  // max − min, modulo 2^64
+};
+
+/// One bit per KeyRange offset: the key sets of the dense kernels.
+class KeyBitmap {
+ public:
+  explicit KeyBitmap(size_t slots) : words_(slots / 64 + 1, 0) {}
+  void Set(uint64_t off) { words_[off >> 6] |= Bit(off); }
+  bool Test(uint64_t off) const { return (words_[off >> 6] & Bit(off)) != 0; }
+  /// Clears bit `off` and returns whether it was set.
+  bool TestAndClear(uint64_t off) {
+    const bool was = Test(off);
+    words_[off >> 6] &= ~Bit(off);
+    return was;
+  }
+
+ private:
+  static uint64_t Bit(uint64_t off) { return uint64_t{1} << (off & 63); }
+  std::vector<uint64_t> words_;
+};
+
 /// Incrementally grown set of distinct rows, backed by an owned Relation.
 /// Same flat layout as RowIndex minus the chains (members are distinct, so
 /// every slot maps to exactly one stored row). Used for hash-based dedup and

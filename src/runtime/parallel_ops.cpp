@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -52,6 +53,11 @@ size_t PrefixOffsets(std::vector<size_t>* counts) {
   }
   return total;
 }
+
+/// Bits per input row (left plus right) a semijoin's key bitmap may use:
+/// 64 bits, so the bitmap never outgrows 8 bytes per input row. A function
+/// of the input only, like RowIndex's partitioning threshold.
+constexpr uint64_t kDenseSemijoinBitsPerRow = 64;
 
 }  // namespace
 
@@ -309,8 +315,8 @@ Result<NamedRelation> JoinProject(const NamedRelation& left,
 
 NamedRelation ParallelSemijoin(const NamedRelation& left,
                                const NamedRelation& right,
-                               const RuntimeOptions& runtime,
-                               size_t* morsels) {
+                               const RuntimeOptions& runtime, size_t* morsels,
+                               KeyKind* key) {
   auto common = CommonColumns(left, right);
   std::vector<int> lcols, rcols;
   for (auto [lc, rc] : common) {
@@ -321,44 +327,81 @@ NamedRelation ParallelSemijoin(const NamedRelation& left,
     // Degenerate semijoin: keep left iff right is nonempty (zero-copy).
     return right.empty() ? NamedRelation{left.attrs()} : left;
   }
-  RowIndex index(right.rel(), std::move(rcols));
-  size_t nl = left.size();
+  const size_t nl = left.size();
+  // One inline chunk unless the left side spans at least two morsels.
+  const bool par = runtime.ShouldMorsel(nl);
+  TaskScheduler* scheduler = par ? runtime.scheduler : nullptr;
+  const size_t grain = par ? runtime.morsel_rows : std::max<size_t>(nl, 1);
+  // A single-column key over a small enough value range filters through a
+  // bitmap of the right's keys; anything else probes a RowIndex.
+  std::optional<KeyRange> range;
+  if (lcols.size() == 1) {
+    range.emplace(right.rel(), rcols[0]);
+    if (!range->FitsIn(kDenseSemijoinBitsPerRow * (nl + right.size()))) {
+      range.reset();
+    }
+  }
+  std::optional<KeyBitmap> bits;
+  std::optional<RowIndex> index;
+  if (range) {
+    bits.emplace(range->slots());
+    const Value* rk = right.rel().data().data() + rcols[0];
+    const size_t rarity = right.arity();
+    uint64_t off = 0;
+    for (size_t r = 0; r < right.size(); ++r) {
+      range->Offset(rk[r * rarity], &off);
+      bits->Set(off);
+    }
+  } else {
+    index.emplace(right.rel(), std::move(rcols),
+                  MakeParallelFor(runtime.scheduler));
+  }
+  if (key != nullptr) *key = range ? KeyKind::kDense : KeyKind::kHash;
   std::vector<uint8_t> keep(nl, 0);
-  std::vector<size_t> offsets(ChunkCount(nl, runtime.morsel_rows), 0);
+  std::vector<size_t> offsets(ChunkCount(nl, grain), 0);
+  const Value* ldata = left.rel().data().data();
+  const size_t larity = left.arity();
   size_t chunks = ParallelChunks(
-      runtime.scheduler, nl, runtime.morsel_rows,
-      [&](size_t c, size_t begin, size_t end) {
+      scheduler, nl, grain, [&](size_t c, size_t begin, size_t end) {
         if (runtime.Interrupted()) return;  // abort: executor discards below
         TraceSpan span(runtime.tracer, "morsel.semijoin");
         size_t kept = 0;
-        for (size_t lr = begin; lr < end; ++lr) {
-          if (index.Contains(left.rel(), lr, lcols)) {
-            keep[lr] = 1;
-            ++kept;
+        if (range) {
+          const Value* lk = ldata + lcols[0];
+          uint64_t off = 0;
+          for (size_t lr = begin; lr < end; ++lr) {
+            const bool hit =
+                range->Offset(lk[lr * larity], &off) && bits->Test(off);
+            keep[lr] = hit;
+            kept += hit;
+          }
+        } else {
+          for (size_t lr = begin; lr < end; ++lr) {
+            if (index->Contains(left.rel(), lr, lcols)) {
+              keep[lr] = 1;
+              ++kept;
+            }
           }
         }
         offsets[c] = kept;
       });
   size_t total = PrefixOffsets(&offsets);
-  if (morsels != nullptr) *morsels += chunks;
+  if (par && morsels != nullptr) *morsels += chunks;
   // Every row survived: the result IS left — share its storage.
   if (total == nl) return left;
-  size_t arity = left.arity();
-  std::vector<Value> out_data(total * arity);
-  const Value* src = left.rel().data().data();
+  std::vector<Value> out_data(total * larity);
   ParallelChunks(
-      runtime.scheduler, nl, runtime.morsel_rows,
-      [&](size_t c, size_t begin, size_t end) {
+      scheduler, nl, grain, [&](size_t c, size_t begin, size_t end) {
         if (runtime.Interrupted()) return;  // abort: executor discards below
         TraceSpan span(runtime.tracer, "morsel.semijoin");
-        Value* dst = out_data.data() + offsets[c] * arity;
+        Value* dst = out_data.data() + offsets[c] * larity;
         for (size_t lr = begin; lr < end; ++lr) {
           if (!keep[lr]) continue;
-          const Value* row = src + lr * arity;
-          for (size_t i = 0; i < arity; ++i) *dst++ = row[i];
+          const Value* row = ldata + lr * larity;
+          for (size_t i = 0; i < larity; ++i) *dst++ = row[i];
         }
       });
-  return NamedRelation{left.attrs(), Relation(arity, std::move(out_data))};
+  return NamedRelation{left.attrs(), Relation(larity, std::move(out_data))};
 }
 
 }  // namespace paraquery

@@ -3,11 +3,13 @@
 // buffers, which are then merged in morsel order — so each operator's output
 // holds exactly the rows, in exactly the order, its sequential counterpart
 // in relational/ops.hpp produces. Join and semijoin probe a shared
-// read-only RowIndex over the build side (built once, sequentially); the
-// morsels split only the probe side.
+// read-only key structure over the build side (a RowIndex, or the
+// semijoin's dense-key bitmap), built once before the probe; the morsels
+// split only the probe side.
 //
-// Callers (the plan executor) choose when to engage these via
-// RuntimeOptions::ShouldMorsel; every function degrades to one inline chunk
+// Callers (the plan executor) choose when to engage Select, Project and
+// Join via RuntimeOptions::ShouldMorsel; JoinProject and Semijoin apply it
+// themselves and always run. Every function degrades to one inline chunk
 // under a null/width-1 scheduler.
 #ifndef PARAQUERY_RUNTIME_PARALLEL_OPS_H_
 #define PARAQUERY_RUNTIME_PARALLEL_OPS_H_
@@ -23,6 +25,7 @@
 namespace paraquery {
 
 class RowIndex;
+enum class KeyKind : uint8_t;
 
 /// Morsel-parallel σ. Output identical to Select(in, pred), including the
 /// zero-copy view for an empty predicate. `morsels` (optional) accumulates
@@ -77,11 +80,18 @@ Result<NamedRelation> JoinProject(const NamedRelation& left,
                                   size_t* morsels = nullptr);
 
 /// Morsel-parallel ⋉. Output identical to Semijoin(left, right), including
-/// the zero-copy all-survivors and nonempty-right degenerate paths.
+/// the zero-copy all-survivors and nonempty-right degenerate paths; a left
+/// side below two morsels (or a sequential runtime) runs as one inline
+/// chunk. A single-column key whose right-side value range (KeyRange) has
+/// at most 64 × (|left| + |right|) values filters through a bitmap over
+/// that range, one bit test per left row; multi-column keys and sparse
+/// ranges probe a RowIndex over the right, built partitioned over the
+/// runtime's scheduler. `key` (optional) receives the structure used.
 NamedRelation ParallelSemijoin(const NamedRelation& left,
                                const NamedRelation& right,
                                const RuntimeOptions& runtime,
-                               size_t* morsels = nullptr);
+                               size_t* morsels = nullptr,
+                               KeyKind* key = nullptr);
 
 }  // namespace paraquery
 

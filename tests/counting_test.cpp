@@ -280,10 +280,10 @@ TEST(CountingBoundTest, StarCountOverflowFailsCleanly) {
   // One hub with 256 leaves: an 8-arm star has 256^8 = 2^64 assignments,
   // one past the signed 64-bit range, so the count must fail with
   // OutOfRange (never wrap); the 7-arm star (2^56) stays exact. Threads 4
-  // with small morsels runs the counting kernels' morsel path.
-  Database db;
-  RelId r = db.AddRelation("R", 2).ValueOrDie();
-  for (Value v = 0; v < 256; ++v) db.relation(r).Add({0, v});
+  // with small morsels runs the counting kernels' morsel path. The hub
+  // column holds one value, so every keyed counting kernel runs on its
+  // dense key path; a second database puts a second hub 2^40 away, which
+  // doubles the counts and sends every key to the RowIndex path.
   auto star = [](int arms) {
     std::string text = "COUNT(*) :- ";
     for (int i = 1; i <= arms; ++i) {
@@ -292,16 +292,32 @@ TEST(CountingBoundTest, StarCountOverflowFailsCleanly) {
     }
     return ParseConjunctive(text).ValueOrDie();
   };
-  for (size_t threads : {1u, 4u}) {
-    SCOPED_TRACE(threads);
-    Engine engine = MakeEngine(db, threads);
-    Relation seven = engine.Run(star(7)).ValueOrDie();
-    ASSERT_EQ(seven.size(), 1u);
-    EXPECT_EQ(seven.At(0, 0), Value{1} << 56);
-    auto eight = engine.Run(star(8));
-    ASSERT_FALSE(eight.ok());
-    EXPECT_EQ(eight.status().code(), StatusCode::kOutOfRange)
-        << eight.status().ToString();
+  for (bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse);
+    Database db;
+    RelId r = db.AddRelation("R", 2).ValueOrDie();
+    for (Value v = 0; v < 256; ++v) {
+      db.relation(r).Add({0, v});
+      if (sparse) db.relation(r).Add({Value{1} << 40, v});
+    }
+    for (size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      Engine engine = MakeEngine(db, threads);
+      Relation seven = engine.Run(star(7)).ValueOrDie();
+      ASSERT_EQ(seven.size(), 1u);
+      EXPECT_EQ(seven.At(0, 0), Value{sparse ? 2 : 1} << 56);
+      const PlanStats& plan = engine.last_stats().plan;
+      EXPECT_GT(plan.semijoin_counts, 0u);
+      if (sparse) {
+        EXPECT_EQ(plan.dense_keys, 0u);
+      } else {
+        EXPECT_GE(plan.dense_keys, plan.semijoin_counts);
+      }
+      auto eight = engine.Run(star(8));
+      ASSERT_FALSE(eight.ok());
+      EXPECT_EQ(eight.status().code(), StatusCode::kOutOfRange)
+          << eight.status().ToString();
+    }
   }
 }
 

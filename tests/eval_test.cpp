@@ -10,6 +10,7 @@
 #include "eval/naive.hpp"
 #include "eval/ucq.hpp"
 #include "graph/generators.hpp"
+#include "plan/executor.hpp"
 #include "query/parser.hpp"
 
 namespace paraquery {
@@ -188,9 +189,20 @@ TEST(AcyclicTest, StatsCountZeroCopyViews) {
   EXPECT_EQ(out.size(), 1u);  // R ∩ S = {(1,2)}
   // Both atoms are constant- and repetition-free, so S_j is a zero-copy view
   // over the stored relation; the child-to-parent projection and the root
-  // projection are no-ops answered by views as well.
+  // projection would be no-ops, so the plan has no Project node at all.
   EXPECT_EQ(stats.shared_atom_storage, 2u);
-  EXPECT_GE(stats.zero_copy_projections, 1u);
+  EXPECT_EQ(stats.projections, 0u);
+
+  // A no-op Project that does run is answered by a view.
+  const NamedRelation r{{0, 1}, db.relation(0)};
+  const NamedRelation* inputs[] = {&r};
+  PlanNodePtr root = MakeProject(MakeScan(0, {0, 1}, "R", 2), {0, 1},
+                                 /*dedup=*/true);
+  PlanStats exec_stats;
+  ExecContext ctx{inputs, {}, &exec_stats};
+  auto projected = ExecutePlan(*root, ctx).ValueOrDie();
+  EXPECT_TRUE(projected.rel().SharesStorageWith(r.rel()));
+  EXPECT_EQ(exec_stats.zero_copy_projections, 1u);
 }
 
 TEST(AcyclicTest, DisconnectedQueryIsCrossProduct) {

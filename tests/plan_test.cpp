@@ -386,11 +386,17 @@ TEST(UcqPlanTest, DuplicateDisjunctsAreDeduped) {
 
 TEST(UcqPlanTest, LimitsReachAcyclicDisjuncts) {
   // The caller's context reaches every disjunct: a row guard must abort the
-  // oversized acyclic disjunct.
+  // oversized acyclic disjunct. (A one-atom disjunct would plan to a bare
+  // scan, which the guard exempts, so the disjunct joins two atoms.)
   Database db;
   RelId a = db.AddRelation("A", 1).ValueOrDie();
-  for (Value v = 0; v < 200; ++v) db.relation(a).Add({v});
-  auto q = ParsePositive("ans(x) := A(x) or A(x).").ValueOrDie();
+  RelId b = db.AddRelation("B", 1).ValueOrDie();
+  for (Value v = 0; v < 200; ++v) {
+    db.relation(a).Add({v});
+    db.relation(b).Add({v});
+  }
+  auto q = ParsePositive("ans(x) := (A(x) and B(x)) or (A(x) and B(x)).")
+               .ValueOrDie();
   EvalContext ctx;
   ctx.limits.max_rows = 10;
   EXPECT_EQ(EvaluatePositive(db, q, ctx).status().code(),

@@ -18,77 +18,55 @@ const char* QueryLanguageName(QueryLanguage lang) {
   return "?";
 }
 
-const char* EngineChoiceName(EngineChoice engine) {
-  switch (engine) {
-    case EngineChoice::kAcyclic:
-      return "acyclic (Yannakakis)";
-    case EngineChoice::kInequality:
-      return "acyclic+inequality (Theorem 2 color coding)";
-    case EngineChoice::kNaive:
-      return "naive backtracking";
-    case EngineChoice::kUcq:
-      return "union-of-CQs expansion";
-    case EngineChoice::kFo:
-      return "active-domain relational calculus";
-    case EngineChoice::kDatalog:
-      return "semi-naive fixpoint";
-    case EngineChoice::kCounting:
-      return "counting (Yannakakis multiplicity folding / "
-             "enumerate-then-aggregate)";
-  }
-  return "?";
+Classification ClassifyConjunctive(const ConjunctiveQuery& q,
+                                   const PlannerOptions& planner) {
+  return ClassifyConjunctive(q, DecideRoute(q, planner));
 }
 
-Classification ClassifyConjunctive(const ConjunctiveQuery& q) {
+Classification ClassifyConjunctive(const ConjunctiveQuery& q,
+                                   const RouteDecision& route) {
+  const ConjunctiveQuery& e = route.query(q);
   Classification c;
   c.language = QueryLanguage::kConjunctive;
-  c.q = q.QuerySize();
-  c.v = q.NumVariables();
-  c.acyclic = q.IsAcyclic();
-  c.has_inequalities = q.HasComparisons() && q.HasOnlyInequalities();
-  c.has_order = q.HasOrderComparisons();
-  if (q.HasComparisons() && !q.HasOnlyInequalities() && !c.has_order) {
-    // Only = atoms beyond relational ones; closure removes them.
-    c.has_inequalities = false;
-  }
-
-  if (c.acyclic && !q.HasComparisons()) {
+  c.q = e.QuerySize();
+  c.v = e.NumVariables();
+  c.acyclic = route.acyclic;
+  c.has_inequalities = route.neq_only;
+  c.has_order = e.HasOrderComparisons();
+  c.engine = route.engine;
+  c.route = route.reason;
+  if (route.acyclic && route.comparison_free) {
     c.fixed_parameter_tractable = true;
     c.class_under_q = "PTIME (combined complexity)";
     c.class_under_v = "PTIME (combined complexity)";
     c.basis = "Yannakakis 1981; cited as the classical acyclic tractability";
-    c.engine = EngineChoice::kAcyclic;
-  } else if (c.acyclic && q.HasOnlyInequalities()) {
+  } else if (route.acyclic && route.neq_only) {
     c.fixed_parameter_tractable = true;
     c.class_under_q = "FPT: O(g(q) * n log n)";
     c.class_under_v = "FPT: O(2^{O(v log v)} * q * n log n)";
     c.basis = "Theorem 2 (acyclic conjunctive queries with !=)";
-    c.engine = EngineChoice::kInequality;
-  } else if (c.acyclic && c.has_order) {
+  } else if (route.acyclic) {
     c.fixed_parameter_tractable = false;
     c.class_under_q = "W[1]-complete";
     c.class_under_v = "W[1]-complete";
     c.basis = "Theorem 3 (acyclic conjunctive queries with comparisons)";
-    c.engine = EngineChoice::kNaive;
   } else {
     c.fixed_parameter_tractable = false;
     c.class_under_q = "W[1]-complete";
     c.class_under_v = "W[1]-complete";
     c.basis = "Theorem 1, row 1 (conjunctive queries)";
-    c.engine = EngineChoice::kNaive;
   }
-  if (q.answer.counting()) {
+  if (route.counting) {
     // The decision classification above still governs; counting adds its
     // own verdict. These are FULL counts (every body variable is either a
     // group key or counted — nothing is projected away before counting),
     // the tractable side of the counting trichotomy.
     c.counting = true;
-    c.engine = EngineChoice::kCounting;
-    if (c.acyclic && !q.HasComparisons()) {
+    if (route.acyclic && route.comparison_free) {
       c.counting_class =
           "FP: counting Yannakakis, poly(n) without materializing the join "
           "(full acyclic #CQ; Pichler-Skritek / Chen-Mengel trichotomy)";
-    } else if (!q.HasComparisons()) {
+    } else if (route.comparison_free) {
       c.counting_class =
           "poly(n^{ghw}): multiplicity folding over the hypertree "
           "decomposition (bounded generalized hypertree width)";
@@ -102,6 +80,7 @@ Classification ClassifyConjunctive(const ConjunctiveQuery& q) {
 }
 
 namespace {
+
 bool IsPrenexPositive(const FirstOrderQuery& fo) {
   if (fo.root < 0) return false;
   const auto& root = fo.nodes[fo.root];
@@ -118,6 +97,12 @@ bool IsPrenexPositive(const FirstOrderQuery& fo) {
   }
   return true;
 }
+
+void SetRoute(const RouteDecision& route, Classification* c) {
+  c->engine = route.engine;
+  c->route = route.reason;
+}
+
 }  // namespace
 
 Classification ClassifyPositive(const PositiveQuery& q) {
@@ -131,7 +116,7 @@ Classification ClassifyPositive(const PositiveQuery& q) {
   c.class_under_v =
       c.prenex ? "W[SAT]-complete (prenex)" : "W[SAT]-hard";
   c.basis = "Theorem 1, row 2 (positive queries)";
-  c.engine = EngineChoice::kUcq;
+  SetRoute(DecideRoute(q), &c);
   if (q.fo().answer.counting()) {
     c.counting = true;
     c.counting_class =
@@ -155,7 +140,7 @@ Classification ClassifyFirstOrder(const FirstOrderQuery& q) {
   c.class_under_q = "W[t]-hard for all t (AW[*]-complete per Downey-Fellows-Taylor)";
   c.class_under_v = "W[P]-hard (AW[P]-hard with alternation)";
   c.basis = "Theorem 1, row 3 (first-order queries)";
-  c.engine = EngineChoice::kFo;
+  SetRoute(DecideRoute(q), &c);
   if (q.answer.counting()) {
     c.counting = true;
     c.counting_class =
@@ -185,7 +170,7 @@ Classification ClassifyDatalog(const DatalogProgram& p) {
     basis << "Section 4: Vardi's lower bound for fixpoint/Datalog";
   }
   c.basis = basis.str();
-  c.engine = EngineChoice::kDatalog;
+  SetRoute(DecideRoute(p), &c);
   return c;
 }
 
@@ -208,6 +193,7 @@ std::string Classification::ToString() const {
   oss << "basis: " << basis << "\n";
   if (counting) oss << "counting: " << counting_class << "\n";
   oss << "engine: " << EngineChoiceName(engine) << "\n";
+  oss << "route: " << route << "\n";
   return oss.str();
 }
 

@@ -8,29 +8,15 @@
 
 #include <string>
 
-#include "query/conjunctive_query.hpp"
-#include "query/datalog.hpp"
-#include "query/first_order_query.hpp"
-#include "query/positive_query.hpp"
+#include "plan/planner.hpp"
+#include "plan/route.hpp"
 
 namespace paraquery {
 
 /// Query language classes of the paper (Section 3).
 enum class QueryLanguage { kConjunctive, kPositive, kFirstOrder, kDatalog };
 
-/// Engines this library can route a query to.
-enum class EngineChoice {
-  kAcyclic,     // Yannakakis (acyclic, comparison-free)
-  kInequality,  // Theorem 2 color-coding engine (acyclic + ≠)
-  kNaive,       // backtracking (anything conjunctive)
-  kUcq,         // positive via union of CQs
-  kFo,          // active-domain relational calculus
-  kDatalog,     // semi-naive fixpoint
-  kCounting,    // counting Yannakakis / aggregate-at-root (COUNT heads)
-};
-
 const char* QueryLanguageName(QueryLanguage lang);
-const char* EngineChoiceName(EngineChoice engine);
 
 /// The classification verdict.
 struct Classification {
@@ -65,12 +51,20 @@ struct Classification {
   /// Citation within the paper backing the verdict.
   std::string basis;
 
+  /// The route the engine runs (RouteDecision::engine and ::reason).
   EngineChoice engine = EngineChoice::kNaive;
+  const char* route = "";
 
   std::string ToString() const;
 };
 
-Classification ClassifyConjunctive(const ConjunctiveQuery& q);
+/// Classifies the query the engine runs: after the comparison closure, the
+/// verdict and engine of DecideRoute(q, planner).
+Classification ClassifyConjunctive(const ConjunctiveQuery& q,
+                                   const PlannerOptions& planner = {});
+/// The same, for a route already decided for `q`.
+Classification ClassifyConjunctive(const ConjunctiveQuery& q,
+                                   const RouteDecision& route);
 Classification ClassifyPositive(const PositiveQuery& q);
 Classification ClassifyFirstOrder(const FirstOrderQuery& q);
 Classification ClassifyDatalog(const DatalogProgram& p);

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <variant>
 
 #include "common/timer.hpp"
 #include "core/explain.hpp"
 #include "eval/acyclic.hpp"
 #include "eval/counting.hpp"
 #include "eval/naive.hpp"
-#include "query/comparison_closure.hpp"
 #include "query/parser.hpp"
 #include "relational/storage_cache_stats.hpp"
 
@@ -17,40 +17,34 @@ namespace paraquery {
 
 namespace {
 
-// Heuristic syntax dispatch for RunText/ExplainText.
-enum class TextKind { kRule, kDatalogProgram, kFormula };
+// A query text parsed by its syntax: rule syntax with ":-", formula syntax
+// with ":=", two or more rules (or a @goal directive) = a Datalog program.
+using ParsedText =
+    std::variant<ConjunctiveQuery, FirstOrderQuery, DatalogProgram>;
 
-TextKind SniffKind(const std::string& text) {
-  if (text.find(":=") != std::string::npos) return TextKind::kFormula;
-  // Count rule arrows outside comments: two or more (or a @goal directive)
-  // means a Datalog program.
+Result<ParsedText> ParseText(const std::string& text, Dictionary* dict) {
+  if (text.find(":=") != std::string::npos) {
+    PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, dict));
+    return ParsedText(std::move(q));
+  }
   size_t arrows = 0;
   for (size_t pos = 0; (pos = text.find(":-", pos)) != std::string::npos;
        pos += 2) {
     ++arrows;
   }
   if (arrows >= 2 || text.find("@goal") != std::string::npos) {
-    return TextKind::kDatalogProgram;
+    PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, dict));
+    return ParsedText(std::move(p));
   }
-  return TextKind::kRule;
+  PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, dict));
+  return ParsedText(std::move(q));
 }
 
-// The empty answer in the query's answer shape: no rows for tuple and
-// grouped-count queries (arity = group keys + count), the single [0] row
-// for a scalar COUNT(*).
+// The empty answer in the query's answer shape: no rows, except the [0] row
+// of a scalar COUNT(*) (a grouped count has its keys plus the count column).
 Relation EmptyAnswer(const ConjunctiveQuery& q) {
-  switch (q.answer.kind) {
-    case AnswerSpec::Kind::kCount: {
-      Relation out(1);
-      out.Add(std::vector<Value>{0});
-      return out;
-    }
-    case AnswerSpec::Kind::kGroupedCount:
-      return Relation(q.head.size() + 1);
-    case AnswerSpec::Kind::kTuples:
-      break;
-  }
-  return Relation(q.head.size());
+  if (q.answer.kind == AnswerSpec::Kind::kCount) return Relation(1, {0});
+  return Relation(q.head.size() + (q.answer.counting() ? 1 : 0));
 }
 
 }  // namespace
@@ -62,6 +56,10 @@ std::string EngineStats::ToString() const {
   oss << "query: wall_ms=" << wall;
   if (!abort_reason.empty()) oss << " abort=" << abort_reason;
   oss << "\n";
+  if (*route.reason != '\0') {
+    oss << "route: " << EngineChoiceName(route.engine) << ": " << route.reason
+        << "\n";
+  }
   oss << "plan: " << plan.ToString() << "\n";
   oss << "plan_cache: " << plan_cache.ToString() << "\n";
   if (ineq.family_size > 0) {
@@ -183,168 +181,116 @@ EvalContext Engine::Context(QueryContext* qc) const {
   return ctx;
 }
 
-Result<Relation> Engine::Run(const ConjunctiveQuery& q) const {
+template <typename Evaluate>
+Result<Relation> Engine::RunQuery(const char* kind, Evaluate&& evaluate) const {
   stats_ = EngineStats{};
-  TraceSpan query_span(PrepareTracer(), "query", "cq");
+  TraceSpan query_span(PrepareTracer(), "query", kind);
   Timer timer;
   // Hardening: arm the query context (deadline / memory budget /
   // cancellation token) and account every RowBlock allocated on this thread
-  // — worker threads inherit the accountant through TaskGroup::Spawn.
+  // — worker threads inherit the accountant through TaskGroup::Spawn. The
+  // active-domain algebra polls the same context inside FoEval.
   QueryContext* qc = ArmQueryContext();
   ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  // Every exit refreshes the cumulative cache counters, error and
-  // early-return paths included — .stats must never show stale zeros for a
-  // cache that still holds entries.
-  auto finish = [&](Result<Relation> r) {
-    stats_.plan_cache = plan_cache_.stats();
-    FinishQuery(timer.Seconds(), r.status(), qc);
-    return r;
-  };
-  if (Status s = q.Validate(); !s.ok()) return finish(std::move(s));
-  const ConjunctiveQuery* effective = &q;
-  ComparisonClosure closure;
-  if (q.HasComparisons() && !q.HasOnlyInequalities()) {
-    auto collapsed = CollapseComparisons(q);
-    if (!collapsed.ok()) return finish(collapsed.status());
-    closure = std::move(collapsed).value();
-    if (!closure.consistent) return finish(EmptyAnswer(q));
-    effective = &closure.rewritten;
-    // The collapse is count-preserving (merging equal variables bijects the
-    // satisfying assignments), but it can merge or constant-fold a GROUP
-    // key, leaving an invalid counting head; count over the original query
-    // then — the enumeration route applies the comparisons directly.
-    if (q.answer.counting() && !effective->Validate().ok()) effective = &q;
-  }
-  const EvalContext ctx = Context(qc);
-  if (q.answer.counting()) {
+  Result<Relation> result = evaluate(Context(qc));
+  if (stats_.route.counting) {
     m_.counting_queries->Increment();
-    auto result = CountingEvaluate(*db_, *effective, ctx, &stats_.plan);
-    if (result.ok() && q.answer.kind == AnswerSpec::Kind::kGroupedCount) {
+    // A grouped count has its group keys before the count column.
+    if (result.ok() && result.value().arity() > 1) {
       m_.count_groups->Observe(result.value().size());
     }
-    return finish(std::move(result));
   }
-  if (effective->body.empty()) {
-    // No relational atoms: the head must be constant-only (safety).
-    Relation out(effective->head.size());
-    ValueVec row;
-    for (const Term& t : effective->head) row.push_back(t.value());
-    out.Add(row);
-    return finish(std::move(out));
-  }
-  if (effective->IsAcyclic()) {
-    if (!effective->HasComparisons()) {
-      return finish(AcyclicEvaluate(*db_, *effective, ctx, &stats_.plan));
-    }
-    if (effective->HasOnlyInequalities()) {
-      // Theorem 2 route: plan-routed too — one residual plan per query,
-      // re-executed per coloring.
-      return finish(IneqEvaluate(*db_, *effective, ctx, options_.inequality,
-                                 &stats_.ineq, &stats_.plan));
-    }
-  }
-  return finish(NaiveEvaluateCq(*db_, *effective, ctx, &stats_.plan));
-}
-
-Result<Relation> Engine::Run(const PositiveQuery& q) const {
-  stats_ = EngineStats{};
-  TraceSpan query_span(PrepareTracer(), "query", "ucq");
-  Timer timer;
-  QueryContext* qc = ArmQueryContext();
-  ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  const EvalContext ctx = Context(qc);
-  const bool counting = q.fo().answer.counting();
-  if (counting) m_.counting_queries->Increment();
-  auto result = counting ? EvaluatePositiveCount(*db_, q, ctx, options_.ucq,
-                                                 &stats_.ucq, &stats_.plan)
-                         : EvaluatePositive(*db_, q, ctx, options_.ucq,
-                                            &stats_.ucq, &stats_.plan);
-  if (counting && result.ok() &&
-      q.fo().answer.kind == AnswerSpec::Kind::kGroupedCount) {
-    m_.count_groups->Observe(result.value().size());
-  }
+  // Every exit refreshes the cumulative cache counters, error paths
+  // included — .stats must never show stale zeros for a cache that still
+  // holds entries.
   stats_.plan_cache = plan_cache_.stats();
   FinishQuery(timer.Seconds(), result.status(), qc);
   return result;
 }
 
+Result<Relation> Engine::Run(const ConjunctiveQuery& q) const {
+  return RunQuery("cq", [&](const EvalContext& ctx) -> Result<Relation> {
+    PQ_RETURN_NOT_OK(q.Validate());
+    stats_.route = DecideRoute(q, ctx.planner);
+    const RouteDecision& route = stats_.route;
+    const ConjunctiveQuery& e = route.query(q);
+    if (route.inconsistent) return EmptyAnswer(q);
+    if (route.counting) return CountingEvaluate(*db_, e, ctx, &stats_.plan);
+    if (route.empty_body) {
+      // No relational atoms: the head must be constant-only (safety).
+      Relation out(e.head.size());
+      ValueVec row;
+      for (const Term& t : e.head) row.push_back(t.value());
+      out.Add(row);
+      return out;
+    }
+    switch (route.engine) {
+      case EngineChoice::kAcyclic:
+        return AcyclicEvaluate(*db_, e, ctx, &stats_.plan);
+      case EngineChoice::kInequality:
+        // Theorem 2 route: plan-routed too — one residual plan per query,
+        // re-executed per coloring.
+        return IneqEvaluate(*db_, e, ctx, options_.inequality, &stats_.ineq,
+                            &stats_.plan);
+      default:
+        return NaiveEvaluateCq(*db_, e, ctx, &stats_.plan);
+    }
+  });
+}
+
+Result<Relation> Engine::Run(const PositiveQuery& q) const {
+  return RunQuery("ucq", [&](const EvalContext& ctx) {
+    stats_.route = DecideRoute(q);
+    return stats_.route.counting
+               ? EvaluatePositiveCount(*db_, q, ctx, options_.ucq, &stats_.ucq,
+                                       &stats_.plan)
+               : EvaluatePositive(*db_, q, ctx, options_.ucq, &stats_.ucq,
+                                  &stats_.plan);
+  });
+}
+
 Result<Relation> Engine::Run(const FirstOrderQuery& q) const {
-  stats_ = EngineStats{};
   if (q.IsPositive()) {
     auto positive = PositiveQuery::FromFirstOrder(q);
     if (positive.ok()) return Run(positive.value());
   }
-  // The non-positive path runs on the active-domain algebra. It is hardened
-  // like the plan-routed engines: the armed QueryContext carries deadlines,
-  // cancellation, and the memory budget (polled inside FoEval), and every
-  // RowBlock allocated during evaluation is charged to the accountant.
-  TraceSpan query_span(PrepareTracer(), "query", "fo");
-  Timer timer;
-  QueryContext* qc = ArmQueryContext();
-  ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  const EvalContext ctx = Context(qc);
-  auto finish = [&](Result<Relation> r) {
-    stats_.plan_cache = plan_cache_.stats();
-    FinishQuery(timer.Seconds(), r.status(), qc);
-    return r;
-  };
-  if (q.answer.counting()) {
+  return RunQuery("fo", [&](const EvalContext& ctx) -> Result<Relation> {
+    stats_.route = DecideRoute(q);
+    if (!stats_.route.counting) {
+      return EvaluateFirstOrder(*db_, q, ctx, options_.fo);
+    }
     // Active-domain counting: evaluate the formula once over the FULL
     // free-variable head (the distinct satisfying assignments), then group
     // by the head's group keys in memory — the algebra itself needs no
     // counting operators.
-    if (Status s = q.Validate(); !s.ok()) return finish(std::move(s));
-    m_.counting_queries->Increment();
+    PQ_RETURN_NOT_OK(q.Validate());
     const std::vector<VarId> free_vars = q.FreeVariables();
     FirstOrderQuery enum_q = q;
     enum_q.answer = AnswerSpec::Tuples();
     enum_q.head.clear();
     for (VarId v : free_vars) enum_q.head.push_back(Term::Var(v));
-    auto rows = EvaluateFirstOrder(*db_, enum_q, ctx, options_.fo);
-    if (!rows.ok()) return finish(rows.status());
+    PQ_ASSIGN_OR_RETURN(Relation rows,
+                        EvaluateFirstOrder(*db_, enum_q, ctx, options_.fo));
     std::vector<int> gcols;
     for (const Term& t : q.head) {
       auto it = std::find(free_vars.begin(), free_vars.end(), t.var());
       gcols.push_back(static_cast<int>(it - free_vars.begin()));
     }
-    Relation counts = GroupCountRows(rows.value(), gcols);
-    if (q.answer.kind == AnswerSpec::Kind::kGroupedCount) {
-      m_.count_groups->Observe(counts.size());
-    }
-    return finish(std::move(counts));
-  }
-  return finish(EvaluateFirstOrder(*db_, q, ctx, options_.fo));
+    return GroupCountRows(rows, gcols);
+  });
 }
 
 Result<Relation> Engine::Run(const DatalogProgram& p) const {
-  stats_ = EngineStats{};
-  TraceSpan query_span(PrepareTracer(), "query", "datalog");
-  Timer timer;
-  QueryContext* qc = ArmQueryContext();
-  ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  auto result = EvaluateDatalog(*db_, p, Context(qc), options_.datalog,
-                                &stats_.datalog, &stats_.plan);
-  stats_.plan_cache = plan_cache_.stats();
-  FinishQuery(timer.Seconds(), result.status(), qc);
-  return result;
+  return RunQuery("datalog", [&](const EvalContext& ctx) {
+    stats_.route = DecideRoute(p);
+    return EvaluateDatalog(*db_, p, ctx, options_.datalog, &stats_.datalog,
+                           &stats_.plan);
+  });
 }
 
 Result<Relation> Engine::RunText(const std::string& text, Dictionary* dict) {
-  switch (SniffKind(text)) {
-    case TextKind::kFormula: {
-      PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, dict));
-      return Run(q);
-    }
-    case TextKind::kDatalogProgram: {
-      PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, dict));
-      return Run(p);
-    }
-    case TextKind::kRule: {
-      PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, dict));
-      return Run(q);
-    }
-  }
-  return Status::Internal("unreachable");
+  PQ_ASSIGN_OR_RETURN(ParsedText parsed, ParseText(text, dict));
+  return std::visit([this](const auto& q) { return Run(q); }, parsed);
 }
 
 Tracer* Engine::PrepareTracer() const {
@@ -424,22 +370,15 @@ QueryContext* Engine::ArmQueryContext() const {
 }
 
 Result<std::string> Engine::ExplainText(const std::string& text) {
+  PQ_ASSIGN_OR_RETURN(ParsedText parsed, ParseText(text, nullptr));
   const PlannerOptions planner = Context(nullptr).planner;
-  switch (SniffKind(text)) {
-    case TextKind::kFormula: {
-      PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, nullptr));
-      return ExplainFirstOrder(q, db_, planner);
-    }
-    case TextKind::kDatalogProgram: {
-      PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, nullptr));
-      return ExplainDatalog(p, db_, planner);
-    }
-    case TextKind::kRule: {
-      PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, nullptr));
-      return ExplainConjunctive(q, db_, planner);
-    }
+  if (const auto* q = std::get_if<ConjunctiveQuery>(&parsed)) {
+    return ExplainConjunctive(*q, db_, planner);
   }
-  return Status::Internal("unreachable");
+  if (const auto* q = std::get_if<FirstOrderQuery>(&parsed)) {
+    return ExplainFirstOrder(*q, db_, planner);
+  }
+  return ExplainDatalog(std::get<DatalogProgram>(parsed), db_, planner);
 }
 
 Result<std::string> Engine::AnalyzeText(const std::string& text,
@@ -455,6 +394,7 @@ Result<std::string> Engine::AnalyzeText(const std::string& text,
   std::snprintf(sort, sizeof(sort), "%.3f", capture.answer_sort_ns() * 1e-6);
   oss << "rows=" << result.value().size() << " wall_ms=" << wall
       << " sort_ms=" << sort << "\n";
+  oss << "-- route: " << stats_.route.reason << "\n";
   if (capture.plan_count() == 0) {
     oss << "(no plan-routed execution: the query ran on the active-domain "
            "algebra, or produced its answer without executing a plan)\n";
@@ -466,29 +406,22 @@ Result<std::string> Engine::AnalyzeText(const std::string& text,
 
 Result<std::string> Engine::PlanText(const std::string& text,
                                      Dictionary* dict) {
+  PQ_ASSIGN_OR_RETURN(ParsedText parsed, ParseText(text, dict));
   const PlannerOptions planner = Context(nullptr).planner;
-  switch (SniffKind(text)) {
-    case TextKind::kFormula: {
-      PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, dict));
-      if (!q.IsPositive()) {
-        return Status::InvalidArgument(
-            "no physical plan: non-positive first-order queries run on the "
-            "active-domain algebra");
-      }
-      PQ_ASSIGN_OR_RETURN(PositiveQuery pq,
-                          PositiveQuery::FromFirstOrder(std::move(q)));
-      return RenderPositivePlan(*db_, pq, planner);
-    }
-    case TextKind::kDatalogProgram: {
-      PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, dict));
-      return RenderDatalogPlan(*db_, p, planner);
-    }
-    case TextKind::kRule: {
-      PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, dict));
-      return RenderConjunctivePlan(*db_, q, planner);
-    }
+  if (const auto* q = std::get_if<ConjunctiveQuery>(&parsed)) {
+    return RenderConjunctivePlan(*db_, *q, planner);
   }
-  return Status::Internal("unreachable");
+  if (const auto* q = std::get_if<DatalogProgram>(&parsed)) {
+    return RenderDatalogPlan(*db_, *q, planner);
+  }
+  const FirstOrderQuery& fo = std::get<FirstOrderQuery>(parsed);
+  if (!fo.IsPositive()) {
+    return Status::InvalidArgument(
+        "no physical plan: non-positive first-order queries run on the "
+        "active-domain algebra");
+  }
+  PQ_ASSIGN_OR_RETURN(PositiveQuery pq, PositiveQuery::FromFirstOrder(fo));
+  return RenderPositivePlan(*db_, pq, planner);
 }
 
 }  // namespace paraquery

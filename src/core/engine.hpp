@@ -1,19 +1,8 @@
 // The ParaQuery engine facade: parse -> classify -> plan -> execute.
 //
-// Routing policy (the operational content of the paper):
-//   * conjunctive, acyclic, comparison-free      -> Yannakakis plan
-//   * conjunctive, acyclic, only ≠ atoms         -> Theorem 2 color coding
-//   * conjunctive with order comparisons         -> Klug closure, then the
-//     best applicable engine on the rewritten query (naive if < / ≤ remain:
-//     Theorem 3 says nothing better exists in general)
-//   * cyclic conjunctive, comparison-free        -> hypertree decomposition
-//                                                   with worst-case-optimal
-//                                                   (leapfrog) bag joins
-//   * cyclic conjunctive with comparisons        -> greedy left-deep plan
-//   * positive                                   -> union-of-CQs expansion
-//   * first-order                                -> active-domain algebra
-//   * Datalog                                    -> semi-naive fixpoint over
-//                                                   cached per-rule plans
+// Routing policy (the operational content of the paper): every Run takes
+// the one RouteDecision of DecideRoute (plan/route.hpp) and records it in
+// EngineStats::route.
 //
 // Every plan-routed query runs through the shared executor in src/plan/;
 // EngineStats::plan carries its counters for the most recent call.
@@ -120,6 +109,9 @@ struct EngineStats {
   /// cumulative per-reason counts live in Engine::metrics()
   /// (pq_aborts_*_total).
   std::string abort_reason;
+  /// The route the last Run took: its engine, reason, and whether the
+  /// answer's last column is a count.
+  RouteDecision route;
   /// Shared plan-executor counters for whatever plan(s) the last call ran,
   /// on every route.
   PlanStats plan;
@@ -220,6 +212,12 @@ class Engine {
   /// deadline or memory budget, else null (unhardened). Engine-owned
   /// contexts are Reset() and re-armed per Run.
   QueryContext* ArmQueryContext() const;
+
+  /// One Run: resets stats_, arms the QueryContext and memory accounting,
+  /// runs `evaluate(ctx)` (which records its RouteDecision in stats_.route)
+  /// and does the end-of-Run bookkeeping (counting metrics, FinishQuery).
+  template <typename Evaluate>
+  Result<Relation> RunQuery(const char* kind, Evaluate&& evaluate) const;
 
   /// When tracing is on: ensures the tracer exists, Clear()s it for the new
   /// query, and returns it (the calling thread becomes track 0). Returns

@@ -8,7 +8,6 @@
 #include "eval/inequality.hpp"
 #include "eval/ucq.hpp"
 #include "plan/planner.hpp"
-#include "query/comparison_closure.hpp"
 
 namespace paraquery {
 
@@ -56,78 +55,23 @@ Result<std::string> RenderConjunctivePlan(const Database& db,
                                           const ConjunctiveQuery& q,
                                           const PlannerOptions& planner) {
   PQ_RETURN_NOT_OK(q.Validate());
-  const ConjunctiveQuery* effective = &q;
-  ComparisonClosure closure;
+  const RouteDecision route = DecideRoute(q, planner);
   std::ostringstream oss;
-  if (q.HasComparisons() && !q.HasOnlyInequalities()) {
-    PQ_ASSIGN_OR_RETURN(closure, CollapseComparisons(q));
-    if (!closure.consistent) {
-      return std::string(
-          "(empty plan: the comparison closure is inconsistent)\n");
-    }
-    effective = &closure.rewritten;
-    oss << "-- after comparison closure: " << effective->ToString() << "\n";
+  if (route.rewritten.has_value()) {
+    oss << "-- after comparison closure: " << route.rewritten->ToString()
+        << "\n";
   }
-  if (q.answer.counting()) {
-    // Mirror the engine: if the closure merged or constant-folded a group
-    // key, the collapsed query is no longer a valid counting head, and the
-    // engine evaluates the original query instead.
-    if (!effective->Validate().ok()) effective = &q;
-    if (effective->body.empty()) {
-      return std::string(
-          "(no plan: empty body, the count is answered directly)\n");
-    }
-    PQ_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                        PlanConjunctive(db, *effective, planner));
-    std::string rendered = plan.Render();
-    if (!effective->HasComparisons() && effective->IsAcyclic()) {
-      oss << "-- route: counting Yannakakis (upward multiplicity folding; "
-             "the join output is never materialized)\n";
-    } else if (rendered.find("SemijoinCount") != std::string::npos) {
-      oss << "-- route: counting over the hypertree decomposition "
-             "(multiplicity folding across bags)\n";
-    } else {
-      oss << "-- route: enumerate distinct assignments, aggregate at the "
-             "root\n";
-    }
-    oss << rendered;
+  oss << "-- route: " << route.reason << "\n";
+  // Nothing runs for these; the color-coding engine compiles its own plan
+  // (and Run returns its compile errors too).
+  if (route.inconsistent || route.empty_body) return oss.str();
+  if (route.engine == EngineChoice::kInequality) {
+    PQ_ASSIGN_OR_RETURN(std::string residual,
+                        IneqPlanText(db, route.query(q)));
+    oss << residual;
     return oss.str();
   }
-  bool acyclic_route =
-      !effective->HasComparisons() && !effective->body.empty() &&
-      effective->IsAcyclic();
-  if (acyclic_route) {
-    oss << "-- route: Yannakakis join-tree schedule (GYO order)\n";
-  } else if (effective->IsAcyclic() && effective->HasOnlyInequalities() &&
-             !effective->body.empty()) {
-    // Theorem 2 route: show the real lowered residual plan (falling back to
-    // the relational plan if the color-coding compiler rejects the query).
-    oss << "-- route: Theorem 2 color coding\n";
-    auto ineq = IneqPlanText(db, *effective);
-    if (ineq.ok()) {
-      oss << ineq.value();
-      return oss.str();
-    }
-    oss << "-- (color-coding plan unavailable: " << ineq.status().message()
-        << "; relational fallback shown)\n";
-  } else {
-    // Cyclic route: the planner picks multiway (WCOJ) or binary per bag, so
-    // report what the rendered plan actually contains.
-    PQ_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                        PlanConjunctive(db, *effective, planner));
-    std::string rendered = plan.Render();
-    if (rendered.find("MultiwayJoin") != std::string::npos) {
-      oss << "-- route: worst-case-optimal multiway join "
-             "(Yannakakis over a hypertree decomposition)\n";
-    } else {
-      oss << "-- route: greedy left-deep join order (smallest connected "
-             "atom first)\n";
-    }
-    oss << rendered;
-    return oss.str();
-  }
-  PQ_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                      PlanConjunctive(db, *effective, planner));
+  PQ_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanConjunctive(db, q, planner));
   oss << plan.Render();
   return oss.str();
 }
@@ -143,6 +87,7 @@ Result<std::string> RenderPositivePlan(const Database& db,
   PQ_ASSIGN_OR_RETURN(
       auto cqs, ExpandDedupedDisjuncts(q, UcqOptions{}.max_disjuncts, &stats));
   std::ostringstream oss;
+  oss << "-- route: " << DecideRoute(q).reason << "\n";
   oss << "Union [" << cqs.size() << " disjunct" << (cqs.size() == 1 ? "" : "s");
   if (stats.disjuncts_deduped > 0) {
     oss << ", " << stats.disjuncts_deduped
@@ -154,9 +99,9 @@ Result<std::string> RenderPositivePlan(const Database& db,
   // apart), so the subplans are rendered one at a time with their own names.
   for (size_t i = 0; i < shown; ++i) {
     oss << "  disjunct " << i + 1 << ": " << cqs[i].ToString() << "\n";
-    auto plan = PlanConjunctive(db, cqs[i], planner);
+    auto plan = RenderConjunctivePlan(db, cqs[i], planner);
     if (plan.ok()) {
-      oss << Indent(plan.value().Render(), 4);
+      oss << Indent(plan.value(), 4);
     } else {
       oss << "    unavailable: " << plan.status().message() << "\n";
     }
@@ -172,6 +117,7 @@ Result<std::string> RenderDatalogPlan(const Database& db,
                                       const PlannerOptions& planner) {
   PQ_RETURN_NOT_OK(p.Validate());
   std::ostringstream oss;
+  oss << "-- route: " << DecideRoute(p).reason << "\n";
   oss << "Fixpoint(" << p.goal << ") [semi-naive, " << p.rules.size()
       << " rule" << (p.rules.size() == 1 ? "" : "s")
       << "; delta-substituted variants are planned at first firing]\n";
@@ -219,37 +165,17 @@ std::string ExplainConjunctive(const ConjunctiveQuery& q, const Database* db,
                                const PlannerOptions& planner) {
   std::ostringstream oss;
   oss << "query: " << q.ToString() << "\n";
-  if (q.HasComparisons() && !q.HasOnlyInequalities()) {
-    auto closure = CollapseComparisons(q);
-    if (closure.ok() && !closure.value().consistent) {
-      oss << "comparison closure: INCONSISTENT — the answer is empty on "
-             "every database (Section 5 / Klug)\n";
-      return oss.str();
-    }
-    if (closure.ok()) {
-      oss << "comparison closure: collapsed to "
-          << closure.value().rewritten.ToString() << "\n";
-      oss << ClassifyConjunctive(closure.value().rewritten).ToString();
-      if (db != nullptr) {
-        AppendPlanSection(&oss, RenderConjunctivePlan(*db, q, planner));
-      }
-      return oss.str();
-    }
+  const RouteDecision route = DecideRoute(q, planner);
+  if (route.inconsistent) {
+    oss << "comparison closure: INCONSISTENT — the answer is empty on "
+           "every database (Section 5 / Klug)\n";
+  } else if (route.rewritten.has_value()) {
+    oss << "comparison closure: collapsed to " << route.rewritten->ToString()
+        << "\n";
   }
-  oss << ClassifyConjunctive(q).ToString();
+  oss << ClassifyConjunctive(q, route).ToString();
   if (db != nullptr) {
     AppendPlanSection(&oss, RenderConjunctivePlan(*db, q, planner));
-  }
-  return oss.str();
-}
-
-std::string ExplainPositive(const PositiveQuery& q, const Database* db,
-                            const PlannerOptions& planner) {
-  std::ostringstream oss;
-  oss << "query: " << q.ToString() << "\n";
-  oss << ClassifyPositive(q).ToString();
-  if (db != nullptr) {
-    AppendPlanSection(&oss, RenderPositivePlan(*db, q, planner));
   }
   return oss.str();
 }

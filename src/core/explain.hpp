@@ -24,9 +24,6 @@ std::string ExplainConjunctive(const ConjunctiveQuery& q,
                                const Database* db = nullptr,
                                const PlannerOptions& planner = {});
 
-std::string ExplainPositive(const PositiveQuery& q,
-                            const Database* db = nullptr,
-                            const PlannerOptions& planner = {});
 std::string ExplainFirstOrder(const FirstOrderQuery& q,
                               const Database* db = nullptr,
                               const PlannerOptions& planner = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fault_injection.hpp"
 #include "common/timer.hpp"
 #include "obs/analyze.hpp"
 #include "obs/trace.hpp"
@@ -197,6 +198,37 @@ Relation SortAnswers(Relation answers, const RuntimeOptions& runtime) {
   if (runtime.tracer != nullptr) runtime.tracer->Record("answer.sort", t0, t1);
   if (runtime.analyze != nullptr) runtime.analyze->NoteAnswerSort(t1 - t0);
   return answers;
+}
+
+Result<NamedRelation> ExecuteCachedPlan(const Database& db,
+                                        const ConjunctiveQuery& q,
+                                        const EvalContext& ctx,
+                                        const char* key_prefix,
+                                        CqPlanner plan_cq,
+                                        const char* insert_fault,
+                                        PlanStats* plan_stats,
+                                        std::vector<Term>* head_out) {
+  std::shared_ptr<PhysicalPlan> plan;
+  CanonicalCq canonical;
+  std::string key;
+  if (ctx.plan_cache != nullptr) {
+    canonical = CanonicalizeCq(q);
+    key = internal::StrCat(key_prefix, PlannerCacheTag(ctx.planner),
+                           canonical.signature);
+    plan = ctx.plan_cache->Lookup<PhysicalPlan>(key, db);
+  }
+  const ConjunctiveQuery& planned =
+      ctx.plan_cache != nullptr ? canonical.query : q;
+  if (plan == nullptr) {
+    PQ_ASSIGN_OR_RETURN(PhysicalPlan built, plan_cq(db, planned, ctx.planner));
+    plan = std::make_shared<PhysicalPlan>(std::move(built));
+    if (ctx.plan_cache != nullptr) {
+      if (insert_fault != nullptr) PQ_FAULT_POINT(insert_fault);
+      ctx.plan_cache->Insert(key, db, canonical.query, plan);
+    }
+  }
+  if (head_out != nullptr) *head_out = planned.head;
+  return ExecutePhysicalPlan(*plan, ctx.limits, plan_stats, ctx.runtime);
 }
 
 }  // namespace paraquery

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "eval/context.hpp"
 #include "query/term.hpp"
 #include "relational/database.hpp"
 #include "relational/named_relation.hpp"
@@ -60,6 +61,25 @@ Relation AnswerRelation(size_t arity, size_t rows, std::vector<Value> values);
 /// is timed (PlanCapture::NoteAnswerSort, an `answer.sort` span); otherwise
 /// it reads no clock.
 Relation SortAnswers(Relation answers, const RuntimeOptions& runtime);
+
+/// A planner entry point (PlanAcyclicCq, PlanCyclicCq, PlanCountingCq, ...).
+using CqPlanner = Result<PhysicalPlan> (*)(const Database&,
+                                           const ConjunctiveQuery&,
+                                           const PlannerOptions&);
+
+/// The plan-routed evaluators' one plan-fetch path: plans `q` with
+/// `plan_cq` — through ctx's plan cache, when bound, as q's canonical form
+/// under `key_prefix` + PlannerCacheTag + signature, with the fault point
+/// `insert_fault` (or none) before the insert — and executes it. Returns
+/// the bindings; `head_out` (if set) receives the head they map through.
+Result<NamedRelation> ExecuteCachedPlan(const Database& db,
+                                        const ConjunctiveQuery& q,
+                                        const EvalContext& ctx,
+                                        const char* key_prefix,
+                                        CqPlanner plan_cq,
+                                        const char* insert_fault,
+                                        PlanStats* plan_stats,
+                                        std::vector<Term>* head_out = nullptr);
 
 /// True if every variable of `cmp` occurs in `atom_vars`.
 bool ComparisonWithin(const CompareAtom& cmp, const std::vector<VarId>& atom_vars);

@@ -117,32 +117,11 @@ Result<Relation> CountingEvaluate(const Database& db,
     out.Add(std::vector<Value>{1});
     return out;
   }
-  std::shared_ptr<PhysicalPlan> plan;
-  if (ctx.plan_cache != nullptr) {
-    // Cache route, exactly like the tuple evaluators: compile (or fetch) the
-    // canonical query's plan. The signature carries the answer shape, so the
-    // same text in tuple mode maps to a different entry; the output columns
-    // are the canonical group keys, which occupy the same head positions as
-    // the original's, so no answer re-mapping is needed.
-    CanonicalCq canonical = CanonicalizeCq(q);
-    std::string key = internal::StrCat(
-        "cq-cnt:", PlannerCacheTag(ctx.planner), canonical.signature);
-    plan = ctx.plan_cache->Lookup<PhysicalPlan>(key, db);
-    if (plan == nullptr) {
-      PQ_ASSIGN_OR_RETURN(PhysicalPlan built,
-                          PlanCountingCq(db, canonical.query, ctx.planner));
-      plan = std::make_shared<PhysicalPlan>(std::move(built));
-      PQ_FAULT_POINT("counting.cache.insert");
-      ctx.plan_cache->Insert(key, db, canonical.query, plan);
-    }
-  } else {
-    PQ_ASSIGN_OR_RETURN(PhysicalPlan built,
-                        PlanCountingCq(db, q, ctx.planner));
-    plan = std::make_shared<PhysicalPlan>(std::move(built));
-  }
-  PQ_ASSIGN_OR_RETURN(
-      NamedRelation root,
-      ExecutePhysicalPlan(*plan, ctx.limits, plan_stats, ctx.runtime));
+  // The output columns are the canonical group keys, which occupy the same
+  // head positions as the original's: no answer re-mapping is needed.
+  PQ_ASSIGN_OR_RETURN(NamedRelation root,
+                      ExecuteCachedPlan(db, q, ctx, "cq-cnt:", PlanCountingCq,
+                                        "counting.cache.insert", plan_stats));
   if (ngroup == 0) {
     // Scalar COUNT(*): the root aggregate emits one [total] row, or none at
     // all on an empty query — the 0 row is supplied HERE, never inside the

@@ -183,31 +183,11 @@ Result<Relation> NaiveEvaluateCq(const Database& db, const ConjunctiveQuery& q,
                                  bool sort_output) {
   PQ_FAULT_POINT("naive.plan");
   TraceSpan route_span(ctx.runtime.tracer, "route.cyclic");
-  std::shared_ptr<PhysicalPlan> plan;
-  std::vector<Term> head = q.head;
-  if (ctx.plan_cache != nullptr) {
-    // Cached route: plan the canonical query once per database generation;
-    // renaming-equivalent repeats (and UCQ disjuncts) reuse it. Binding
-    // attributes are canonical ids, so answers map through the canonical
-    // head.
-    CanonicalCq canonical = CanonicalizeCq(q);
-    std::string key = internal::StrCat(
-        "cq-cyc:", PlannerCacheTag(ctx.planner), canonical.signature);
-    plan = ctx.plan_cache->Lookup<PhysicalPlan>(key, db);
-    if (plan == nullptr) {
-      PQ_ASSIGN_OR_RETURN(PhysicalPlan built,
-                          PlanCyclicCq(db, canonical.query, ctx.planner));
-      plan = std::make_shared<PhysicalPlan>(std::move(built));
-      ctx.plan_cache->Insert(key, db, canonical.query, plan);
-    }
-    head = canonical.query.head;
-  } else {
-    PQ_ASSIGN_OR_RETURN(PhysicalPlan built, PlanCyclicCq(db, q, ctx.planner));
-    plan = std::make_shared<PhysicalPlan>(std::move(built));
-  }
-  PQ_ASSIGN_OR_RETURN(
-      NamedRelation bindings,
-      ExecutePhysicalPlan(*plan, ctx.limits, plan_stats, ctx.runtime));
+  std::vector<Term> head;
+  PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
+                      ExecuteCachedPlan(db, q, ctx, "cq-cyc:", PlanCyclicCq,
+                                        /*insert_fault=*/nullptr, plan_stats,
+                                        &head));
   Relation answers = BindingsToAnswers(bindings, head, /*sort_output=*/false);
   if (!sort_output) return answers;
   return SortAnswers(std::move(answers), ctx.runtime);

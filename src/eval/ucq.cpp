@@ -40,8 +40,11 @@ Result<std::vector<ConjunctiveQuery>> ExpandDedupedDisjuncts(
 
 namespace {
 
-bool RouteAcyclic(const ConjunctiveQuery& cq) {
-  return !cq.body.empty() && !cq.HasComparisons() && cq.IsAcyclic();
+// Disjuncts are comparison-free (positive formulas have no comparison
+// atoms): each takes the Yannakakis route or the general plan.
+bool YannakakisRoute(const ConjunctiveQuery& cq, const EvalContext& ctx) {
+  const RouteDecision route = DecideRoute(cq, ctx.planner);
+  return route.engine == EngineChoice::kAcyclic && !route.empty_body;
 }
 
 Result<Relation> EvaluateDisjunct(const Database& db,
@@ -52,7 +55,7 @@ Result<Relation> EvaluateDisjunct(const Database& db,
   PQ_FAULT_POINT("ucq.disjunct");
   TraceSpan span(ctx.runtime.tracer, "disjunct");
   if (stats != nullptr) ++stats->disjuncts_evaluated;
-  if (RouteAcyclic(cq)) {
+  if (YannakakisRoute(cq, ctx)) {
     if (stats != nullptr) ++stats->acyclic_disjuncts;
     return AcyclicEvaluate(db, cq, ctx, plan_stats, /*sort_output=*/false);
   }
@@ -67,7 +70,7 @@ Result<bool> DisjunctNonempty(const Database& db, const ConjunctiveQuery& cq,
   PQ_FAULT_POINT("ucq.disjunct");
   TraceSpan span(ctx.runtime.tracer, "disjunct");
   if (stats != nullptr) ++stats->disjuncts_evaluated;
-  if (RouteAcyclic(cq)) {
+  if (YannakakisRoute(cq, ctx)) {
     if (stats != nullptr) ++stats->acyclic_disjuncts;
     return AcyclicNonempty(db, cq, ctx, plan_stats);
   }

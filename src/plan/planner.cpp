@@ -561,22 +561,12 @@ Result<PhysicalPlan> PlanCyclicCq(const Database& db,
   std::vector<PlanNodePtr> scans;
   PQ_RETURN_NOT_OK(BuildAtomScans(db, q, &plan, &scans));
 
-  // Worst-case-optimal route: comparison-free, genuinely cyclic, >= 3 atoms,
-  // every atom with at least one variable (constant-only atoms keep the
-  // binary chain's boolean-gate treatment). Queries with comparisons stay on
-  // the binary chain so pushed Select placement is unchanged.
-  if (options.wcoj && pending.empty() && q.body.size() >= 3 &&
-      !q.IsAcyclic()) {
-    bool all_have_vars = true;
-    for (const NamedRelation& r : plan.inputs) {
-      if (r.attrs().empty()) all_have_vars = false;
-    }
-    if (all_have_vars) {
-      PQ_ASSIGN_OR_RETURN(
-          plan.root,
-          PlanWcojRoot(q, scans, head_vars, options.full_reducer));
-      return plan;
-    }
+  // The WCOJ gate: queries with comparisons or constant-only atoms keep the
+  // binary chain (pushed Selects, boolean gates).
+  if (DecideRoute(q, options, /*closure=*/false).wcoj) {
+    PQ_ASSIGN_OR_RETURN(
+        plan.root, PlanWcojRoot(q, scans, head_vars, options.full_reducer));
+    return plan;
   }
 
   std::vector<size_t> order;
@@ -633,8 +623,9 @@ Result<PhysicalPlan> PlanCountingCq(const Database& db,
         "PlanCountingCq: empty body (the caller answers it directly)");
   }
   std::vector<AttrId> group_vars = q.HeadVariables();
+  const RouteDecision route = DecideRoute(q, options, /*closure=*/false);
 
-  if (!q.HasComparisons() && q.IsAcyclic()) {
+  if (route.acyclic && route.comparison_free) {
     // Counting Yannakakis over the GYO join tree.
     PhysicalPlan plan;
     plan.head = q.head;
@@ -649,27 +640,19 @@ Result<PhysicalPlan> PlanCountingCq(const Database& db,
     return plan;
   }
 
-  // Comparison-free cyclic core: the same counting pass over the hypertree
-  // bag tree, with leapfrog multiway joins inside cyclic bags. Eligibility
-  // mirrors the tuple route's wcoj gate.
-  if (!q.HasComparisons() && options.wcoj && q.body.size() >= 3) {
+  // Comparison-free cyclic core (the WCOJ gate): the same counting pass over
+  // the hypertree bag tree, with leapfrog multiway joins inside cyclic bags.
+  if (route.wcoj) {
     PhysicalPlan plan;
     plan.head = q.head;
     plan.vars = q.vars;
     std::vector<PlanNodePtr> scans;
     PQ_RETURN_NOT_OK(BuildAtomScans(db, q, &plan, &scans));
-    bool all_have_vars = true;
-    for (const NamedRelation& r : plan.inputs) {
-      if (r.attrs().empty()) all_have_vars = false;
-    }
-    if (all_have_vars) {
-      PQ_ASSIGN_OR_RETURN(BagTreePlan bags,
-                          BuildBagTreePlan(q, scans, options.full_reducer));
-      plan.root =
-          CountingUpwardPass(std::move(bags.cur), bags.d.bottom_up,
-                             bags.d.parent, bags.d.root, group_vars);
-      return plan;
-    }
+    PQ_ASSIGN_OR_RETURN(BagTreePlan bags,
+                        BuildBagTreePlan(q, scans, options.full_reducer));
+    plan.root = CountingUpwardPass(std::move(bags.cur), bags.d.bottom_up,
+                                   bags.d.parent, bags.d.root, group_vars);
+    return plan;
   }
 
   // Fallback: enumerate the distinct assignments to all body variables
@@ -695,13 +678,14 @@ std::string PlannerCacheTag(const PlannerOptions& options) {
 Result<PhysicalPlan> PlanConjunctive(const Database& db,
                                      const ConjunctiveQuery& q,
                                      const PlannerOptions& options) {
-  if (q.answer.counting() && !q.body.empty()) {
-    return PlanCountingCq(db, q, options);
+  const RouteDecision route = DecideRoute(q, options);
+  const ConjunctiveQuery& e = route.query(q);
+  if (route.empty_body) return PlanCyclicCq(db, e, options);
+  if (route.counting) return PlanCountingCq(db, e, options);
+  if (route.engine == EngineChoice::kAcyclic) {
+    return PlanAcyclicCq(db, e, options);
   }
-  if (!q.HasComparisons() && !q.body.empty() && q.IsAcyclic()) {
-    return PlanAcyclicCq(db, q, options);
-  }
-  return PlanCyclicCq(db, q, options);
+  return PlanCyclicCq(db, e, options);
 }
 
 Result<NamedRelation> ExecutePhysicalPlan(PhysicalPlan& plan,

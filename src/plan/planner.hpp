@@ -25,6 +25,7 @@
 
 #include "common/status.hpp"
 #include "plan/plan.hpp"
+#include "plan/route.hpp"
 #include "query/conjunctive_query.hpp"
 #include "query/datalog.hpp"
 #include "relational/database.hpp"
@@ -75,8 +76,9 @@ struct PhysicalPlan {
   std::string Render() const { return RenderPlan(*root, &vars); }
 };
 
-/// Routes to PlanAcyclicCq for acyclic comparison-free queries with a
-/// nonempty body, PlanCyclicCq otherwise.
+/// The plan of DecideRoute(q, options), over the query after the comparison
+/// closure: PlanCountingCq, PlanAcyclicCq or PlanCyclicCq (on the Theorem 2
+/// route, the relational plan; IneqPlanText renders the color-coding one).
 Result<PhysicalPlan> PlanConjunctive(const Database& db,
                                      const ConjunctiveQuery& q,
                                      const PlannerOptions& options = {});
@@ -92,7 +94,9 @@ Result<PhysicalPlan> PlanAcyclicDecision(const Database& db,
                                          const ConjunctiveQuery& q,
                                          const PlannerOptions& options = {});
 
-/// Left-deep greedy plan for arbitrary (incl. cyclic) CQs with comparisons.
+/// The general plan for arbitrary CQs: multiway joins over a hypertree
+/// decomposition under the WCOJ gate (RouteDecision::wcoj), else a greedy
+/// left-deep join chain with the comparisons as selections.
 Result<PhysicalPlan> PlanCyclicCq(const Database& db,
                                   const ConjunctiveQuery& q,
                                   const PlannerOptions& options = {});
@@ -102,8 +106,8 @@ Result<PhysicalPlan> PlanCyclicCq(const Database& db,
 /// then an upward pass where each subtree folds into its parent as per-key
 /// multiplicities (Aggregate + SemijoinCount) — the full join output is never
 /// materialized, so peak intermediate rows stay bounded by the input and
-/// semijoin sizes. Comparison-free cyclic queries run the same counting pass
-/// over the hypertree-decomposition bag tree (leapfrog multiway joins inside
+/// semijoin sizes. Cyclic queries that pass the WCOJ gate run the same
+/// counting pass over the hypertree-decomposition bag tree (leapfrog multiway joins inside
 /// cyclic bags). Everything else falls back to enumerating the distinct
 /// assignments to all body variables through the general planner and
 /// aggregating at the root, under the same ResourceLimits.

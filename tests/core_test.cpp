@@ -198,6 +198,49 @@ TEST(EngineTest, ExplainInconsistentComparisons) {
   EXPECT_NE(report.find("INCONSISTENT"), std::string::npos);
 }
 
+TEST(ClassifierTest, ClassifiesTheCollapsedQuery) {
+  // Run collapses both queries to acyclic comparison-free ones and takes
+  // Yannakakis; the classifier reports the same.
+  for (const char* text : {"ans(x, z) :- E(x, y), E(y, z), y = z.",
+                           "ans(x) :- E(x, y), x <= y, y <= x."}) {
+    SCOPED_TRACE(text);
+    Classification c = ClassifyConjunctive(ParseConjunctive(text).ValueOrDie());
+    EXPECT_EQ(c.engine, EngineChoice::kAcyclic);
+    EXPECT_TRUE(c.acyclic);
+    EXPECT_FALSE(c.has_order);
+    EXPECT_TRUE(c.fixed_parameter_tractable);
+    EXPECT_EQ(c.class_under_q, "PTIME (combined complexity)");
+  }
+  // Cyclic queries run the general plan, not a backtracking search.
+  Classification triangle = ClassifyConjunctive(
+      ParseConjunctive("p() :- E(x, y), E(y, z), E(z, x).").ValueOrDie());
+  EXPECT_EQ(triangle.engine, EngineChoice::kNaive);
+  EXPECT_EQ(std::string(EngineChoiceName(triangle.engine)).find("backtrack"),
+            std::string::npos);
+  EXPECT_NE(std::string(triangle.route).find("multiway"), std::string::npos);
+  PlannerOptions binary;
+  binary.wcoj = false;
+  EXPECT_NE(std::string(ClassifyConjunctive(
+                            ParseConjunctive("p() :- E(x, y), E(y, z), "
+                                             "E(z, x).")
+                                .ValueOrDie(),
+                            binary)
+                            .route)
+                .find("left-deep"),
+            std::string::npos);
+}
+
+TEST(EngineTest, BodylessComparisonsAreDecided) {
+  // A body-less query's constant comparisons go through the closure: a
+  // false one empties the answer instead of being skipped.
+  Database db = GraphDatabase(PathGraph(2));
+  Engine engine(db);
+  EXPECT_EQ(engine.RunText("ans(1) :- 1 != 1.").ValueOrDie().size(), 0u);
+  EXPECT_EQ(engine.RunText("ans(1) :- 1 != 2.").ValueOrDie().size(), 1u);
+  EXPECT_EQ(engine.RunText("COUNT(*) :- 1 != 1.").ValueOrDie().At(0, 0), 0);
+  EXPECT_EQ(engine.RunText("COUNT(*) :- 1 < 2.").ValueOrDie().At(0, 0), 1);
+}
+
 TEST(WorkloadTest, EmployeeProjectsShape) {
   Database db = EmployeeProjects(100, 30, 1, 4, 3);
   RelId ep = db.FindRelation("EP").ValueOrDie();

@@ -11,6 +11,7 @@
 #include "eval/acyclic.hpp"
 #include "eval/common.hpp"
 #include "eval/datalog_eval.hpp"
+#include "eval/inequality.hpp"
 #include "eval/naive.hpp"
 #include "eval/ucq.hpp"
 #include "graph/generators.hpp"
@@ -169,6 +170,8 @@ TEST(PlanGoldenTest, DatalogTransitiveClosure) {
   Database db = GoldenDb();
   auto tc = TransitiveClosureProgram();
   EXPECT_EQ(RenderDatalogPlan(db, tc).ValueOrDie(),
+            "-- route: semi-naive fixpoint over cached rule plans (Section "
+            "4: Datalog)\n"
             "Fixpoint(tc) [semi-naive, 2 rules; delta-substituted variants "
             "are planned at first firing]\n"
             "  rule 0: tc(x,y) :- E(x,y).\n"
@@ -477,6 +480,34 @@ TEST(EnginePlanTest, PlanTextDoesNotExecute) {
   // Estimates only — nothing ran, so no actual row counts.
   EXPECT_EQ(plan.find("actual="), std::string::npos);
   EXPECT_FALSE(engine.PlanText("p() := not (exists x . E(x, x)).").ok());
+}
+
+TEST(EnginePlanTest, PlanTextOfABodylessQueryShowsNoPlan) {
+  // Run answers a body-less query from its head, so `.plan` shows the route
+  // and no plan.
+  Database db = GraphDb(CycleGraph(4));
+  Engine engine(db);
+  auto plan = engine.PlanText("ans(1) :- 1 < 2.").ValueOrDie();
+  EXPECT_NE(plan.find("-- route: constant answer"), std::string::npos);
+  EXPECT_EQ(plan.find("Scan("), std::string::npos) << plan;
+  ASSERT_EQ(engine.RunText("ans(1) :- 1 < 2.").ValueOrDie().size(), 1u);
+  EXPECT_EQ(engine.last_stats().plan.scans, 0u);
+}
+
+TEST(EnginePlanTest, PlanTextOfTheTheorem2RouteIsTheColorCodingPlan) {
+  // The render is the residual plan Run executes per coloring, never a
+  // relational fallback.
+  Database db = GraphDb(CycleGraph(4));
+  Engine engine(db);
+  const char* text = "ans(a, c) :- E(a, b), E(b, c), a != c.";
+  auto q = ParseConjunctive(text).ValueOrDie();
+  const RouteDecision route = DecideRoute(q, PlannerOptions{});
+  ASSERT_EQ(route.engine, EngineChoice::kInequality);
+  EXPECT_EQ(engine.PlanText(text).ValueOrDie(),
+            "-- route: " + std::string(route.reason) + "\n" +
+                IneqPlanText(db, q).ValueOrDie());
+  ASSERT_TRUE(engine.RunText(text).ok());
+  EXPECT_GT(engine.last_stats().ineq.family_size, 0u);
 }
 
 TEST(EnginePlanTest, PlanTextShowsTheExecutedPlanUnderEveryToggle) {

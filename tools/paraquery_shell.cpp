@@ -47,7 +47,10 @@ using namespace paraquery;
 
 namespace {
 
-void PrintRelation(const Database& db, const Relation& rel) {
+// `count_column`: the last column is a count (a COUNT head), printed as an
+// integer even where its value equals a dictionary code.
+void PrintRelation(const Database& db, const Relation& rel,
+                   bool count_column) {
   if (rel.arity() == 0) {
     std::cout << (rel.empty() ? "false" : "true") << "\n";
     return;
@@ -57,7 +60,8 @@ void PrintRelation(const Database& db, const Relation& rel) {
     for (size_t c = 0; c < rel.arity(); ++c) {
       if (c > 0) std::cout << ", ";
       Value v = rel.At(r, c);
-      if (db.dict().Contains(v)) {
+      const bool count = count_column && c + 1 == rel.arity();
+      if (!count && db.dict().Contains(v)) {
         std::cout << "'" << db.dict().Lookup(v) << "'";
       } else {
         std::cout << v;
@@ -147,7 +151,7 @@ int main(int argc, char** argv) {
     if (pending.empty()) return;
     auto result = engine.RunText(pending, &db.dict());
     if (result.ok()) {
-      PrintRelation(db, result.value());
+      PrintRelation(db, result.value(), engine.last_stats().route.counting);
     } else {
       std::cout << "error: " << result.status() << "\n";
     }

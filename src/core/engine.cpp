@@ -145,6 +145,10 @@ Engine::Engine(const Database& db, EngineOptions options)
                                        "columnar mirror cache hits");
   m_.columnar_builds = &metrics_.counter("pq_columnar_cache_builds_total",
                                          "columnar mirror builds");
+  m_.set_hits = &metrics_.counter("pq_set_form_cache_hits_total",
+                                  "set form (HashDedup) cache hits");
+  m_.set_builds = &metrics_.counter("pq_set_form_cache_builds_total",
+                                    "set form (HashDedup) hash passes");
   query_metrics_.operator_rows = &metrics_.histogram(
       "pq_operator_rows", "rows produced per executed plan operator");
 }
@@ -350,6 +354,8 @@ void Engine::FinishQuery(double seconds, const Status& status,
   m_.trie_builds->Set(sc.trie_builds.load(std::memory_order_relaxed));
   m_.columnar_hits->Set(sc.columnar_hits.load(std::memory_order_relaxed));
   m_.columnar_builds->Set(sc.columnar_builds.load(std::memory_order_relaxed));
+  m_.set_hits->Set(sc.set_hits.load(std::memory_order_relaxed));
+  m_.set_builds->Set(sc.set_builds.load(std::memory_order_relaxed));
 }
 
 QueryContext* Engine::ArmQueryContext() const {
@@ -369,8 +375,9 @@ QueryContext* Engine::ArmQueryContext() const {
   return run_ctx_.get();
 }
 
-Result<std::string> Engine::ExplainText(const std::string& text) {
-  PQ_ASSIGN_OR_RETURN(ParsedText parsed, ParseText(text, nullptr));
+Result<std::string> Engine::ExplainText(const std::string& text,
+                                        Dictionary* dict) {
+  PQ_ASSIGN_OR_RETURN(ParsedText parsed, ParseText(text, dict));
   const PlannerOptions planner = Context(nullptr).planner;
   if (const auto* q = std::get_if<ConjunctiveQuery>(&parsed)) {
     return ExplainConjunctive(*q, db_, planner);

@@ -154,7 +154,9 @@ class Engine {
                            Dictionary* dict = nullptr);
 
   /// Classification + physical plan for a query, as a human-readable report.
-  Result<std::string> ExplainText(const std::string& text);
+  /// String constants need `dict`, as in RunText.
+  Result<std::string> ExplainText(const std::string& text,
+                                  Dictionary* dict = nullptr);
 
   /// Renders the physical plan for `text` without executing it (the shell's
   /// `.plan` command). Cardinalities are planner estimates only.
@@ -258,6 +260,8 @@ class Engine {
     Counter* trie_builds = nullptr;
     Counter* columnar_hits = nullptr;
     Counter* columnar_builds = nullptr;
+    Counter* set_hits = nullptr;
+    Counter* set_builds = nullptr;
   };
 
   const Database* db_;

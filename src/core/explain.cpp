@@ -150,7 +150,7 @@ Result<std::string> RenderDatalogPlan(const Database& db,
       }
     }
     auto plan = PlanRuleBody(rule, attrs, sizes, caches, /*delta_pos=*/-1,
-                             /*distinct=*/{}, planner.vectorize);
+                             /*distinct=*/{}, planner.vectorize, &db.dict());
     if (!plan.ok()) {
       oss << "    unavailable: " << plan.status().message() << "\n";
       continue;

@@ -112,8 +112,10 @@ Result<NamedRelation> AtomToRelation(const Relation& rel, const Atom& atom,
     }
   }
   // Fast path: no constants, no repeated variables, no filters — S_j is the
-  // base relation itself under variable labels. Return a zero-copy view over
-  // the stored rows; the HashDedup below copies only if duplicates exist.
+  // base relation itself under variable labels, a zero-copy view over the
+  // stored rows. HashDedup keeps that storage when it is duplicate-free and
+  // otherwise adopts the set form cached on it: one hash pass per stored
+  // block, shared by every plan, query and engine that reads it.
   if (raw.empty() && vars.size() == atom.terms.size() && filters.empty()) {
     NamedRelation view{vars, rel};
     view.rel().HashDedup();

@@ -270,7 +270,8 @@ class DatalogRun {
                           AtomToRelation(db_.relation(found.value()), a));
       // The cache lives for the whole fixpoint; drop the full-base-relation
       // capacity AtomToRelation reserved in case the selection kept few rows
-      // (a no-op when the materialization is a view of the stored relation).
+      // (a no-op when the materialization shares the stored relation's
+      // storage or its cached set form).
       rel.rel().ShrinkToFit();
       std::lock_guard<std::mutex> lock(edb_mutex_);
       auto it = edb_by_signature_.find(sig);
@@ -315,6 +316,9 @@ class DatalogRun {
         *changed = true;
       }
     }
+    // Each row entered `full` as new, so next round's AtomToRelation over
+    // the delta skips its hash pass.
+    fresh.MarkDuplicateFree();
   }
 
   // Bumps a DatalogStats counter (concurrent firings share the struct).
@@ -443,7 +447,7 @@ class DatalogRun {
         PQ_ASSIGN_OR_RETURN(
             variant.plan,
             PlanRuleBody(rule, attrs, sizes, caches, delta_pos, distinct,
-                         ctx_.planner.vectorize));
+                         ctx_.planner.vectorize, &db_.dict()));
         variant.planned_delta_rows = observed;
         if (ctx_.plan_cache != nullptr) {
           // Publish the canonical form: rule var -> canonical id is the

@@ -127,7 +127,8 @@ struct PlanStats {
   size_t peak_intermediate_rows = 0;
   /// Total rows produced by operators (the ResourceLimits::max_steps meter).
   uint64_t rows_produced = 0;
-  /// S_j scans bound to zero-copy views over stored relations (plan time).
+  /// S_j scans bound to the stored relation's storage or to the set form
+  /// cached on it (plan time): zero-copy inputs shared across plans.
   size_t shared_atom_storage = 0;
   /// Project calls answered by a storage-sharing view instead of a row copy.
   size_t zero_copy_projections = 0;

@@ -97,10 +97,12 @@ struct PlanCacheStats {
 /// stored relations its query reads, held in a capacity-bounded LRU.
 class PlanCache {
  public:
-  /// Default LRU capacity. Entries hold data-sized artifacts (materialized
-  /// S_j inputs), so a long-lived engine receiving a stream of distinct
-  /// queries must not grow without bound; EngineOptions::plan_cache_capacity
-  /// overrides this (0 = unlimited).
+  /// Default LRU capacity. Entries may hold data-sized artifacts (the S_j
+  /// inputs of atoms with constants or repeated variables, compiled
+  /// Theorem 2 families; constant-free atoms share the stored relation's
+  /// storage or its cached set form), so a long-lived engine receiving a
+  /// stream of distinct queries must not grow without bound;
+  /// EngineOptions::plan_cache_capacity overrides this (0 = unlimited).
   static constexpr size_t kDefaultCapacity = 4096;
 
   /// Returns the entry for `key`, or nullptr (a counted miss). An entry

@@ -23,17 +23,25 @@ void TagColumnarChain(PlanNode* n) {
   }
 }
 
-std::string TermText(const Term& t, const VarTable& vars) {
-  if (t.is_const()) return internal::StrCat(t.value());
+// A constant that `dict` (nullable) holds as a code renders as its string.
+std::string TermText(const Term& t, const VarTable& vars,
+                     const Dictionary* dict) {
+  if (t.is_const()) {
+    if (dict != nullptr && dict->Contains(t.value())) {
+      return internal::StrCat("'", dict->Lookup(t.value()), "'");
+    }
+    return internal::StrCat(t.value());
+  }
   if (t.var() >= 0 && t.var() < vars.size()) return vars.name(t.var());
   return internal::StrCat("$", t.var());
 }
 
-std::string AtomText(const Atom& a, const VarTable& vars) {
+std::string AtomText(const Atom& a, const VarTable& vars,
+                     const Dictionary* dict) {
   std::string out = a.relation + "(";
   for (size_t i = 0; i < a.terms.size(); ++i) {
     if (i > 0) out += ", ";
-    out += TermText(a.terms[i], vars);
+    out += TermText(a.terms[i], vars, dict);
   }
   return out + ")";
 }
@@ -99,9 +107,10 @@ bool CompareBound(const std::vector<AttrId>& attrs, const CompareAtom& cmp) {
 
 // Per-column distinct counts of `rel` (real statistics, computed lazily and
 // cached on the shared RowBlock — see Relation::DistinctCount), seeding the
-// planner's join selectivities. For zero-copy atom views this hits the
-// stored relation's cache across queries; a fresh S_j materialization pays
-// one O(rows) pass per column at plan time (estimates feed EXPLAIN and the
+// planner's join selectivities. A constant-free atom's input is the stored
+// relation's storage or its cached set form, so this hits across plans and
+// queries; a selection S_j (constants, repeated variables) pays one O(rows)
+// pass per column at plan time (estimates feed EXPLAIN and the
 // est-vs-actual drift surface — join ORDER still comes from input sizes).
 std::vector<double> ScanDistinctCounts(const NamedRelation& rel) {
   std::vector<double> distinct;
@@ -112,17 +121,18 @@ std::vector<double> ScanDistinctCounts(const NamedRelation& rel) {
   return distinct;
 }
 
-// Builds the slot-bound S_j scan for each body atom. Counts zero-copy views.
+// Builds the slot-bound S_j scan for each body atom. Counts the inputs that
+// share the stored relation's storage or its cached set form.
 Status BuildAtomScans(const Database& db, const ConjunctiveQuery& q,
                       PhysicalPlan* plan, std::vector<PlanNodePtr>* scans) {
   for (const Atom& a : q.body) {
     PQ_ASSIGN_OR_RETURN(RelId id, db.FindRelation(a.relation));
     PQ_ASSIGN_OR_RETURN(NamedRelation rel, AtomToRelation(db.relation(id), a));
-    if (rel.rel().SharesStorageWith(db.relation(id))) {
+    if (rel.rel().SharesStorageOrSetFormWith(db.relation(id))) {
       ++plan->shared_atom_storage;
     }
     int slot = static_cast<int>(plan->inputs.size());
-    scans->push_back(MakeScan(slot, rel.attrs(), AtomText(a, q.vars),
+    scans->push_back(MakeScan(slot, rel.attrs(), AtomText(a, q.vars, &db.dict()),
                               static_cast<double>(rel.size()),
                               /*cache=*/nullptr, ScanDistinctCounts(rel)));
     plan->inputs.push_back(std::move(rel));
@@ -704,7 +714,8 @@ Result<PlanNodePtr> PlanRuleBody(
     const DatalogRule& rule, const std::vector<std::vector<AttrId>>& attrs,
     const std::vector<size_t>& sizes,
     const std::vector<JoinIndexCache*>& caches, int delta_pos,
-    const std::vector<std::vector<double>>& distinct, bool vectorize) {
+    const std::vector<std::vector<double>>& distinct, bool vectorize,
+    const Dictionary* dict) {
   if (rule.body.empty()) {
     return Status::InvalidArgument("cannot plan an empty rule body");
   }
@@ -712,7 +723,7 @@ Result<PlanNodePtr> PlanRuleBody(
   int num_vars = rule.vars.size();
   std::vector<const std::vector<AttrId>*> attr_ptrs;
   for (size_t i = 0; i < rule.body.size(); ++i) {
-    std::string label = AtomText(rule.body[i], rule.vars);
+    std::string label = AtomText(rule.body[i], rule.vars, dict);
     if (static_cast<int>(i) == delta_pos) label += " [delta]";
     scans.push_back(MakeScan(
         static_cast<int>(i), attrs[i], std::move(label),

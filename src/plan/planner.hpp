@@ -69,8 +69,9 @@ struct PhysicalPlan {
   std::vector<NamedRelation> inputs;
   std::vector<Term> head;
   VarTable vars;
-  /// Inputs bound to zero-copy views of stored relations (plan-time stat,
-  /// merged into PlanStats::shared_atom_storage on execution).
+  /// Inputs bound to a stored relation's storage or to the set form cached
+  /// on it (plan-time stat, merged into PlanStats::shared_atom_storage on
+  /// execution).
   size_t shared_atom_storage = 0;
 
   std::string Render() const { return RenderPlan(*root, &vars); }
@@ -149,13 +150,14 @@ std::vector<size_t> GreedyAtomOrder(const std::vector<NamedRelation>& rels,
 /// order. `distinct` (optional, per slot per column) seeds the cardinality
 /// model. The body must be nonempty.
 /// With `vectorize` the root becomes a Materialize boundary over the
-/// (columnar-tagged) chain when it is vectorizable.
+/// (columnar-tagged) chain when it is vectorizable. Scan labels render the
+/// constants that `dict` (nullable) holds as codes by their strings.
 Result<PlanNodePtr> PlanRuleBody(
     const DatalogRule& rule, const std::vector<std::vector<AttrId>>& attrs,
     const std::vector<size_t>& sizes,
     const std::vector<JoinIndexCache*>& caches, int delta_pos,
     const std::vector<std::vector<double>>& distinct = {},
-    bool vectorize = true);
+    bool vectorize = true, const Dictionary* dict = nullptr);
 
 }  // namespace paraquery
 

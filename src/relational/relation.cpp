@@ -6,6 +6,7 @@
 #include "common/status.hpp"
 #include "relational/row_index.hpp"
 #include "relational/row_sort.hpp"
+#include "relational/storage_cache_stats.hpp"
 
 namespace paraquery {
 
@@ -91,19 +92,56 @@ void Relation::HashDedup(const ParallelForFn& pfor) {
     return;
   }
   if (sorted_) return;  // already deduplicated (and sorted)
+  if (empty()) {  // never touch the global empty block's caches
+    sorted_ = true;
+    return;
+  }
+  StorageCacheStats& cache_stats = GlobalStorageCacheStats();
+  std::shared_ptr<RowBlock> set_form;
+  bool cached = false;
+  {
+    std::lock_guard<std::mutex> lock(block_->stats_mutex);
+    cached = block_->duplicate_free || block_->set_form != nullptr;
+    set_form = block_->set_form;
+  }
+  if (cached) {
+    cache_stats.set_hits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Build outside the lock, as DistinctCount does: concurrent views of one
+    // block may race to build it; the results are byte-identical and the
+    // first one stored is the one every view adopts.
+    set_form = BuildSetForm(pfor);
+    cache_stats.set_builds.fetch_add(1, std::memory_order_relaxed);
+    // An exclusive block dies on the swap below; caching on it buys nothing.
+    if (set_form == nullptr || block_.use_count() > 1) {
+      std::lock_guard<std::mutex> lock(block_->stats_mutex);
+      if (set_form == nullptr) {
+        block_->duplicate_free = true;
+      } else if (block_->set_form == nullptr) {
+        block_->set_form = set_form;
+      } else {
+        set_form = block_->set_form;
+      }
+    }
+  }
+  if (set_form != nullptr) {
+    block_ = std::move(set_form);
+    Sync();
+    Bump();
+  }
+  sorted_ = size() <= 1;
+}
+
+std::shared_ptr<RowBlock> Relation::BuildSetForm(
+    const ParallelForFn& pfor) const {
   size_t n = size();
   if (!pfor || n < kParallelDedupMinRows) {
     RowHashSet set(arity_);
     set.Reserve(n);
     for (size_t r = 0; r < n; ++r) set.Insert(Row(r));
-    // Duplicate-free input keeps its (possibly shared) storage untouched.
-    if (set.size() != n) {
-      block_ = std::move(set.TakeRelation().block_);
-      Sync();
-      Bump();
-    }
-    sorted_ = size() <= 1;
-    return;
+    // Appended through AppendRowUnchecked: already marked duplicate-free.
+    if (set.size() == n) return nullptr;
+    return std::move(set.TakeRelation().block_);
   }
 
   // Partitioned parallel dedup. Duplicates of a row share its full-row hash
@@ -190,10 +228,7 @@ void Relation::HashDedup(const ParallelForFn& pfor) {
   });
   size_t total = 0;
   for (size_t p = 0; p < kDedupParts; ++p) total += part_kept[p];
-  if (total == n) {  // duplicate-free: keep the (possibly shared) storage
-    sorted_ = size() <= 1;
-    return;
-  }
+  if (total == n) return nullptr;
   // Ordered compaction of the survivors into a fresh flat buffer.
   std::vector<size_t> chunk_off(chunks + 1, 0);
   ForChunks(pfor, n, kDedupGrain, [&](size_t c, size_t b, size_t e) {
@@ -210,9 +245,9 @@ void Relation::HashDedup(const ParallelForFn& pfor) {
       dst = std::copy(base + r * arity, base + (r + 1) * arity, dst);
     }
   });
-  ReplaceValues(std::move(out));
-  sorted_ = size() <= 1;
-  Bump();
+  auto block = std::make_shared<RowBlock>(std::move(out));
+  block->duplicate_free = true;
+  return block;
 }
 
 bool Relation::Contains(std::span<const Value> row) const {
@@ -262,6 +297,22 @@ size_t Relation::DistinctCount(size_t col) const {
   return distinct;
 }
 
+void Relation::MarkDuplicateFree() {
+  if (arity_ == 0 || empty()) return;
+  PQ_DCHECK(BuildSetForm({}) == nullptr,
+            "MarkDuplicateFree: the relation holds duplicate rows");
+  std::lock_guard<std::mutex> lock(block_->stats_mutex);
+  block_->duplicate_free = true;
+  block_->set_form.reset();
+}
+
+bool Relation::SharesStorageOrSetFormWith(const Relation& other) const {
+  if (SharesStorageWith(other)) return true;
+  if (arity_ == 0 || other.arity_ == 0 || other.empty()) return false;
+  std::lock_guard<std::mutex> lock(other.block_->stats_mutex);
+  return other.block_->set_form == block_;
+}
+
 bool Relation::EqualsAsSet(const Relation& other) const {
   if (arity_ != other.arity_) return false;
   Relation a = *this;
@@ -275,9 +326,7 @@ bool Relation::EqualsAsSet(const Relation& other) const {
 void Relation::Clear() {
   if (block_.use_count() == 1) {
     block_->values.clear();  // keep the exclusive buffer's capacity
-    block_->distinct_counts.clear();
-    block_->columnar.reset();
-    block_->tries.clear();
+    block_->InvalidateCaches();
   } else {
     block_ = EmptyBlock();
   }

@@ -69,6 +69,15 @@ struct RowBlock {
   std::vector<std::pair<std::vector<int>, std::shared_ptr<const TrieIndex>>>
       tries;
 
+  /// Cached set form of the rows (see Relation::HashDedup), guarded by
+  /// `stats_mutex` and invalidated exactly like `columnar`. Either
+  /// `duplicate_free` (the rows are pairwise distinct) or `set_form` points
+  /// at the deduplicated block (the first occurrence of each row, in row
+  /// order); neither when unknown. Never set on the global empty block, and
+  /// never for arity 0 (whose row count lives outside the block).
+  bool duplicate_free = false;
+  std::shared_ptr<RowBlock> set_form;
+
   /// Byte accounting for query memory budgets: the thread-current accountant
   /// at construction time (null outside engine runs), and the capacity bytes
   /// already charged to it. Account() keeps the charge equal to the buffer's
@@ -94,6 +103,16 @@ struct RowBlock {
   RowBlock& operator=(const RowBlock&) = delete;
   ~RowBlock() {
     if (accountant) accountant->Charge(-static_cast<int64_t>(charged_bytes));
+  }
+
+  /// Drops every cache derived from the rows. Called on in-place mutation
+  /// of an exclusively owned block.
+  void InvalidateCaches() {
+    distinct_counts.clear();
+    columnar.reset();
+    tries.clear();
+    duplicate_free = false;
+    set_form.reset();
   }
 
   /// Brings the charged byte count up to date with the buffer's capacity.
@@ -245,6 +264,12 @@ class Relation {
   /// of each row in its original position (no sorting). Preferred over
   /// SortAndDedup wherever the caller needs only set semantics, not a
   /// sorted order. A duplicate-free relation keeps its shared storage.
+  ///
+  /// The outcome is cached on the shared RowBlock, like the distinct
+  /// counts: the first dedup of a block records that it is duplicate-free,
+  /// or the deduplicated block itself, and later dedups of any view of the
+  /// same block keep the storage or adopt that block in O(1). Any mutation
+  /// invalidates the cache.
   void HashDedup() { HashDedup({}); }
 
   /// As HashDedup(); with `pfor` bound, large inputs deduplicate with a
@@ -282,6 +307,16 @@ class Relation {
   /// Empty relations return an uncached empty trie.
   std::shared_ptr<const TrieIndex> TrieView(const std::vector<int>& cols,
                                             const ParallelForFn& pfor = {}) const;
+
+  /// Records that the rows are pairwise distinct, so HashDedup of any view
+  /// of this storage costs O(1). The caller guarantees it (e.g. rows that a
+  /// RowHashSet admitted as new); debug builds check it. No-op for arity 0
+  /// and empty relations.
+  void MarkDuplicateFree();
+
+  /// True iff this relation's storage is `other`'s storage or the set form
+  /// that a HashDedup cached on it. A peek that never computes the set form.
+  bool SharesStorageOrSetFormWith(const Relation& other) const;
 
   /// True if SortAndDedup has run and no row was added since.
   bool sorted() const { return sorted_; }
@@ -342,29 +377,25 @@ class Relation {
     if (block_.use_count() > 1) {
       block_ = std::make_shared<RowBlock>(*block_);
     } else {
-      block_->distinct_counts.clear();
-      block_->columnar.reset();
-      block_->tries.clear();
+      block_->InvalidateCaches();
     }
     return block_->values;
   }
 
-  /// Replaces the storage with a freshly owned buffer (no clone of the old
-  /// contents; other views keep the previous block alive).
-  void ReplaceValues(std::vector<Value> values) {
-    block_ = std::make_shared<RowBlock>(std::move(values));
-    Sync();
-  }
+  /// The deduplicated rows of this relation's storage (marked
+  /// duplicate-free), or null when they already are duplicate-free. Arity
+  /// > 0 and non-empty only; never reads or writes the set-form cache.
+  std::shared_ptr<RowBlock> BuildSetForm(const ParallelForFn& pfor) const;
 
   /// Append without the copy-on-write check, for owners that know their
   /// block is exclusive (RowHashSet's backing relation, which detaches from
-  /// the global empty block up front). Arity > 0 only.
+  /// the global empty block up front). Arity > 0 only. The caller appends
+  /// only rows absent from the block, so the block stays duplicate-free.
   void AppendRowUnchecked(std::span<const Value> row) {
     PQ_DCHECK(block_.use_count() == 1,
               "AppendRowUnchecked requires exclusive storage");
-    block_->distinct_counts.clear();
-    block_->columnar.reset();
-    block_->tries.clear();
+    block_->InvalidateCaches();
+    block_->duplicate_free = true;
     block_->values.insert(block_->values.end(), row.begin(), row.end());
     Sync();
     sorted_ = false;

@@ -151,6 +151,14 @@ TEST(EngineTest, LastStatsExposeEvaluatorCounters) {
   auto cq = engine.RunText("ans(x) :- E(x, y).");
   ASSERT_TRUE(cq.ok());
   EXPECT_EQ(engine.last_stats().plan.shared_atom_storage, 1u);
+  // Over a bag, the atom binds the set form cached on the stored rows.
+  Database bag = db;
+  bag.relation(e).Add({1, 2});
+  Engine bag_engine(bag);
+  auto bag_cq = bag_engine.RunText("ans(x) :- E(x, y).");
+  ASSERT_TRUE(bag_cq.ok());
+  EXPECT_EQ(bag_cq.value().size(), 2u);
+  EXPECT_EQ(bag_engine.last_stats().plan.shared_atom_storage, 1u);
 }
 
 TEST(EngineTest, RunTextWithStringConstants) {

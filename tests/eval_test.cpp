@@ -193,6 +193,14 @@ TEST(AcyclicTest, StatsCountZeroCopyViews) {
   EXPECT_EQ(stats.shared_atom_storage, 2u);
   EXPECT_EQ(stats.projections, 0u);
 
+  // Over a stored bag, both atoms bind the set form cached on its storage,
+  // and both still count.
+  Database bag = MakeDb({{"R", {{1, 2}, {3, 4}, {1, 2}}}}, {2});
+  auto rr = ParseConjunctive("ans(x, y) :- R(x, y), R(x, y).").ValueOrDie();
+  PlanStats bag_stats;
+  EXPECT_EQ(AcyclicEvaluate(bag, rr, {}, &bag_stats).ValueOrDie().size(), 2u);
+  EXPECT_EQ(bag_stats.shared_atom_storage, 2u);
+
   // A no-op Project that does run is answered by a view.
   const NamedRelation r{{0, 1}, db.relation(0)};
   const NamedRelation* inputs[] = {&r};

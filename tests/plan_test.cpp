@@ -186,6 +186,55 @@ TEST(PlanGoldenTest, DatalogTransitiveClosure) {
             "          Scan(x, z) E(x, z) rows=4\n");
 }
 
+TEST(PlanGoldenTest, StringConstantsRenderByName) {
+  // Scan labels decode constants that the database's dictionary holds;
+  // other integers print as numbers.
+  Database db = GoldenDb();
+  RelId n = db.AddRelation("N", 2).ValueOrDie();
+  db.relation(n).Add({db.dict().Intern("alice"), 1});
+  db.relation(n).Add({db.dict().Intern("bob"), 3});
+  auto q = ParseConjunctive("ans(y) :- N('alice', x), E(x, y), E(y, 1).",
+                            &db.dict())
+               .ValueOrDie();
+  EXPECT_EQ(RenderConjunctivePlan(db, q).ValueOrDie(),
+            "-- route: Yannakakis: acyclic, free-connex (linear; "
+            "Durand-Grandjean)\n"
+            "HashJoin(y) project-out(x) est=0\n"
+            "  HashJoin(x, y) est=1\n"
+            "    Semijoin(x, y) est=1 as #1\n"
+            "      Semijoin(x, y) est=2\n"
+            "        Scan(x, y) E(x, y) rows=4\n"
+            "        Scan(y) E(y, 1) rows=1 as #2\n"
+            "      Scan(x) N('alice', x) rows=1 as #3\n"
+            "    Semijoin(y) est=1\n"
+            "      Scan(y) E(y, 1) see #2\n"
+            "      Semijoin(x, y) see #1\n"
+            "  Semijoin(x) est=1\n"
+            "    Scan(x) N('alice', x) see #3\n"
+            "    Semijoin(x, y) see #1\n");
+  auto p = ParseDatalog(
+               "reach(x) :- N('bob', x).\n"
+               "reach(y) :- reach(x), E(x, y).\n",
+               &db.dict())
+               .ValueOrDie();
+  // The rule lines come from the query printer, which has no dictionary.
+  EXPECT_EQ(RenderDatalogPlan(db, p).ValueOrDie(),
+            "-- route: semi-naive fixpoint over cached rule plans (Section "
+            "4: Datalog)\n"
+            "Fixpoint(reach) [semi-naive, 2 rules; delta-substituted "
+            "variants are planned at first firing]\n"
+            "  rule 0: reach(x) :- N(4611686018427387905,x).\n"
+            "    Materialize(x) est=2\n"
+            "      Project(x) [vec] est=2\n"
+            "        Scan(x) [vec] N('bob', x) rows=2\n"
+            "  rule 1: reach(y) :- reach(x), E(x,y).\n"
+            "    Materialize(y) est=?\n"
+            "      Project(y) [vec] est=?\n"
+            "        HashJoin(x, y) [vec] est=?\n"
+            "          Scan(x) [vec] reach(x) rows=?\n"
+            "          Scan(x, y) E(x, y) rows=4\n");
+}
+
 // ---------------------------------------------------------------------------
 // Schedule parity with the legacy Yannakakis implementation.
 // ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
         }
       } else if (cmd == ".explain") {
         std::string query = trimmed.substr(8);
-        auto report = engine.ExplainText(query);
+        auto report = engine.ExplainText(query, &db.dict());
         std::cout << (report.ok() ? report.value()
                                   : "error: " + report.status().ToString())
                   << "\n";

@@ -58,8 +58,8 @@ Result<std::string> RenderConjunctivePlan(const Database& db,
   const RouteDecision route = DecideRoute(q, planner);
   std::ostringstream oss;
   if (route.rewritten.has_value()) {
-    oss << "-- after comparison closure: " << route.rewritten->ToString()
-        << "\n";
+    oss << "-- after comparison closure: "
+        << route.rewritten->ToString(&db.dict()) << "\n";
   }
   oss << "-- route: " << route.reason << "\n";
   // Nothing runs for these; the color-coding engine compiles its own plan
@@ -98,7 +98,8 @@ Result<std::string> RenderPositivePlan(const Database& db,
   // Each disjunct carries its own variable table (ToUnionOfCqs standardizes
   // apart), so the subplans are rendered one at a time with their own names.
   for (size_t i = 0; i < shown; ++i) {
-    oss << "  disjunct " << i + 1 << ": " << cqs[i].ToString() << "\n";
+    oss << "  disjunct " << i + 1 << ": " << cqs[i].ToString(&db.dict())
+        << "\n";
     auto plan = RenderConjunctivePlan(db, cqs[i], planner);
     if (plan.ok()) {
       oss << Indent(plan.value(), 4);
@@ -123,7 +124,7 @@ Result<std::string> RenderDatalogPlan(const Database& db,
       << "; delta-substituted variants are planned at first firing]\n";
   for (size_t ri = 0; ri < p.rules.size(); ++ri) {
     const DatalogRule& rule = p.rules[ri];
-    oss << "  rule " << ri << ": " << rule.ToString() << "\n";
+    oss << "  rule " << ri << ": " << rule.ToString(&db.dict()) << "\n";
     if (rule.body.empty()) {
       oss << "    (constant head; fires once)\n";
       continue;
@@ -163,15 +164,16 @@ Result<std::string> RenderDatalogPlan(const Database& db,
 
 std::string ExplainConjunctive(const ConjunctiveQuery& q, const Database* db,
                                const PlannerOptions& planner) {
+  const Dictionary* dict = db != nullptr ? &db->dict() : nullptr;
   std::ostringstream oss;
-  oss << "query: " << q.ToString() << "\n";
+  oss << "query: " << q.ToString(dict) << "\n";
   const RouteDecision route = DecideRoute(q, planner);
   if (route.inconsistent) {
     oss << "comparison closure: INCONSISTENT — the answer is empty on "
            "every database (Section 5 / Klug)\n";
   } else if (route.rewritten.has_value()) {
-    oss << "comparison closure: collapsed to " << route.rewritten->ToString()
-        << "\n";
+    oss << "comparison closure: collapsed to "
+        << route.rewritten->ToString(dict) << "\n";
   }
   oss << ClassifyConjunctive(q, route).ToString();
   if (db != nullptr) {
@@ -183,7 +185,8 @@ std::string ExplainConjunctive(const ConjunctiveQuery& q, const Database* db,
 std::string ExplainFirstOrder(const FirstOrderQuery& q, const Database* db,
                               const PlannerOptions& planner) {
   std::ostringstream oss;
-  oss << "query: " << q.ToString() << "\n";
+  oss << "query: " << q.ToString(db != nullptr ? &db->dict() : nullptr)
+      << "\n";
   oss << ClassifyFirstOrder(q).ToString();
   if (db != nullptr && q.IsPositive()) {
     auto positive = PositiveQuery::FromFirstOrder(q);
@@ -198,7 +201,7 @@ std::string ExplainFirstOrder(const FirstOrderQuery& q, const Database* db,
 std::string ExplainDatalog(const DatalogProgram& p, const Database* db,
                            const PlannerOptions& planner) {
   std::ostringstream oss;
-  oss << "program:\n" << p.ToString();
+  oss << "program:\n" << p.ToString(db != nullptr ? &db->dict() : nullptr);
   oss << ClassifyDatalog(p).ToString();
   if (db != nullptr) {
     AppendPlanSection(&oss, RenderDatalogPlan(*db, p, planner));

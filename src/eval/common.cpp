@@ -188,18 +188,96 @@ Relation BindingsToAnswers(const NamedRelation& bindings,
   return out;
 }
 
-Relation SortAnswers(Relation answers, const RuntimeOptions& runtime) {
-  const ParallelForFn pfor = MakeParallelFor(runtime.scheduler);
-  if (runtime.tracer == nullptr && runtime.analyze == nullptr) {
-    answers.SortAndDedup(pfor);
-    return answers;
-  }
+namespace {
+
+// Runs `sort` (which returns the sorted answers), timing it as the answer
+// sort when EXPLAIN ANALYZE or a tracer is armed.
+template <typename SortFn>
+Relation TimedAnswerSort(const RuntimeOptions& runtime, const SortFn& sort) {
+  if (runtime.tracer == nullptr && runtime.analyze == nullptr) return sort();
   const uint64_t t0 = NowNanos();
-  answers.SortAndDedup(pfor);
+  Relation out = sort();
   const uint64_t t1 = NowNanos();
   if (runtime.tracer != nullptr) runtime.tracer->Record("answer.sort", t0, t1);
   if (runtime.analyze != nullptr) runtime.analyze->NoteAnswerSort(t1 - t0);
-  return answers;
+  return out;
+}
+
+}  // namespace
+
+Relation SortAnswers(Relation answers, const RuntimeOptions& runtime) {
+  return TimedAnswerSort(runtime, [&answers, &runtime] {
+    answers.SortAndDedup(MakeParallelFor(runtime.scheduler));
+    return std::move(answers);
+  });
+}
+
+namespace {
+
+// Merges two sorted, duplicate-free row buffers of `arity` columns into one
+// sorted, duplicate-free buffer: a row both hold is kept once.
+std::vector<Value> MergeTwo(const std::vector<Value>& a,
+                            const std::vector<Value>& b, size_t arity) {
+  std::vector<Value> out(a.size() + b.size());
+  const Value *pa = a.data(), *ea = pa + a.size();
+  const Value *pb = b.data(), *eb = pb + b.size();
+  Value* o = out.data();
+  auto take = [&o, arity](const Value*& p) {
+    o = std::copy(p, p + arity, o);
+    p += arity;
+  };
+  while (pa != ea && pb != eb) {
+    size_t i = 0;
+    while (i < arity && pa[i] == pb[i]) ++i;
+    if (i == arity) {  // in both: keep one
+      take(pa);
+      pb += arity;
+    } else if (pa[i] < pb[i]) {
+      take(pa);
+    } else {
+      take(pb);
+    }
+  }
+  o = std::copy(pa, ea, o);
+  o = std::copy(pb, eb, o);
+  out.resize(static_cast<size_t>(o - out.data()));
+  return out;
+}
+
+}  // namespace
+
+Relation MergeSortedAnswers(const std::vector<Relation>& parts, size_t arity,
+                            const RuntimeOptions& runtime) {
+  return TimedAnswerSort(runtime, [&parts, arity] {
+    std::vector<const Relation*> live;
+    for (const Relation& p : parts) {
+      if (!p.empty()) live.push_back(&p);
+    }
+    if (live.size() == 1) return *live[0];  // shares the sorted storage
+    if (arity == 0 || live.empty()) {
+      Relation out = AnswerRelation(arity, live.size(), {});
+      out.MarkSorted();
+      return out;
+    }
+    // A balanced tree of two-way merges: every row is copied about log2(k)
+    // times, once for the usual two disjuncts.
+    std::vector<std::vector<Value>> runs;
+    for (size_t i = 0; i + 1 < live.size(); i += 2) {
+      runs.push_back(MergeTwo(live[i]->data(), live[i + 1]->data(), arity));
+    }
+    if (live.size() % 2 == 1) runs.push_back(live.back()->data());
+    while (runs.size() > 1) {
+      std::vector<std::vector<Value>> next;
+      for (size_t i = 0; i + 1 < runs.size(); i += 2) {
+        next.push_back(MergeTwo(runs[i], runs[i + 1], arity));
+      }
+      if (runs.size() % 2 == 1) next.push_back(std::move(runs.back()));
+      runs = std::move(next);
+    }
+    Relation merged(arity, std::move(runs[0]));
+    merged.MarkSorted();
+    return merged;
+  });
 }
 
 Result<NamedRelation> ExecuteCachedPlan(const Database& db,

@@ -62,6 +62,14 @@ Relation AnswerRelation(size_t arity, size_t rows, std::vector<Value> values);
 /// it reads no clock.
 Relation SortAnswers(Relation answers, const RuntimeOptions& runtime);
 
+/// The union's form of that one sort: merges answers that SortAnswers
+/// already sorted (each part sorted and duplicate-free, `arity` columns)
+/// into one sorted, duplicate-free relation — a balanced tree of linear
+/// two-way merges, one merge for two parts — so a later SortAnswers is a
+/// no-op. Timed like SortAnswers.
+Relation MergeSortedAnswers(const std::vector<Relation>& parts, size_t arity,
+                            const RuntimeOptions& runtime);
+
 /// A planner entry point (PlanAcyclicCq, PlanCyclicCq, PlanCountingCq, ...).
 using CqPlanner = Result<PhysicalPlan> (*)(const Database&,
                                            const ConjunctiveQuery&,

@@ -2,10 +2,16 @@
 // per-group counting queries (AnswerSpec) without materializing the join
 // output. Acyclic comparison-free queries run the counting-Yannakakis
 // schedule (semijoin reducer passes, then an upward multiplicity-folding
-// pass of Aggregate + SemijoinCount nodes); comparison-free cyclic queries
-// run the same pass over the hypertree-decomposition bag tree; everything
-// else enumerates the distinct body-variable assignments through the
-// general planner and aggregates at the root — all under the caller's
+// pass of Aggregate + SemijoinCount nodes). Comparison-free cyclic queries
+// fold over the hypertree-decomposition bag tree, each bag counted down to
+// its interface (the variables it shares with a neighbor bag, plus its
+// group keys): a bag joined by a binary chain sums its private variables
+// out in a fused join-count (plan/plan.hpp MakeJoinCount), and a child bag
+// whose counts cover its parent's interface is multiplied in inside the
+// parent's kernel, so neither bag is materialized; a bag with a cyclic core
+// runs a leapfrog multiway join under an Aggregate. Everything else
+// enumerates the distinct body-variable assignments through the general
+// planner and aggregates at the root — all under the caller's
 // ResourceLimits, all through the shared plan executor.
 #ifndef PARAQUERY_EVAL_COUNTING_H_
 #define PARAQUERY_EVAL_COUNTING_H_
@@ -23,7 +29,8 @@ namespace paraquery {
 /// count yields one row per nonempty group — the group keys in head order
 /// plus the trailing count — sorted by group. `plan_stats`, when given,
 /// receives the shared executor's counters (peak_intermediate_rows stays
-/// bounded by the input and semijoin sizes on the counting-Yannakakis route).
+/// bounded by the input and semijoin sizes on the counting-Yannakakis route,
+/// and a fused bag contributes only its interface groups).
 /// Counting plans are cached under "cq-cnt:" + CanonicalCqSignature — the
 /// signature carries the answer shape, so a counting plan is never served
 /// for a tuple query over the same text (or vice versa).

@@ -49,18 +49,18 @@ bool YannakakisRoute(const ConjunctiveQuery& cq, const EvalContext& ctx) {
 
 Result<Relation> EvaluateDisjunct(const Database& db,
                                   const ConjunctiveQuery& cq,
-                                  const EvalContext& ctx, UcqStats* stats,
-                                  PlanStats* plan_stats) {
+                                  const EvalContext& ctx, bool sort_output,
+                                  UcqStats* stats, PlanStats* plan_stats) {
   PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
   PQ_FAULT_POINT("ucq.disjunct");
   TraceSpan span(ctx.runtime.tracer, "disjunct");
   if (stats != nullptr) ++stats->disjuncts_evaluated;
   if (YannakakisRoute(cq, ctx)) {
     if (stats != nullptr) ++stats->acyclic_disjuncts;
-    return AcyclicEvaluate(db, cq, ctx, plan_stats, /*sort_output=*/false);
+    return AcyclicEvaluate(db, cq, ctx, plan_stats, sort_output);
   }
   if (stats != nullptr) ++stats->naive_disjuncts;
-  return NaiveEvaluateCq(db, cq, ctx, plan_stats, /*sort_output=*/false);
+  return NaiveEvaluateCq(db, cq, ctx, plan_stats, sort_output);
 }
 
 Result<bool> DisjunctNonempty(const Database& db, const ConjunctiveQuery& cq,
@@ -102,7 +102,7 @@ void MergeDisjunctShares(const std::vector<DisjunctShare>& shares,
 }
 
 // Concatenates the disjuncts' answers into one buffer (unsorted, with the
-// duplicates shared between disjuncts).
+// duplicates shared between disjuncts), for the counting union.
 Relation ConcatAnswers(const std::vector<Relation>& parts, size_t arity) {
   size_t rows = 0, values = 0;
   for (const Relation& part : parts) {
@@ -121,10 +121,12 @@ Relation ConcatAnswers(const std::vector<Relation>& parts, size_t arity) {
 // disjunct order — one task per disjunct when a scheduler is bound (per-task
 // stats merge and parts land in disjunct order after the barrier, so both
 // the results and the counters match the sequential evaluation; the first
-// error in disjunct order wins and cancels the remaining tasks).
+// error in disjunct order wins and cancels the remaining tasks). With
+// `sort_parts` each part is sorted (SortAnswers) inside its own task.
 Result<std::vector<Relation>> EvaluateAllDisjuncts(
     const Database& db, const std::vector<ConjunctiveQuery>& cqs,
-    const EvalContext& ctx, UcqStats* stats, PlanStats* plan_stats) {
+    const EvalContext& ctx, bool sort_parts, UcqStats* stats,
+    PlanStats* plan_stats) {
   std::vector<Relation> out;
   out.reserve(cqs.size());
   if (ctx.runtime.parallel() && cqs.size() > 1) {
@@ -133,8 +135,8 @@ Result<std::vector<Relation>> EvaluateAllDisjuncts(
     TaskGroup group(ctx.runtime.scheduler);
     for (size_t i = 0; i < cqs.size(); ++i) {
       group.Spawn([&, i] {
-        parts[i].emplace(EvaluateDisjunct(db, cqs[i], ctx, &shares[i].ucq,
-                                          &shares[i].plan));
+        parts[i].emplace(EvaluateDisjunct(db, cqs[i], ctx, sort_parts,
+                                          &shares[i].ucq, &shares[i].plan));
         if (!parts[i]->ok()) group.Cancel();
       });
     }
@@ -149,8 +151,8 @@ Result<std::vector<Relation>> EvaluateAllDisjuncts(
     return out;
   }
   for (const ConjunctiveQuery& cq : cqs) {
-    PQ_ASSIGN_OR_RETURN(Relation part,
-                        EvaluateDisjunct(db, cq, ctx, stats, plan_stats));
+    PQ_ASSIGN_OR_RETURN(Relation part, EvaluateDisjunct(db, cq, ctx, sort_parts,
+                                                        stats, plan_stats));
     out.push_back(std::move(part));
   }
   return out;
@@ -165,9 +167,11 @@ Result<Relation> EvaluatePositive(const Database& db, const PositiveQuery& q,
   TraceSpan route_span(ctx.runtime.tracer, "route.ucq");
   PQ_ASSIGN_OR_RETURN(auto cqs,
                       ExpandDedupedDisjuncts(q, options.max_disjuncts, stats));
-  PQ_ASSIGN_OR_RETURN(std::vector<Relation> parts,
-                      EvaluateAllDisjuncts(db, cqs, ctx, stats, plan_stats));
-  return SortAnswers(ConcatAnswers(parts, q.fo().head.size()), ctx.runtime);
+  PQ_ASSIGN_OR_RETURN(
+      std::vector<Relation> parts,
+      EvaluateAllDisjuncts(db, cqs, ctx, /*sort_parts=*/true, stats,
+                           plan_stats));
+  return MergeSortedAnswers(parts, q.fo().head.size(), ctx.runtime);
 }
 
 Result<Relation> EvaluatePositiveCount(const Database& db,
@@ -204,8 +208,10 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
     }
     gcols.push_back(static_cast<int>(it - free_vars.begin()));
   }
-  PQ_ASSIGN_OR_RETURN(std::vector<Relation> parts,
-                      EvaluateAllDisjuncts(db, cqs, ctx, stats, plan_stats));
+  PQ_ASSIGN_OR_RETURN(
+      std::vector<Relation> parts,
+      EvaluateAllDisjuncts(db, cqs, ctx, /*sort_parts=*/false, stats,
+                           plan_stats));
   const size_t n = parts.size();
   // Inclusion–exclusion over disjunct subsets: per group g,
   //   |∪ A_i restricted to g| = Σ_{∅≠S} (−1)^{|S|+1} |∩_{i∈S} A_i at g|.

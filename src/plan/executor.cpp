@@ -284,8 +284,11 @@ class Executor {
       case PlanOp::kHashJoin: {
         PQ_FAULT_POINT("executor.hashjoin");
         // A join whose attrs drop a child attribute is a fused join-project
-        // (never with a post-filter; MakeHashJoin enforces it).
-        const bool project = !JoinProjectedOut(n).empty();
+        // (never with a post-filter; MakeHashJoin enforces it), one whose
+        // attrs end with #count a fused join-count (MakeJoinCount), whose
+        // optional third child is its weight.
+        const bool count = IsJoinCount(n);
+        const bool project = !count && !JoinProjectedOut(n).empty();
         Result<NamedRelation> lres = NamedRelation{n.attrs};
         Result<NamedRelation> rres = NamedRelation{n.attrs};
         PQ_RETURN_NOT_OK(ExecChildren(n, &lres, &rres, charge));
@@ -293,6 +296,29 @@ class Executor {
         if (left.empty()) return NamedRelation{n.attrs};
         PQ_ASSIGN_OR_RETURN(NamedRelation right, std::move(rres));
         if (right.empty()) return NamedRelation{n.attrs};
+        // A weight (a join-count itself, MakeJoinCount) is never executed
+        // on its own: its two inputs are, and the kernel counts both joins
+        // group by group.
+        PlanNode* wnode = count && n.children.size() > 2
+                              ? n.children[2].get()
+                              : nullptr;
+        std::optional<Result<NamedRelation>> wleft, wright;
+        if (wnode != nullptr) {
+          // Timed like a node (EXPLAIN ANALYZE): the weight's time is its
+          // inputs', the counting kernel's is this node's.
+          const bool timed = ctx_.runtime.tracer != nullptr ||
+                             ctx_.runtime.analyze != nullptr;
+          const uint64_t t0 = timed ? NowNanos() : 0;
+          wleft = Exec(*wnode->children[0], charge);
+          if (wleft->ok() && !wleft->value().empty()) {
+            wright = Exec(*wnode->children[1], charge);
+          }
+          if (timed) wnode->actual_ns += NowNanos() - t0;
+          PQ_RETURN_NOT_OK(wleft->status());
+          if (wleft->value().empty()) return NamedRelation{n.attrs};
+          PQ_RETURN_NOT_OK(wright->status());
+          if (wright->value().empty()) return NamedRelation{n.attrs};
+        }
         JoinOptions jo;
         jo.max_output_rows = ctx_.limits.max_rows;
         jo.post_filter = n.predicate;  // pushed σ_F (empty = plain join)
@@ -300,22 +326,39 @@ class Executor {
         Result<NamedRelation> joined = [&]() -> Result<NamedRelation> {
           PQ_FAULT_POINT("executor.hashjoin.build");
           const std::vector<int> keys = JoinKeyColumns(left, right);
-          JoinIndexCache* cache = n.children[1]->index_cache;
-          std::optional<RowIndex> local;
-          // A cached scan builds over the caller-owned slot relation, NOT
-          // the local `right` copy: the cache (and the RowIndex's Relation
-          // pointer) outlives this call, and the slot input is the one
-          // relation guaranteed to outlive the cache.
-          const RowIndex& idx =
-              n.children[1]->op == PlanOp::kScan && cache != nullptr
-                  ? cache->GetOrBuild(
-                        ctx_.inputs[n.children[1]->input_slot]->rel(), keys,
-                        ctx_.stats, pfor_)
-                  : local.emplace(right.rel(), keys, pfor_);
-          if (project) {
-            return JoinProject(left, right, idx, n.attrs, ctx_.runtime,
-                               ctx_.limits.max_rows, &morsels);
+          const RowIndex* cached = CachedIndex(*n.children[1], keys);
+          if (project || count) {
+            // The grouped kernels probe a cached index, else key runs or a
+            // RowIndex of their own.
+            KeyKind key = KeyKind::kNone;
+            Result<NamedRelation> out = NamedRelation{n.attrs};
+            if (count) {
+              JoinCountWeight weight;
+              if (wnode != nullptr) {
+                const NamedRelation& wl = wleft->value();
+                const NamedRelation& wr = wright->value();
+                weight = {&wl, &wr,
+                          CachedIndex(*wnode->children[1],
+                                      JoinKeyColumns(wl, wr))};
+              }
+              out = JoinCount(left, right, cached, n.attrs, ctx_.runtime,
+                              wnode != nullptr ? &weight : nullptr,
+                              ctx_.limits.max_rows, &morsels, &key);
+              if (out.ok() && wnode != nullptr) {
+                wnode->actual_rows = weight.groups;
+                NoteKey(*wnode, weight.key);
+              }
+            } else {
+              out = JoinProject(left, right, cached, n.attrs, ctx_.runtime,
+                                ctx_.limits.max_rows, &morsels, &key);
+            }
+            NoteKey(n, key);
+            return out;
           }
+          std::optional<RowIndex> local;
+          const RowIndex& idx = cached != nullptr
+                                    ? *cached
+                                    : local.emplace(right.rel(), keys, pfor_);
           // Morsel-parallel probe: the fast path only (no row cap, no
           // pushed filter, nonzero output arity); the sequential kernel
           // keeps the filtered/limited cases.
@@ -494,6 +537,18 @@ class Executor {
       out.insert(out.end(), b.begin(), b.end());
     }
     return NamedRelation{attrs, Relation(attrs.size(), std::move(out))};
+  }
+
+  // The JoinIndexCache index of a cached scan over `keys`, built over the
+  // caller-owned slot relation, NOT a local copy: the cache (and the
+  // RowIndex's Relation pointer) outlives this call, and the slot input is
+  // the one relation guaranteed to outlive the cache. Null for any other
+  // node.
+  const RowIndex* CachedIndex(const PlanNode& node,
+                              const std::vector<int>& keys) {
+    if (node.op != PlanOp::kScan || node.index_cache == nullptr) return nullptr;
+    return &node.index_cache->GetOrBuild(ctx_.inputs[node.input_slot]->rel(),
+                                         keys, ctx_.stats, pfor_);
   }
 
   // Records the key structure a keyed kernel ran with (EXPLAIN ANALYZE's

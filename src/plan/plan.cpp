@@ -298,6 +298,61 @@ std::vector<AttrId> JoinProjectedOut(const PlanNode& n) {
   return out;
 }
 
+PlanNodePtr MakeJoinCount(PlanNodePtr left, PlanNodePtr right,
+                          std::vector<AttrId> group_attrs,
+                          PlanNodePtr weight) {
+  PQ_CHECK(!HasCountAttr(left->attrs) && !HasCountAttr(right->attrs),
+           "MakeJoinCount: the joined inputs carry no count column");
+  PlanNodePtr n = MakeHashJoin(std::move(left), std::move(right));
+  // Output cardinality = # distinct groups, as for MakeAggregate.
+  std::vector<double> distinct;
+  for (AttrId a : group_attrs) {
+    PQ_CHECK(std::find(n->attrs.begin(), n->attrs.end(), a) != n->attrs.end(),
+             "MakeJoinCount: group attribute not in the join");
+    if (!n->attr_distinct.empty()) distinct.push_back(DistinctOf(*n, a));
+  }
+  if (group_attrs.empty()) {
+    n->est_rows = 1.0;
+  } else if (!distinct.empty()) {
+    n->est_rows = DedupCardinalityCap(distinct, n->est_rows);
+    for (double& v : distinct) v = CapDistinct(v, n->est_rows);
+    distinct.push_back(-1.0);
+  }
+  n->attrs = std::move(group_attrs);
+  n->attrs.push_back(kCountAttr);
+  n->attr_distinct = std::move(distinct);
+  if (weight != nullptr) {
+    std::vector<AttrId> keys(n->attrs.begin(), n->attrs.end() - 1);
+    std::vector<AttrId> wkeys(weight->attrs.begin(), weight->attrs.end() - 1);
+    PQ_CHECK(IsJoinCount(*weight) && weight->children.size() == 2 &&
+                 JoinCountKey(weight->children[0]->attrs, wkeys) ==
+                     JoinCountKey(n->children[0]->attrs, keys),
+             "MakeJoinCount: the weight must be a join-count with the same "
+             "grouping key");
+    std::sort(keys.begin(), keys.end());
+    std::sort(wkeys.begin(), wkeys.end());
+    PQ_CHECK(keys == wkeys,
+             "MakeJoinCount: the weight must count exactly the groups");
+    if (n->est_rows >= 0) n->est_rows *= 0.5;  // as a SemijoinCount filter
+    n->children.push_back(std::move(weight));
+  }
+  return n;
+}
+
+bool IsJoinCount(const PlanNode& n) {
+  return n.op == PlanOp::kHashJoin && HasCountAttr(n.attrs);
+}
+
+std::vector<AttrId> JoinCountKey(const std::vector<AttrId>& left,
+                                 const std::vector<AttrId>& group_attrs) {
+  std::vector<AttrId> out;
+  for (AttrId a : group_attrs) {
+    if (std::find(left.begin(), left.end(), a) != left.end()) out.push_back(a);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right) {
   auto n = std::make_shared<PlanNode>();
   n->op = PlanOp::kSemijoin;
@@ -506,8 +561,9 @@ struct Renderer {
     }
     out << ")";
     const std::vector<AttrId> dropped = JoinProjectedOut(n);
+    const char* fused = IsJoinCount(n) ? " count-out(" : " project-out(";
     for (size_t i = 0; i < dropped.size(); ++i) {
-      out << (i == 0 ? " project-out(" : ", ") << AttrName(dropped[i]);
+      out << (i == 0 ? fused : ", ") << AttrName(dropped[i]);
       if (i + 1 == dropped.size()) out << ")";
     }
     if (n.repr == PlanRepr::kColumnar) out << " [vec]";

@@ -4,9 +4,13 @@
 // operators the paper's algorithms are stated in: Scan (an S_j input slot),
 // Select, Project, HashJoin, Semijoin, Dedup, and Fixpoint (a marker node
 // whose iteration is driven by the Datalog engine), plus the physical
-// additions Materialize, MultiwayJoin, Aggregate and SemijoinCount. A union
-// of conjunctive queries is not one plan: the UCQ evaluator runs each
-// disjunct's plan and sorts the concatenated answers once.
+// additions Materialize, MultiwayJoin, Aggregate and SemijoinCount. A
+// HashJoin may fuse its parent's work: a projection (join-project) or a
+// count (join-count, which the counting planner uses to sum each hypertree
+// bag down to its interface without materializing the bag). A union of
+// conjunctive queries is not one plan: the UCQ evaluator runs each
+// disjunct's plan, sorts each answer in the disjunct's task and merges the
+// sorted answers once.
 //
 // The planner (planner.hpp) lowers classified queries to plans; the executor
 // (executor.hpp) runs any plan on the RowBlock/RowIndex kernels and fills in
@@ -57,9 +61,11 @@ enum class PlanOp {
   kProject,   // keep `attrs`, optionally deduplicating
   kHashJoin,  // natural join, right side probed through a RowIndex. When
               // `attrs` omits a child attribute (JoinProjectedOut) the node
-              // is a fused join-project π_attrs(L ⋈ R) with set semantics:
-              // the grouped kernel (runtime/parallel_ops.hpp JoinProject)
-              // never materializes the join
+              // is a fused join-project π_attrs(L ⋈ R) with set semantics;
+              // when `attrs` ends with kCountAttr it is a fused join-count
+              // (MakeJoinCount), with an optional third child, its weight.
+              // Both run as grouped kernels (runtime/parallel_ops.hpp
+              // JoinProject, JoinCount) that never materialize the join
   kSemijoin,  // left ⋉ right
   kDedup,     // explicit set-semantics enforcement
   kFixpoint,  // Datalog marker: children are per-rule body plans; iteration
@@ -120,8 +126,9 @@ struct PlanStats {
   /// Counting operators executed (counting-Yannakakis / COUNT plans).
   size_t aggregates = 0;
   size_t semijoin_counts = 0;
-  /// Semijoin, Aggregate and SemijoinCount executions keyed through a
-  /// dense KeyRange array rather than a RowIndex.
+  /// Semijoin, Aggregate, SemijoinCount and fused HashJoin executions
+  /// keyed through a dense KeyRange array or key runs rather than a
+  /// RowIndex.
   size_t dense_keys = 0;
   /// Largest operator output (scans excluded) seen during execution.
   size_t peak_intermediate_rows = 0;
@@ -217,9 +224,9 @@ struct PlanNode {
   /// Column batches a kMaterialize boundary pushed through its vectorized
   /// pipeline (0 = not executed vectorized); rendered as "vec=N".
   uint64_t actual_batches = 0;
-  /// Key structure a Semijoin, Aggregate or SemijoinCount probed (a
-  /// KeyRange-indexed array or a RowIndex); rendered as "key=dense" or
-  /// "key=hash".
+  /// Key structure a Semijoin, Aggregate, SemijoinCount or fused HashJoin
+  /// probed (a KeyRange-indexed array or key runs, or a RowIndex); rendered
+  /// as "key=dense" or "key=hash".
   KeyKind actual_key = KeyKind::kNone;
   /// Cumulative wall nanoseconds spent computing this node, children
   /// included (the compute recursion runs through the children). Filled only
@@ -253,9 +260,39 @@ PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
                          Predicate post_filter = {},
                          std::vector<AttrId> project = {});
 
-/// The attributes a kHashJoin node projects away: its children's attributes
-/// absent from its own attrs, in child order. Empty for a plain join.
+/// The attributes a kHashJoin node projects away — or, for a join-count,
+/// sums out: its children's attributes absent from its own attrs, in child
+/// order. Empty for a plain join.
 std::vector<AttrId> JoinProjectedOut(const PlanNode& n);
+
+/// Fused join-count γ_{group; #count}(left ⋈ right): attrs are
+/// `group_attrs` (each an attribute of the join) plus kCountAttr, and the
+/// executor counts each group's join rows in one grouped kernel
+/// (runtime/parallel_ops.hpp JoinCount), never materializing the join. Both
+/// children are regular (no kCountAttr). The output is what
+/// MakeAggregate(MakeHashJoin(left, right), group_attrs) computes, ordered
+/// by group. A non-null `weight` must itself be an unweighted join-count
+/// over the same group attributes that draws the same ones from its left
+/// child (JoinCountKey); it becomes a third child whose counts multiply in,
+/// as MakeSemijoinCount(join_count, weight) would — a group without a
+/// weight count drops out — while the kernel computes both joins' counts
+/// group by group, materializing neither. The counting planner emits
+/// join-counts for the hypertree bags whose join is a binary chain, with
+/// the bag's private variables summed out. EXPLAIN renders those, e.g.
+/// "HashJoin(y, w, #count) count-out(z)".
+PlanNodePtr MakeJoinCount(PlanNodePtr left, PlanNodePtr right,
+                          std::vector<AttrId> group_attrs,
+                          PlanNodePtr weight = nullptr);
+
+/// True for a fused join-count node (a kHashJoin whose attrs end with
+/// kCountAttr).
+bool IsJoinCount(const PlanNode& n);
+
+/// The group attributes a join-count over `left` draws from that child
+/// (the kernel's grouping key K), sorted.
+std::vector<AttrId> JoinCountKey(const std::vector<AttrId>& left,
+                                 const std::vector<AttrId>& group_attrs);
+
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right);
 PlanNodePtr MakeDedup(PlanNodePtr child);
 PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,

@@ -23,6 +23,10 @@ void TagColumnarChain(PlanNode* n) {
   }
 }
 
+bool Contains(const std::vector<AttrId>& attrs, AttrId a) {
+  return std::find(attrs.begin(), attrs.end(), a) != attrs.end();
+}
+
 // A constant that `dict` (nullable) holds as a code renders as its string.
 std::string TermText(const Term& t, const VarTable& vars,
                      const Dictionary* dict) {
@@ -237,13 +241,80 @@ std::vector<AttrId> SharedAttrs(const std::vector<int>& a,
   return out;
 }
 
-// Shared prefix of the wcoj tuple and counting routes: the decomposition,
-// per-bag join nodes (leapfrog inside cyclic cores), the upward reduction,
-// and the optional downward pass. `cur[b]` ends as bag b's reduced relation.
+// The wcoj tuple route's bag tree: the decomposition, per-bag join nodes
+// (BagJoin below), the upward reduction, and the optional downward pass.
+// `cur[b]` ends as bag b's reduced relation. (The counting route sums each
+// bag out instead: BagCountingPass.)
 struct BagTreePlan {
   HypertreeDecomposition d;
   std::vector<PlanNodePtr> cur;
 };
+
+// Bag b's join over its cover: one contribution per cover edge — the homed
+// atoms keep every attribute (all inside chi by construction), the rest
+// project down to the bag. A leapfrog multiway join when the bag's core is
+// cyclic, with the children's outputs `cur[c]` joining the intersection
+// projected to the shared attributes (SIP); a greedy binary chain
+// otherwise.
+PlanNodePtr BagJoin(const ConjunctiveQuery& q,
+                    const std::vector<PlanNodePtr>& scans,
+                    const HypertreeDecomposition& d, int b,
+                    const std::vector<PlanNodePtr>& cur) {
+  const HypertreeBag& bag = d.bags[b];
+  std::vector<PlanNodePtr> contrib;
+  Hypergraph core(q.NumVariables());
+  for (int e : bag.cover) {
+    PlanNodePtr s = scans[e];
+    bool homed = std::find(bag.home_edges.begin(), bag.home_edges.end(), e) !=
+                 bag.home_edges.end();
+    if (!homed) {
+      std::vector<AttrId> keep;
+      for (AttrId a : s->attrs) {
+        if (std::binary_search(bag.vertices.begin(), bag.vertices.end(), a)) {
+          keep.push_back(a);
+        }
+      }
+      if (keep.size() != s->attrs.size()) {
+        s = MakeProject(std::move(s), keep, /*dedup=*/true);
+      }
+    }
+    core.AddEdge(std::vector<int>(s->attrs.begin(), s->attrs.end()));
+    contrib.push_back(std::move(s));
+  }
+  // Cost model: the leapfrog kernel wins exactly when the bag's core is
+  // genuinely cyclic (>= 3 atoms whose cover hypergraph has no join tree);
+  // an acyclic core keeps the cheaper binary chain.
+  const bool cyclic_core = contrib.size() >= 3 && !BuildJoinTree(core).ok();
+  if (cyclic_core) {
+    // SIP: each child bag's output joins the intersection directly
+    // (projected to the shared attributes), fusing the upward semijoin of
+    // the Yannakakis reduction into the multiway operator.
+    for (int c : d.children[b]) {
+      std::vector<AttrId> shared = SharedAttrs(d.bags[c].vertices, bag.vertices);
+      if (shared.empty()) continue;  // the upward join pass still links it
+      contrib.push_back(MakeProject(cur[c], std::move(shared),
+                                    /*dedup=*/true));
+    }
+    return MakeMultiwayJoin(
+        std::move(contrib),
+        std::vector<AttrId>(bag.vertices.begin(), bag.vertices.end()));
+  }
+  std::vector<const std::vector<AttrId>*> attr_ptrs;
+  std::vector<size_t> sizes;
+  attr_ptrs.reserve(contrib.size());
+  sizes.reserve(contrib.size());
+  for (const PlanNodePtr& cn : contrib) {
+    attr_ptrs.push_back(&cn->attrs);
+    sizes.push_back(cn->est_rows >= 0 ? static_cast<size_t>(cn->est_rows)
+                                      : std::numeric_limits<size_t>::max());
+  }
+  std::vector<size_t> order = GreedyAtomOrder(attr_ptrs, sizes, q.NumVariables());
+  PlanNodePtr node = contrib[order[0]];
+  for (size_t k = 1; k < order.size(); ++k) {
+    node = MakeHashJoin(std::move(node), contrib[order[k]]);
+  }
+  return node;
+}
 
 Result<BagTreePlan> BuildBagTreePlan(const ConjunctiveQuery& q,
                                      const std::vector<PlanNodePtr>& scans,
@@ -251,74 +322,17 @@ Result<BagTreePlan> BuildBagTreePlan(const ConjunctiveQuery& q,
   Hypergraph h = q.BuildHypergraph();
   PQ_ASSIGN_OR_RETURN(HypertreeDecomposition d,
                       BuildHypertreeDecomposition(h));
-  const size_t nb = d.size();
-  std::vector<PlanNodePtr> cur(nb);
+  std::vector<PlanNodePtr> cur(d.size());
   for (int b : d.bottom_up) {
-    const HypertreeBag& bag = d.bags[b];
-    // One contribution per cover edge: the homed atoms keep every attribute
-    // (all inside chi by construction), the rest project down to the bag.
-    std::vector<PlanNodePtr> contrib;
-    Hypergraph core(q.NumVariables());
-    for (int e : bag.cover) {
-      PlanNodePtr s = scans[e];
-      bool homed = std::find(bag.home_edges.begin(), bag.home_edges.end(),
-                             e) != bag.home_edges.end();
-      if (!homed) {
-        std::vector<AttrId> keep;
-        for (AttrId a : s->attrs) {
-          if (std::binary_search(bag.vertices.begin(), bag.vertices.end(),
-                                 a)) {
-            keep.push_back(a);
-          }
-        }
-        if (keep.size() != s->attrs.size()) {
-          s = MakeProject(std::move(s), keep, /*dedup=*/true);
-        }
-      }
-      core.AddEdge(std::vector<int>(s->attrs.begin(), s->attrs.end()));
-      contrib.push_back(std::move(s));
-    }
-    // Cost model: the leapfrog kernel wins exactly when the bag's core is
-    // genuinely cyclic (>= 3 atoms whose cover hypergraph has no join tree);
-    // an acyclic core keeps the cheaper binary chain.
-    const bool cyclic_core = contrib.size() >= 3 && !BuildJoinTree(core).ok();
-    if (cyclic_core) {
-      // SIP: each child bag's reduced output joins the intersection directly
-      // (projected to the shared attributes), fusing the upward semijoin of
-      // the Yannakakis reduction into the multiway operator.
-      for (int c : d.children[b]) {
-        std::vector<AttrId> shared =
-            SharedAttrs(d.bags[c].vertices, bag.vertices);
-        if (shared.empty()) continue;  // the upward join pass still links it
-        contrib.push_back(MakeProject(cur[c], std::move(shared),
-                                      /*dedup=*/true));
-      }
-      cur[b] = MakeMultiwayJoin(
-          std::move(contrib),
-          std::vector<AttrId>(bag.vertices.begin(), bag.vertices.end()));
-    } else {
-      std::vector<const std::vector<AttrId>*> attr_ptrs;
-      std::vector<size_t> sizes;
-      attr_ptrs.reserve(contrib.size());
-      sizes.reserve(contrib.size());
-      for (const PlanNodePtr& cn : contrib) {
-        attr_ptrs.push_back(&cn->attrs);
-        sizes.push_back(cn->est_rows >= 0
-                            ? static_cast<size_t>(cn->est_rows)
-                            : std::numeric_limits<size_t>::max());
-      }
-      std::vector<size_t> order =
-          GreedyAtomOrder(attr_ptrs, sizes, q.NumVariables());
-      PlanNodePtr node = contrib[order[0]];
-      for (size_t k = 1; k < order.size(); ++k) {
-        node = MakeHashJoin(std::move(node), contrib[order[k]]);
-      }
-      // Upward Yannakakis reduction by the already-reduced children.
+    PlanNodePtr node = BagJoin(q, scans, d, b, cur);
+    if (node->op != PlanOp::kMultiwayJoin) {
+      // Upward Yannakakis reduction by the already-reduced children (the
+      // multiway join took them in through SIP).
       for (int c : d.children[b]) {
         node = MakeSemijoin(std::move(node), cur[c]);
       }
-      cur[b] = std::move(node);
     }
+    cur[b] = std::move(node);
   }
   if (full_reducer) {
     // Downward pass: bag relations become globally consistent.
@@ -377,40 +391,150 @@ Result<PlanNodePtr> PlanWcojRoot(const ConjunctiveQuery& q,
   return ProjectHead(cur[d.root], head_vars);
 }
 
-// Counting-Yannakakis upward pass over a reduced join tree (GYO atom tree or
-// hypertree bag tree). Bottom-up, each node j folds into its parent u as
-// per-key multiplicities: j is aggregated to the attributes it shares with u
-// plus any group variables it carries (by induction, a node's attribute set
-// already contains every group variable of its subtree — SemijoinCount
-// unions the right side's extra regular attributes in), and the parent picks
-// the counts up with a multiplicity-weighted semijoin. The invariant is that
-// after its children are folded in, node j's multiplicity column counts the
-// distinct assignments to its subtree's remaining (projected-away)
-// variables; running intersection makes the per-child counts independent, so
-// the products are exact. The root aggregates to the group keys in head
-// order. The full join is never materialized: every intermediate is bounded
-// by an input/semijoin size plus the group-key fan-out.
+// The counts child `j` hands its parent in a counting pass: j aggregated to
+// the attributes it shares with the parent (`parent_attrs`) plus the group
+// variables it carries (by induction, a node's attribute set already
+// contains every group variable of its subtree — SemijoinCount unions the
+// right side's extra regular attributes in). A child that already counts
+// exactly those attributes is its own fold.
+PlanNodePtr FoldChild(const PlanNodePtr& child,
+                      const std::vector<AttrId>& parent_attrs,
+                      const std::vector<AttrId>& group_vars) {
+  std::vector<AttrId> keys, regular;
+  for (AttrId a : child->attrs) {
+    if (a == kCountAttr) continue;
+    regular.push_back(a);
+    if (Contains(parent_attrs, a) || Contains(group_vars, a)) {
+      keys.push_back(a);
+    }
+  }
+  if (keys == regular && HasCountAttr(child->attrs)) return child;
+  return MakeAggregate(child, std::move(keys));
+}
+
+// Counting-Yannakakis upward pass over a reduced join tree (the GYO atom
+// tree). Bottom-up, each node j folds into its parent u as per-key
+// multiplicities (FoldChild), and the parent picks the counts up with a
+// multiplicity-weighted semijoin. The invariant is that after its children
+// are folded in, node j's multiplicity column counts the distinct
+// assignments to its subtree's remaining (projected-away) variables;
+// running intersection makes the per-child counts independent, so the
+// products are exact. The root aggregates to the group keys in head order.
+// The full join is never materialized: every intermediate is bounded by an
+// input/semijoin size plus the group-key fan-out.
 PlanNodePtr CountingUpwardPass(std::vector<PlanNodePtr> cur,
                                const std::vector<int>& bottom_up,
                                const std::vector<int>& parent, int root,
                                const std::vector<AttrId>& group_vars) {
-  auto in_group = [&group_vars](AttrId a) {
-    return std::find(group_vars.begin(), group_vars.end(), a) !=
-           group_vars.end();
-  };
   for (int j : bottom_up) {
     int u = parent[j];
     if (u < 0) continue;
-    std::vector<AttrId> keys;
-    for (AttrId a : cur[j]->attrs) {
-      if (a == kCountAttr) continue;
-      bool shared = std::find(cur[u]->attrs.begin(), cur[u]->attrs.end(),
-                              a) != cur[u]->attrs.end();
-      if (shared || in_group(a)) keys.push_back(a);
-    }
-    cur[u] = MakeSemijoinCount(cur[u], MakeAggregate(cur[j], std::move(keys)));
+    cur[u] = MakeSemijoinCount(cur[u],
+                               FoldChild(cur[j], cur[u]->attrs, group_vars));
   }
   return MakeAggregate(cur[root], group_vars);
+}
+
+// The counting pass over a hypertree bag tree. Each bag joins its cover
+// (BagJoin) and is counted down to its interface: the attributes it shares
+// with its parent or a child, plus the group variables it holds. When the
+// bag's join is a binary chain, its last join becomes a fused join-count
+// (MakeJoinCount), so a variable private to the bag is summed out inside
+// that join and the bag is never materialized; a multiway join stays whole.
+// Children fold in as in CountingUpwardPass (FoldChild, then a
+// SemijoinCount), except that a child join-count whose groups are exactly
+// the bag's interface becomes the bag's weight: one kernel computes both
+// bags' counts group by group, materializing neither. Both join-counts are
+// oriented to group by the same left attributes, preferring stored scans
+// on the left (their sorted tries are cached on storage). No semijoin
+// reduction runs first: the SemijoinCount folds and the weight filter the
+// bags themselves. The root aggregates to the group keys in head order.
+Result<PlanNodePtr> BagCountingPass(const ConjunctiveQuery& q,
+                                    const std::vector<PlanNodePtr>& scans,
+                                    const std::vector<AttrId>& group_vars) {
+  Hypergraph h = q.BuildHypergraph();
+  PQ_ASSIGN_OR_RETURN(HypertreeDecomposition d,
+                      BuildHypertreeDecomposition(h));
+  auto in_bag = [&d](int b, AttrId a) {
+    return std::binary_search(d.bags[b].vertices.begin(),
+                              d.bags[b].vertices.end(), a);
+  };
+  std::vector<PlanNodePtr> cur(d.size());
+  for (int b : d.bottom_up) {
+    const std::vector<AttrId> bag_attrs(d.bags[b].vertices.begin(),
+                                        d.bags[b].vertices.end());
+    std::vector<AttrId> iface;
+    for (AttrId a : bag_attrs) {
+      bool keep = Contains(group_vars, a) ||
+                  (d.parent[b] >= 0 && in_bag(d.parent[b], a));
+      for (int c : d.children[b]) keep = keep || in_bag(c, a);
+      if (keep) iface.push_back(a);
+    }
+    std::vector<PlanNodePtr> folds;
+    for (int c : d.children[b]) {
+      folds.push_back(FoldChild(cur[c], bag_attrs, group_vars));
+    }
+    PlanNodePtr node = BagJoin(q, scans, d, b, cur);
+    if (node->op == PlanOp::kHashJoin) {
+      // The weight: a child join-count over exactly this interface.
+      PlanNodePtr weight;
+      for (PlanNodePtr& f : folds) {
+        if (!IsJoinCount(*f) || f->children.size() != 2) continue;
+        std::vector<AttrId> keys(f->attrs.begin(), f->attrs.end() - 1);
+        std::sort(keys.begin(), keys.end());
+        if (keys == iface) {
+          weight = std::move(f);
+          break;
+        }
+      }
+      if (weight != nullptr || iface.size() < node->attrs.size()) {
+        // Orientation: (swap this join, swap the weight's) with equal
+        // grouping keys, most stored scans on the left first.
+        const PlanNodePtr& l = node->children[0];
+        const PlanNodePtr& r = node->children[1];
+        int best = -1, best_scans = -1;
+        for (int o = 0; o < (weight != nullptr ? 4 : 2); ++o) {
+          const PlanNode& left = (o & 1) ? *r : *l;
+          int scans_left = left.op == PlanOp::kScan;
+          if (weight != nullptr) {
+            const PlanNode& wleft = *weight->children[(o & 2) ? 1 : 0];
+            if (JoinCountKey(wleft.attrs, iface) !=
+                JoinCountKey(left.attrs, iface)) {
+              continue;
+            }
+            scans_left += wleft.op == PlanOp::kScan;
+          }
+          if (scans_left > best_scans) {
+            best = o;
+            best_scans = scans_left;
+          }
+        }
+        if (best >= 0) {
+          if (weight != nullptr && (best & 2)) {
+            weight = MakeJoinCount(weight->children[1], weight->children[0],
+                                   iface);
+          }
+          node = (best & 1) ? MakeJoinCount(r, l, iface, std::move(weight))
+                            : MakeJoinCount(l, r, iface, std::move(weight));
+        } else {
+          // No orientation groups both alike: fold the child below instead.
+          folds.push_back(std::move(weight));
+          node = MakeJoinCount(l, r, iface);
+        }
+      }
+    }
+    for (PlanNodePtr& f : folds) {
+      if (f != nullptr) node = MakeSemijoinCount(std::move(node), std::move(f));
+    }
+    cur[b] = std::move(node);
+  }
+  PlanNodePtr root = std::move(cur[d.root]);
+  std::vector<AttrId> regular = root->attrs;
+  if (HasCountAttr(regular)) {
+    regular.pop_back();
+    if (regular == group_vars) return root;
+  }
+  return MakeAggregate(std::move(root), group_vars);
 }
 
 }  // namespace
@@ -650,18 +774,16 @@ Result<PhysicalPlan> PlanCountingCq(const Database& db,
     return plan;
   }
 
-  // Comparison-free cyclic core (the WCOJ gate): the same counting pass over
-  // the hypertree bag tree, with leapfrog multiway joins inside cyclic bags.
+  // Comparison-free cyclic core (the WCOJ gate): the counting pass over the
+  // hypertree bag tree, with fused join-counts summing out each bag's
+  // private variables and leapfrog multiway joins inside cyclic bags.
   if (route.wcoj) {
     PhysicalPlan plan;
     plan.head = q.head;
     plan.vars = q.vars;
     std::vector<PlanNodePtr> scans;
     PQ_RETURN_NOT_OK(BuildAtomScans(db, q, &plan, &scans));
-    PQ_ASSIGN_OR_RETURN(BagTreePlan bags,
-                        BuildBagTreePlan(q, scans, options.full_reducer));
-    plan.root = CountingUpwardPass(std::move(bags.cur), bags.d.bottom_up,
-                                   bags.d.parent, bags.d.root, group_vars);
+    PQ_ASSIGN_OR_RETURN(plan.root, BagCountingPass(q, scans, group_vars));
     return plan;
   }
 

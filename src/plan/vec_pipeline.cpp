@@ -31,8 +31,9 @@ bool WalkChain(const PlanNode& node, bool is_sink,
       // A pushed post-filter would have to run row-at-a-time inside the
       // probe; keep those joins on the scalar kernel.
       if (!node.predicate.empty()) return false;
-      // So would a fused projection (a grouped kernel, not a probe stage).
-      if (!JoinProjectedOut(node).empty()) return false;
+      // So would a fused projection or count (grouped kernels, not probe
+      // stages).
+      if (!JoinProjectedOut(node).empty() || IsJoinCount(node)) return false;
       if (node.attrs.empty() || node.children[0]->attrs.empty() ||
           node.children[1]->attrs.empty()) {
         return false;

@@ -14,6 +14,8 @@
 
 namespace paraquery {
 
+class Dictionary;
+
 /// What shape of answer a query asks for. The default (kTuples) is the
 /// classical contract: a materialized relation of head tuples. Counting
 /// queries (`COUNT(*) :- ...` / `COUNT(x, y) :- ...`) instead ask for the
@@ -96,7 +98,10 @@ class ConjunctiveQuery {
   /// by the empty (Boolean) head.
   ConjunctiveQuery BindHead(const std::vector<Value>& tuple) const;
 
-  std::string ToString() const;
+  /// The query in parser syntax. Constants that `dict` holds as codes
+  /// print as their quoted strings; without a dictionary every constant
+  /// prints as its integer.
+  std::string ToString(const Dictionary* dict = nullptr) const;
 };
 
 }  // namespace paraquery

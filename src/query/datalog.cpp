@@ -27,31 +27,6 @@ Status DatalogRule::Validate() const {
   return Status::OK();
 }
 
-std::string DatalogRule::ToString() const {
-  std::ostringstream oss;
-  auto print_atom = [this, &oss](const Atom& a) {
-    oss << a.relation << "(";
-    for (size_t i = 0; i < a.terms.size(); ++i) {
-      if (i > 0) oss << ",";
-      const Term& t = a.terms[i];
-      if (t.is_var()) {
-        oss << vars.name(t.var());
-      } else {
-        oss << t.value();
-      }
-    }
-    oss << ")";
-  };
-  print_atom(head);
-  oss << " :- ";
-  for (size_t i = 0; i < body.size(); ++i) {
-    if (i > 0) oss << ", ";
-    print_atom(body[i]);
-  }
-  oss << ".";
-  return oss.str();
-}
-
 std::vector<std::string> DatalogProgram::IdbRelations() const {
   std::vector<std::string> out;
   for (const DatalogRule& r : rules) {
@@ -130,9 +105,9 @@ size_t DatalogProgram::QuerySize() const {
   return q;
 }
 
-std::string DatalogProgram::ToString() const {
+std::string DatalogProgram::ToString(const Dictionary* dict) const {
   std::ostringstream oss;
-  for (const DatalogRule& r : rules) oss << r.ToString() << "\n";
+  for (const DatalogRule& r : rules) oss << r.ToString(dict) << "\n";
   oss << "% goal: " << goal << "\n";
   return oss.str();
 }

@@ -14,6 +14,8 @@
 
 namespace paraquery {
 
+class Dictionary;
+
 /// One rule head :- body. Variables are scoped to the rule (each rule has
 /// its own variable table).
 struct DatalogRule {
@@ -24,7 +26,8 @@ struct DatalogRule {
   /// Safety: every head variable occurs in the body.
   Status Validate() const;
 
-  std::string ToString() const;
+  /// The rule in parser syntax; constants print as ConjunctiveQuery's do.
+  std::string ToString(const Dictionary* dict = nullptr) const;
 };
 
 /// A Datalog program with a designated goal (output) relation.
@@ -57,7 +60,8 @@ class DatalogProgram {
   /// Total symbol count (parameter q).
   size_t QuerySize() const;
 
-  std::string ToString() const;
+  /// One rule per line; constants print as ConjunctiveQuery's do.
+  std::string ToString(const Dictionary* dict = nullptr) const;
 };
 
 }  // namespace paraquery

@@ -79,7 +79,8 @@ class FirstOrderQuery {
   /// True if φ uses only kAtom, kAnd, kOr, kExists (a positive query).
   bool IsPositive() const;
 
-  std::string ToString() const;
+  /// The formula in parser syntax; constants print as ConjunctiveQuery's do.
+  std::string ToString(const Dictionary* dict = nullptr) const;
 };
 
 }  // namespace paraquery

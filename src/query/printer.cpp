@@ -4,7 +4,9 @@
 #include <sstream>
 
 #include "query/conjunctive_query.hpp"
+#include "query/datalog.hpp"
 #include "query/first_order_query.hpp"
+#include "relational/dictionary.hpp"
 
 namespace paraquery {
 
@@ -24,10 +26,15 @@ const char* OpText(CompareOp op) {
   return "?";
 }
 
-void PrintTerm(std::ostringstream& oss, const VarTable& vars, const Term& t) {
+// A constant that `dict` (nullable) holds as a code prints as its quoted
+// string, as the parser reads it.
+void PrintTerm(std::ostringstream& oss, const VarTable& vars, const Term& t,
+               const Dictionary* dict) {
   if (t.is_var()) {
     oss << (t.var() >= 0 && t.var() < vars.size() ? vars.name(t.var())
                                                   : "?badvar");
+  } else if (dict != nullptr && dict->Contains(t.value())) {
+    oss << "'" << dict->Lookup(t.value()) << "'";
   } else {
     oss << t.value();
   }
@@ -36,65 +43,66 @@ void PrintTerm(std::ostringstream& oss, const VarTable& vars, const Term& t) {
 // Head prefix "name(" or "COUNT(" / "COUNT(*" for counting queries.
 void PrintHead(std::ostringstream& oss, const VarTable& vars,
                const std::vector<Term>& head, const AnswerSpec& answer,
-               const char* tuple_name) {
+               const char* tuple_name, const Dictionary* dict) {
   oss << (answer.counting() ? "COUNT" : tuple_name) << "(";
   if (answer.kind == AnswerSpec::Kind::kCount) {
     oss << "*";
   } else {
     for (size_t i = 0; i < head.size(); ++i) {
       if (i > 0) oss << ",";
-      PrintTerm(oss, vars, head[i]);
+      PrintTerm(oss, vars, head[i], dict);
     }
   }
   oss << ")";
 }
 
-void PrintAtom(std::ostringstream& oss, const VarTable& vars, const Atom& a) {
+void PrintAtom(std::ostringstream& oss, const VarTable& vars, const Atom& a,
+               const Dictionary* dict) {
   oss << a.relation << "(";
   for (size_t i = 0; i < a.terms.size(); ++i) {
     if (i > 0) oss << ",";
-    PrintTerm(oss, vars, a.terms[i]);
+    PrintTerm(oss, vars, a.terms[i], dict);
   }
   oss << ")";
 }
 
 }  // namespace
 
-std::string ConjunctiveQuery::ToString() const {
+std::string ConjunctiveQuery::ToString(const Dictionary* dict) const {
   std::ostringstream oss;
-  PrintHead(oss, vars, head, answer, "ans");
+  PrintHead(oss, vars, head, answer, "ans", dict);
   oss << " :- ";
   bool first = true;
   for (const Atom& a : body) {
     if (!first) oss << ", ";
     first = false;
-    PrintAtom(oss, vars, a);
+    PrintAtom(oss, vars, a, dict);
   }
   for (const CompareAtom& c : comparisons) {
     if (!first) oss << ", ";
     first = false;
-    PrintTerm(oss, vars, c.lhs);
+    PrintTerm(oss, vars, c.lhs, dict);
     oss << " " << OpText(c.op) << " ";
-    PrintTerm(oss, vars, c.rhs);
+    PrintTerm(oss, vars, c.rhs, dict);
   }
   oss << ".";
   return oss.str();
 }
 
-std::string FirstOrderQuery::ToString() const {
+std::string FirstOrderQuery::ToString(const Dictionary* dict) const {
   std::ostringstream oss;
-  PrintHead(oss, vars, head, answer, "q");
+  PrintHead(oss, vars, head, answer, "q", dict);
   oss << " := ";
   auto print = [&](auto&& self, int id) -> void {
     const Node& n = nodes[id];
     switch (n.kind) {
       case NodeKind::kAtom:
-        PrintAtom(oss, vars, atoms[n.atom]);
+        PrintAtom(oss, vars, atoms[n.atom], dict);
         break;
       case NodeKind::kCompare:
-        PrintTerm(oss, vars, n.compare.lhs);
+        PrintTerm(oss, vars, n.compare.lhs, dict);
         oss << " " << OpText(n.compare.op) << " ";
-        PrintTerm(oss, vars, n.compare.rhs);
+        PrintTerm(oss, vars, n.compare.rhs, dict);
         break;
       case NodeKind::kAnd:
       case NodeKind::kOr: {
@@ -128,6 +136,18 @@ std::string FirstOrderQuery::ToString() const {
     print(print, root);
   } else {
     oss << "<unset>";
+  }
+  oss << ".";
+  return oss.str();
+}
+
+std::string DatalogRule::ToString(const Dictionary* dict) const {
+  std::ostringstream oss;
+  PrintAtom(oss, vars, head, dict);
+  oss << " :- ";
+  for (size_t i = 0; i < body.size(); ++i) {
+    if (i > 0) oss << ", ";
+    PrintAtom(oss, vars, body[i], dict);
   }
   oss << ".";
   return oss.str();

@@ -297,6 +297,24 @@ size_t Relation::DistinctCount(size_t col) const {
   return distinct;
 }
 
+void Relation::MarkSorted() {
+  PQ_DCHECK(arity_ == 0 || StrictlyIncreasing(),
+            "MarkSorted: the rows are not strictly increasing");
+  if (arity_ == 0) zero_ary_rows_ = zero_ary_rows_ > 0 ? 1 : 0;
+  sorted_ = true;
+}
+
+bool Relation::StrictlyIncreasing() const {
+  for (size_t r = 1; r < size(); ++r) {
+    auto prev = Row(r - 1), row = Row(r);
+    if (!std::lexicographical_compare(prev.begin(), prev.end(), row.begin(),
+                                      row.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void Relation::MarkDuplicateFree() {
   if (arity_ == 0 || empty()) return;
   PQ_DCHECK(BuildSetForm({}) == nullptr,

@@ -318,8 +318,17 @@ class Relation {
   /// that a HashDedup cached on it. A peek that never computes the set form.
   bool SharesStorageOrSetFormWith(const Relation& other) const;
 
-  /// True if SortAndDedup has run and no row was added since.
+  /// True if SortAndDedup has run (or MarkSorted) and no row was added
+  /// since.
   bool sorted() const { return sorted_; }
+
+  /// Records that the rows are already sorted and pairwise distinct, so
+  /// SortAndDedup is a no-op. The caller guarantees it (e.g. a merge of
+  /// sorted, deduplicated parts); debug builds check it.
+  void MarkSorted();
+
+  /// True iff every row is lexicographically greater than the one before.
+  bool StrictlyIncreasing() const;
 
   /// Membership test. O(log n) when sorted, O(n·arity) otherwise.
   bool Contains(std::span<const Value> row) const;

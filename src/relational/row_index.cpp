@@ -276,6 +276,27 @@ KeyRange::KeyRange(const Relation& rel, int col) {
   span_ = static_cast<uint64_t>(hi) - min_;
 }
 
+KeyRuns::KeyRuns(const Relation& rel, int key_col, const KeyRange& range,
+                 const std::vector<int>& payload)
+    : range_(range), width_(payload.size()), start_(range.slots() + 1, 0) {
+  const size_t n = rel.size(), arity = rel.arity();
+  const Value* data = rel.data().data();
+  uint64_t off = 0;
+  for (size_t r = 0; r < n; ++r) {
+    range_.Offset(data[r * arity + key_col], &off);
+    ++start_[off + 1];
+  }
+  for (size_t s = 1; s < start_.size(); ++s) start_[s] += start_[s - 1];
+  values_.resize(n * width_);
+  std::vector<uint32_t> fill(start_.begin(), start_.end() - 1);
+  for (size_t r = 0; r < n; ++r) {
+    const Value* row = data + r * arity;
+    range_.Offset(row[key_col], &off);
+    Value* dst = values_.data() + static_cast<size_t>(fill[off]++) * width_;
+    for (size_t i = 0; i < width_; ++i) dst[i] = row[payload[i]];
+  }
+}
+
 RowHashSet::RowHashSet(size_t arity) : rel_(arity) {
   // Detach the backing relation from the global empty block up front so the
   // AppendRowUnchecked fast path in Insert owns its storage exclusively.

@@ -204,6 +204,40 @@ class KeyBitmap {
   std::vector<uint64_t> words_;
 };
 
+/// The dense-key alternative to a RowIndex's chains for the grouped join
+/// kernels: one counting-sort pass over a KeyRange groups a relation's rows
+/// by one key column into contiguous runs. Entry i holds the `payload`
+/// columns of one row (width() values); the rows with key v occupy the
+/// entries of Find(v), in row order. The per-key start offsets cost
+/// range.slots() + 1 words, so callers build runs only over a range that
+/// passes KeyRange::DenseForCounts.
+class KeyRuns {
+ public:
+  KeyRuns(const Relation& rel, int key_col, const KeyRange& range,
+          const std::vector<int>& payload);
+
+  /// Sets [*begin, *end) to the entries of key `v`; false when no row has
+  /// that key.
+  bool Find(Value v, uint32_t* begin, uint32_t* end) const {
+    uint64_t off = 0;
+    if (!range_.Offset(v, &off)) return false;
+    *begin = start_[off];
+    *end = start_[off + 1];
+    return *begin < *end;
+  }
+  /// The payload values of entry `i`.
+  const Value* Entry(uint32_t i) const {
+    return values_.data() + static_cast<size_t>(i) * width_;
+  }
+  size_t width() const { return width_; }
+
+ private:
+  KeyRange range_;
+  size_t width_;
+  std::vector<uint32_t> start_;  // slots + 1 offsets into the entries
+  std::vector<Value> values_;    // entries, width_ values each
+};
+
 /// Incrementally grown set of distinct rows, backed by an owned Relation.
 /// Same flat layout as RowIndex minus the chains (members are distinct, so
 /// every slot maps to exactly one stored row). Used for hash-based dedup and

@@ -3,14 +3,14 @@
 // buffers, which are then merged in morsel order — so each operator's output
 // holds exactly the rows, in exactly the order, its sequential counterpart
 // in relational/ops.hpp produces. Join and semijoin probe a shared
-// read-only key structure over the build side (a RowIndex, or the
-// semijoin's dense-key bitmap), built once before the probe; the morsels
-// split only the probe side.
+// read-only key structure over the build side (a RowIndex, the semijoin's
+// dense-key bitmap, or the grouped kernels' contiguous key runs), built
+// once before the probe; the morsels split only the probe side.
 //
 // Callers (the plan executor) choose when to engage Select, Project and
-// Join via RuntimeOptions::ShouldMorsel; JoinProject and Semijoin apply it
-// themselves and always run. Every function degrades to one inline chunk
-// under a null/width-1 scheduler.
+// Join via RuntimeOptions::ShouldMorsel; JoinProject, JoinCount and
+// Semijoin apply it themselves and always run. Every function degrades to
+// one inline chunk under a null/width-1 scheduler.
 #ifndef PARAQUERY_RUNTIME_PARALLEL_OPS_H_
 #define PARAQUERY_RUNTIME_PARALLEL_OPS_H_
 
@@ -55,29 +55,83 @@ NamedRelation ParallelJoin(const NamedRelation& left,
                            size_t* morsels = nullptr);
 
 /// Fused join-project: the distinct rows of π_{out_attrs}(left ⋈ right),
-/// without materializing the join. `right_index` indexes `right` on
-/// JoinKeyColumns(left, right), as for ParallelJoin; `out_attrs` (nonempty)
-/// draws each attribute from `left` when left has it, else from `right`.
+/// without materializing the join. `out_attrs` (nonempty) draws each
+/// attribute from `left` when left has it, else from `right`.
 ///
 /// The left side is grouped through its cached sorted trie
 /// (Relation::TrieView) over K ++ J: K are the left columns the output
 /// keeps, in output order, and J the join columns K lacks. Per K-group the
 /// kernel probes the right with every J value, gathers the matching right
-/// rows' kept columns and sort-deduplicates them. Rows come out group by
-/// group in ascending K, each group's right tuples ascending; when K is a
-/// prefix of `out_attrs` the output is therefore sorted and duplicate-free.
-/// Morsels split the groups (when runtime.ShouldMorsel on the trie's rows)
-/// and merge in group order, so the output is byte-identical at any width.
-/// Fails with ResourceExhausted once the output exceeds `max_rows` (0 =
-/// unlimited). An aborted query skips the remaining morsels; the caller must
-/// re-check the abort state before using the result.
+/// rows' kept columns and sort-deduplicates them. A single join column whose
+/// right-side range passes KeyRange::DenseForCounts is probed through
+/// contiguous per-key runs of the kept right values (KeyRuns, one counting
+/// sort per execution); other keys probe `right_index` — a RowIndex over
+/// `right` on JoinKeyColumns(left, right), as for ParallelJoin — or, when it
+/// is null, a RowIndex built here. `key` (optional) receives the structure
+/// used. Rows come out group by group in ascending K, each group's right
+/// tuples ascending; when K is a prefix of `out_attrs` the output is
+/// therefore sorted and duplicate-free. Morsels split the groups (when
+/// runtime.ShouldMorsel on the trie's rows) and merge in group order, so the
+/// output is byte-identical at any width. Fails with ResourceExhausted once
+/// the output exceeds `max_rows` (0 = unlimited). An aborted query skips the
+/// remaining morsels; the caller must re-check the abort state before using
+/// the result.
 Result<NamedRelation> JoinProject(const NamedRelation& left,
                                   const NamedRelation& right,
-                                  const RowIndex& right_index,
+                                  const RowIndex* right_index,
                                   const std::vector<AttrId>& out_attrs,
                                   const RuntimeOptions& runtime,
                                   uint64_t max_rows = 0,
-                                  size_t* morsels = nullptr);
+                                  size_t* morsels = nullptr,
+                                  KeyKind* key = nullptr);
+
+/// A second join whose counts JoinCount multiplies in group by group: the
+/// join-count of `left` ⋈ `right` over the same group attributes, with the
+/// same ones drawn from its left side. `right_index` as for JoinCount.
+struct JoinCountWeight {
+  const NamedRelation* left = nullptr;
+  const NamedRelation* right = nullptr;
+  const RowIndex* right_index = nullptr;
+  /// Out: the groups of the weight's own join-count that were counted (its
+  /// groups whose K some group of the main join shares), and the key
+  /// structure its right side was probed through.
+  uint64_t groups = 0;
+  KeyKind key{};
+};
+
+/// Fused join-count, the count twin of JoinProject: per distinct value of
+/// the group attributes (all of `out_attrs` but the last, which names the
+/// count column), the number of rows of left ⋈ right that carry it —
+/// γ_{group; count}(left ⋈ right) — without materializing the join. Both
+/// inputs are sets without a count column. The left is grouped by its
+/// cached trie over K ++ J ++ its other columns, so that each trie row is
+/// one left row; each run of rows sharing K and J probes the right once and
+/// counts its length. Per K-group the matches sum into an array over the
+/// kept right column's KeyRange when there is one such column and its range
+/// passes DenseForCounts, else into (tuple, count) entries that are sorted
+/// and summed. The right is probed as in JoinProject; `key` receives the
+/// structure used. Output rows come group by group in ascending K, each
+/// group's right tuples ascending.
+///
+/// A non-null `weight` folds a second join-count into the kernel, as
+/// SemijoinCount(join-count, weight's join-count) would: the two joins'
+/// groups pair up by K in one forward walk, each group's count is the
+/// product of the two counts, and a group only one join has drops out — a
+/// K-group the weight lacks is never probed. Neither join-count is
+/// materialized.
+///
+/// Sums and products that leave the signed 64-bit range fail with
+/// OutOfRange; more than `max_rows` emitted groups (0 = unlimited) fail
+/// with ResourceExhausted. Morsels, determinism and aborts as JoinProject.
+Result<NamedRelation> JoinCount(const NamedRelation& left,
+                                const NamedRelation& right,
+                                const RowIndex* right_index,
+                                const std::vector<AttrId>& out_attrs,
+                                const RuntimeOptions& runtime,
+                                JoinCountWeight* weight = nullptr,
+                                uint64_t max_rows = 0,
+                                size_t* morsels = nullptr,
+                                KeyKind* key = nullptr);
 
 /// Morsel-parallel ⋉. Output identical to Semijoin(left, right), including
 /// the zero-copy all-survivors and nonempty-right degenerate paths; a left

@@ -440,27 +440,49 @@ TEST(DenseKeyAnalyzeTest, AnalyzeShowsTheKeyStructureThatRan) {
     Engine path_engine(paths, options);
     std::string path =
         path_engine.AnalyzeText("g(x, z) :- R0(x, y), R1(y, z).").ValueOrDie();
+    // The fused join-project root probes the same key through key runs.
     std::vector<std::string> semis = OpLines(path, "Semijoin");
     ASSERT_FALSE(semis.empty()) << path;
     for (const std::string& line : semis) {
       EXPECT_NE(line.find(" key=dense"), std::string::npos) << path;
     }
-    EXPECT_EQ(path_engine.last_stats().plan.dense_keys, semis.size());
+    std::vector<std::string> joins = OpLines(path, "HashJoin");
+    ASSERT_EQ(joins.size(), 1u) << path;
+    EXPECT_NE(joins[0].find(" project-out(y) "), std::string::npos) << path;
+    EXPECT_NE(joins[0].find(" key=dense"), std::string::npos) << path;
+    EXPECT_EQ(path_engine.last_stats().plan.dense_keys, semis.size() + 1);
 
-    // The 4-cycle COUNT(*): its bags share two variables, so every
-    // semijoin between them keys on two columns and probes a RowIndex.
+    // The 4-cycle: its bags share two variables, so every semijoin between
+    // them keys on two columns and probes a RowIndex.
     Database cycles = RandomBinaryDatabase(4, 3000, 300, 6);
     Engine cycle_engine(cycles, options);
     std::string cycle = cycle_engine
                             .AnalyzeText(
-                                "COUNT(*) :- R0(x, y), R1(y, z), R2(z, w), "
-                                "R3(w, x).")
+                                "g(x, y, z, w) :- R0(x, y), R1(y, z), "
+                                "R2(z, w), R3(w, x).")
                             .ValueOrDie();
     semis = OpLines(cycle, "Semijoin");
     ASSERT_FALSE(semis.empty()) << cycle;
     for (const std::string& line : semis) {
       EXPECT_NE(line.find(" key=hash"), std::string::npos) << cycle;
     }
+    // Its COUNT(*) runs no semijoin at all: each bag's join-count (the
+    // root's and its weight's) probes its one-column join key through key
+    // runs.
+    std::string count = cycle_engine
+                            .AnalyzeText(
+                                "COUNT(*) :- R0(x, y), R1(y, z), R2(z, w), "
+                                "R3(w, x).")
+                            .ValueOrDie();
+    EXPECT_TRUE(OpLines(count, "Semijoin").empty()) << count;
+    joins = OpLines(count, "HashJoin");
+    size_t fused = 0;
+    for (const std::string& line : joins) {
+      if (line.find(" count-out(") == std::string::npos) continue;
+      ++fused;
+      EXPECT_NE(line.find(" key=dense"), std::string::npos) << count;
+    }
+    EXPECT_EQ(fused, 2u) << count;
   }
 }
 

@@ -6,8 +6,9 @@
 // stress the grouping (head orders, constants, repeated variables, empty
 // group keys, UCQ disjuncts) and over hand-built plans (unkept left columns,
 // cached-scan right sides, no join columns); byte-identical bindings at
-// every width; the EXPLAIN ANALYZE surface; the resource guards; and an
-// exact count of the rows the plan produces.
+// every width; contiguous key runs against RowIndex probes across the
+// dense-key threshold; the EXPLAIN ANALYZE surface; the resource guards;
+// and an exact count of the rows the plan produces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,8 @@
 #include "plan/planner.hpp"
 #include "query/parser.hpp"
 #include "relational/ops.hpp"
+#include "relational/row_index.hpp"
+#include "runtime/parallel_ops.hpp"
 #include "runtime/scheduler.hpp"
 #include "workload/generators.hpp"
 
@@ -249,6 +252,69 @@ TEST(JoinProjectTest, HandBuiltPlansMatchJoinThenProject) {
     CheckPlan(xy, yz, {0, 1}, false);
     // No join column: a projected cross product.
     CheckPlan(xy, z, {0, 2}, false);
+  }
+}
+
+// --- Key runs ----------------------------------------------------------------
+
+// A right side (y, z) of `rows` rows whose join column y spans exactly
+// [0, span] (both ends present), so KeyRange::DenseForCounts holds iff
+// span < 2 * rows - 1.
+NamedRelation SpanRel(size_t rows, Value span, uint64_t seed) {
+  Rng rng(seed);
+  NamedRelation out{{1, 2}};
+  out.rel().Add({0, rng.Range(0, 50)});
+  out.rel().Add({span, rng.Range(0, 50)});
+  while (out.size() < rows) {
+    out.rel().Add({rng.Range(0, span), rng.Range(0, 50)});
+    out.rel().HashDedup();
+  }
+  return out;
+}
+
+TEST(JoinProjectTest, KeyRunsMatchRowIndexAcrossTheDenseThreshold) {
+  // The kernel probes contiguous key runs when it builds its own key
+  // structure over a dense range and walks RowIndex chains when handed an
+  // index: both give the same rows in the same order, on either side of
+  // the threshold.
+  const size_t n = 300;
+  for (Value span : {Value{2 * n - 3}, Value{2 * n - 2}, Value{2 * n - 1},
+                     Value{2 * n}, Value{1} << 40}) {
+    SCOPED_TRACE(span);
+    NamedRelation right = SpanRel(n, span, static_cast<uint64_t>(span));
+    NamedRelation left{{0, 1}};
+    Rng rng(7);
+    for (int r = 0; r < 2000; ++r) {
+      left.rel().Add({rng.Range(0, 40), right.rel().At(rng.Below(n), 0)});
+      left.rel().Add({rng.Range(0, 40), rng.Range(0, span)});
+    }
+    left.rel().HashDedup();
+    const RowIndex index(right.rel(), JoinKeyColumns(left, right));
+    const bool dense = span < static_cast<Value>(2 * n - 1);
+    for (std::vector<AttrId> out : {std::vector<AttrId>{0, 2},
+                                    std::vector<AttrId>{2, 0},
+                                    std::vector<AttrId>{0},
+                                    std::vector<AttrId>{2}}) {
+      for (const Width& w : kWidths) {
+        TaskScheduler scheduler(w.threads);
+        RuntimeOptions runtime{&scheduler, w.morsel_rows};
+        KeyKind runs_key = KeyKind::kNone, index_key = KeyKind::kNone;
+        NamedRelation via_runs =
+            JoinProject(left, right, nullptr, out, runtime, 0, nullptr,
+                        &runs_key)
+                .ValueOrDie();
+        NamedRelation via_index =
+            JoinProject(left, right, &index, out, runtime, 0, nullptr,
+                        &index_key)
+                .ValueOrDie();
+        EXPECT_EQ(runs_key, dense ? KeyKind::kDense : KeyKind::kHash);
+        EXPECT_EQ(index_key, KeyKind::kHash);
+        EXPECT_EQ(via_runs.attrs(), via_index.attrs());
+        EXPECT_TRUE(via_runs.rel().data() == via_index.rel().data());
+        EXPECT_TRUE(via_runs.rel().EqualsAsSet(
+            Project(NaturalJoin(left, right).ValueOrDie(), out, true).rel()));
+      }
+    }
   }
 }
 

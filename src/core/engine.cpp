@@ -65,7 +65,8 @@ std::string EngineStats::ToString() const {
   if (ineq.family_size > 0) {
     oss << "ineq: k=" << ineq.k << " i1_atoms=" << ineq.i1_atoms
         << " i2_atoms=" << ineq.i2_atoms
-        << " family_size=" << ineq.family_size << " trials=" << ineq.trials
+        << " family_size=" << ineq.family_size
+        << " family_kind=" << ineq.family_kind << " trials=" << ineq.trials
         << " certified=" << (ineq.certified ? "yes" : "no")
         << " peak_rows=" << ineq.peak_rows << "\n";
   }

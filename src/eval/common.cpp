@@ -151,6 +151,10 @@ Result<NamedRelation> AtomToRelation(const Database& db, const Atom& atom,
   return AtomToRelation(db.relation(id), atom, filters);
 }
 
+namespace {
+
+// Appends the answer tuples of `bindings` through `head` to the row-major
+// buffer `out` (unsorted).
 void AppendAnswers(const NamedRelation& bindings,
                    const std::vector<Term>& head, std::vector<Value>& out) {
   const size_t k = head.size();
@@ -171,6 +175,8 @@ void AppendAnswers(const NamedRelation& bindings,
     }
   }
 }
+
+}  // namespace
 
 Relation AnswerRelation(size_t arity, size_t rows, std::vector<Value> values) {
   if (arity > 0 && rows > 0) return Relation(arity, std::move(values));
@@ -215,15 +221,17 @@ Relation SortAnswers(Relation answers, const RuntimeOptions& runtime) {
 namespace {
 
 // Merges two sorted, duplicate-free row buffers of `arity` columns into one
-// sorted, duplicate-free buffer: a row both hold is kept once.
+// sorted, duplicate-free buffer: a row both hold is kept once. The output is
+// reserved, not sized, so it is written once (no zero-fill pass first);
+// per-value push_back beats a per-row range insert here.
 std::vector<Value> MergeTwo(const std::vector<Value>& a,
                             const std::vector<Value>& b, size_t arity) {
-  std::vector<Value> out(a.size() + b.size());
+  std::vector<Value> out;
+  out.reserve(a.size() + b.size());
   const Value *pa = a.data(), *ea = pa + a.size();
   const Value *pb = b.data(), *eb = pb + b.size();
-  Value* o = out.data();
-  auto take = [&o, arity](const Value*& p) {
-    o = std::copy(p, p + arity, o);
+  auto take = [&out, arity](const Value*& p) {
+    for (size_t i = 0; i < arity; ++i) out.push_back(p[i]);
     p += arity;
   };
   while (pa != ea && pb != eb) {
@@ -238,9 +246,8 @@ std::vector<Value> MergeTwo(const std::vector<Value>& a,
       take(pb);
     }
   }
-  o = std::copy(pa, ea, o);
-  o = std::copy(pb, eb, o);
-  out.resize(static_cast<size_t>(o - out.data()));
+  out.insert(out.end(), pa, ea);
+  out.insert(out.end(), pb, eb);
   return out;
 }
 

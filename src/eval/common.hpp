@@ -38,17 +38,12 @@ Result<NamedRelation> AtomToRelation(const Database& db, const Atom& atom,
 /// (sequentially); with false it is the unsorted mapping and may contain
 /// duplicates. Evaluators pass false and finish with SortAnswers, so each
 /// answer is sorted exactly once: unions (UCQ disjuncts, Theorem 2
-/// colorings) concatenate unsorted parts first, and the Datalog fixpoint
-/// deduplicates rule firings through its own hash sets.
+/// colorings) sort each part in its own task and merge the parts
+/// (MergeSortedAnswers), and the Datalog fixpoint deduplicates rule firings
+/// through its own hash sets.
 Relation BindingsToAnswers(const NamedRelation& bindings,
                            const std::vector<Term>& head,
                            bool sort_output = true);
-
-/// Appends the answer tuples BindingsToAnswers would build to the row-major
-/// buffer `out` (unsorted), for callers gathering several bindings into one
-/// answer.
-void AppendAnswers(const NamedRelation& bindings,
-                   const std::vector<Term>& head, std::vector<Value>& out);
 
 /// Wraps a row-major answer buffer holding `rows` rows of `arity` values as
 /// a Relation. For arity 0 the buffer is empty and any row makes the answer

@@ -16,6 +16,7 @@
 #include "plan/executor.hpp"
 #include "query/ineq_formula.hpp"
 #include "relational/ops.hpp"
+#include "relational/row_sort.hpp"
 
 namespace paraquery {
 
@@ -34,6 +35,9 @@ struct Plan {
   int hash_range = 0;                   // colors: k, or #vars+#consts of φ
   std::vector<NamedRelation> base;      // S_j (I2 pushed into selections)
   JoinTree tree;
+  // The root atom holds every head variable: π_head of Algorithm 1's root
+  // is the answer, and Algorithm 2's passes are not needed.
+  bool head_in_root = false;
   std::vector<std::vector<AttrId>> y;   // Y_j per node (sorted)
   // partners[x] = I1 partners of x (VarIds).
   std::vector<std::vector<VarId>> partners;
@@ -50,6 +54,33 @@ bool IsV1(const Plan& p, VarId x) {
 }
 
 void BuildYSets(Plan& p, const Hypergraph& h);
+
+// Builds the join tree and roots it at an atom that covers the head
+// variables, when one exists: GYO's root if it does, else the first such
+// atom in body order (the free-connex device of Durand-Grandjean).
+Status BuildRootedTree(Plan& p, const Hypergraph& h) {
+  auto tree = BuildJoinTree(h);
+  if (!tree.ok()) {
+    return Status::InvalidArgument(internal::StrCat(
+        "query is not acyclic: ", tree.status().message()));
+  }
+  p.tree = std::move(tree).value();
+  std::vector<VarId> head = p.q->HeadVariables();
+  std::sort(head.begin(), head.end());
+  auto covers = [&h, &head](int j) {
+    const auto& edge = h.edge(j);
+    return std::includes(edge.begin(), edge.end(), head.begin(), head.end());
+  };
+  int root = covers(p.tree.root) ? p.tree.root : -1;
+  for (int j = 0; root < 0 && j < static_cast<int>(p.tree.size()); ++j) {
+    if (covers(j)) root = j;
+  }
+  if (root >= 0) {
+    p.tree = RerootJoinTree(p.tree, root);
+    p.head_in_root = true;
+  }
+  return Status::OK();
+}
 
 Result<Plan> BuildPlan(const Database& db, const ConjunctiveQuery& q) {
   PQ_RETURN_NOT_OK(q.Validate());
@@ -111,13 +142,7 @@ Result<Plan> BuildPlan(const Database& db, const ConjunctiveQuery& q) {
     p.partners[c.rhs.var()].push_back(c.lhs.var());
   }
 
-  // Join tree.
-  auto tree = BuildJoinTree(h);
-  if (!tree.ok()) {
-    return Status::InvalidArgument(internal::StrCat(
-        "query is not acyclic: ", tree.status().message()));
-  }
-  p.tree = std::move(tree).value();
+  PQ_RETURN_NOT_OK(BuildRootedTree(p, h));
 
   // S_j with I2 pushed into the selections F_j.
   for (const Atom& a : q.body) {
@@ -252,12 +277,7 @@ Result<Plan> BuildFormulaPlan(const Database& db, const ConjunctiveQuery& q,
   p.partners.assign(q.NumVariables(), {});
 
   Hypergraph h = q.BuildHypergraph();
-  auto tree = BuildJoinTree(h);
-  if (!tree.ok()) {
-    return Status::InvalidArgument(internal::StrCat(
-        "query is not acyclic: ", tree.status().message()));
-  }
-  p.tree = std::move(tree).value();
+  PQ_RETURN_NOT_OK(BuildRootedTree(p, h));
   for (const Atom& a : q.body) {
     std::vector<VarId> uj = a.Variables();
     std::vector<CompareAtom> filters;
@@ -271,29 +291,75 @@ Result<Plan> BuildFormulaPlan(const Database& db, const ConjunctiveQuery& q,
   return p;
 }
 
-// Values the V1 variables can take (union over nodes of the S_j columns of
-// V1 variables), plus the formula constants in formula mode. This is the
-// ground set the certified family must cover.
-std::vector<Value> GroundSet(const Plan& p) {
-  std::vector<Value> ground(p.formula_constants.begin(),
-                            p.formula_constants.end());
-  for (const NamedRelation& s : p.base) {
+// How each coloring builds the input S'_j of atom j: S_j's rows extended
+// with primed columns x' = h(x), one per V1 column (x ∈ U_j ∩ V1).
+struct HashedSlot {
+  std::vector<AttrId> attrs;  // S_j's attrs, then the primed V1 attrs
+  std::vector<int> v1_cols;   // S_j's V1 columns; none: S'_j = S_j
+  // The atom that builds the extension this one reads: j itself, or an
+  // earlier atom over the same stored rows with the same V1 columns, whose
+  // S'_j this one relabels (EP(e, p) and EP(e, q) color alike).
+  int source = -1;
+  // Bit family, on source slots only: the code of S_j's row r in
+  // V1 column i at codes[r * v1_cols.size() + i], computed once per
+  // compiled plan instead of looked up per row and coloring.
+  std::vector<uint32_t> codes;
+};
+
+std::vector<HashedSlot> BuildHashedSlots(const Plan& p) {
+  std::vector<HashedSlot> slots(p.base.size());
+  for (size_t j = 0; j < p.base.size(); ++j) {
+    const NamedRelation& s = p.base[j];
+    HashedSlot& slot = slots[j];
+    slot.attrs = s.attrs();
     for (size_t i = 0; i < s.attrs().size(); ++i) {
       if (!IsV1(p, s.attrs()[i])) continue;
-      for (size_t r = 0; r < s.size(); ++r) ground.push_back(s.rel().At(r, i));
+      slot.v1_cols.push_back(static_cast<int>(i));
+      slot.attrs.push_back(Prime(*p.q, s.attrs()[i]));
+    }
+    slot.source = static_cast<int>(j);
+    // Shared storage alone does not mean the same rows: every empty
+    // relation, whatever its arity, shares one empty block.
+    for (size_t e = 0; e < j && !slot.v1_cols.empty() && !s.empty(); ++e) {
+      const Relation& rows = p.base[e].rel();
+      if (slots[e].source == static_cast<int>(e) &&
+          slots[e].v1_cols == slot.v1_cols && rows.arity() == s.arity() &&
+          rows.size() == s.size() && rows.SharesStorageWith(s.rel())) {
+        slot.source = static_cast<int>(e);
+        break;
+      }
     }
   }
-  std::sort(ground.begin(), ground.end());
-  ground.erase(std::unique(ground.begin(), ground.end()), ground.end());
+  return slots;
+}
+
+// Values the V1 variables can take (union over nodes of the S_j columns of
+// V1 variables), plus the formula constants in formula mode. This is the
+// ground set the certified family must cover. An atom that reads another
+// atom's extension holds the same values and is skipped.
+std::vector<Value> GroundSet(const Plan& p,
+                             const std::vector<HashedSlot>& slots) {
+  std::vector<Value> ground(p.formula_constants.begin(),
+                            p.formula_constants.end());
+  for (size_t j = 0; j < slots.size(); ++j) {
+    if (slots[j].source != static_cast<int>(j)) continue;
+    const Relation& rows = p.base[j].rel();
+    for (int c : slots[j].v1_cols) {
+      for (size_t r = 0; r < rows.size(); ++r) ground.push_back(rows.At(r, c));
+    }
+  }
+  SortDedupRows(ground, 1);
   return ground;
 }
 
-Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options) {
+Result<ColoringFamily> MakeFamily(const Plan& p,
+                                  const std::vector<HashedSlot>& slots,
+                                  const IneqOptions& options) {
   ColoringFamily family = ColoringFamily::MonteCarlo(
       p.hash_range, options.mc_error_exponent, options.seed);
   if (p.hash_range > 1 && options.driver != IneqOptions::Driver::kMonteCarlo) {
     auto certified = ColoringFamily::Certified(
-        GroundSet(p), p.hash_range, options.seed,
+        GroundSet(p, slots), p.hash_range, options.seed,
         options.certified_max_subsets, options.certified_max_members);
     if (certified.ok()) {
       family = std::move(certified).value();
@@ -304,29 +370,47 @@ Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options) {
   return family;
 }
 
-// S'_j: extends S_j with primed columns x' = h(x) for x ∈ U_j ∩ V1.
-NamedRelation ExtendHashed(const Plan& p, const NamedRelation& s,
+// Writes S_j's rows, each followed by its V1 columns' colors
+// `color(row, i, value)`, into one pre-sized buffer.
+template <typename ColorFn>
+NamedRelation FillHashed(const NamedRelation& s, const HashedSlot& slot,
+                         const ColorFn& color) {
+  const size_t arity = s.arity(), width = slot.attrs.size();
+  const size_t nv1 = slot.v1_cols.size();
+  std::vector<Value> data(s.size() * width);
+  const Value* in = s.rel().data().data();
+  Value* out = data.data();
+  for (size_t r = 0; r < s.size(); ++r, in += arity) {
+    out = std::copy(in, in + arity, out);
+    for (size_t i = 0; i < nv1; ++i) *out++ = color(r, i, in[slot.v1_cols[i]]);
+  }
+  return NamedRelation{slot.attrs, Relation(width, std::move(data))};
+}
+
+// S'_j under coloring `member`, built from S_j.
+NamedRelation ExtendHashed(const NamedRelation& s, const HashedSlot& slot,
                            const ColoringFamily& family, size_t member) {
-  std::vector<int> v1_cols;
-  std::vector<AttrId> attrs = s.attrs();
-  for (size_t i = 0; i < s.attrs().size(); ++i) {
-    if (IsV1(p, s.attrs()[i])) {
-      v1_cols.push_back(static_cast<int>(i));
-      attrs.push_back(Prime(*p.q, s.attrs()[i]));
-    }
+  if (!slot.codes.empty()) {
+    const size_t nv1 = slot.v1_cols.size();
+    return FillHashed(s, slot, [&slot, member, nv1](size_t r, size_t i, Value) {
+      return ColoringFamily::BitColor(member, slot.codes[r * nv1 + i]);
+    });
   }
-  // No V1 column: S'_j = S_j for every coloring — share the rows instead of
-  // copying them per coloring.
-  if (v1_cols.empty()) return s;
-  std::vector<Value> data;
-  data.reserve(s.size() * attrs.size());
-  for (size_t r = 0; r < s.size(); ++r) {
-    for (size_t i = 0; i < s.arity(); ++i) data.push_back(s.rel().At(r, i));
-    for (int c : v1_cols) {
-      data.push_back(family.Color(member, s.rel().At(r, c)));
-    }
+  return FillHashed(s, slot, [&family, member](size_t, size_t, Value v) {
+    return family.Color(member, v);
+  });
+}
+
+// Precomputes the bit family's codes on the source slots.
+void BuildSlotCodes(const Plan& p, const ColoringFamily& family,
+                    std::vector<HashedSlot>& slots) {
+  if (!family.coded()) return;
+  PQ_CHECK(family.size() <= 32, "coloring codes exceed 32 bits");
+  for (size_t j = 0; j < slots.size(); ++j) {
+    HashedSlot& slot = slots[j];
+    if (slot.source != static_cast<int>(j) || slot.v1_cols.empty()) continue;
+    slot.codes = family.Codes(p.base[j].rel(), slot.v1_cols);
   }
-  return NamedRelation{attrs, Relation(attrs.size(), std::move(data))};
 }
 
 // Whether (a, b) or (b, a) is an I1 pair.
@@ -351,9 +435,12 @@ struct IneqCompiled {
   IneqFormula formula;      // owned copy (formula mode only)
   bool formula_mode = false;
   Plan analysis;            // q/formula point at the members above
-  // Lowered DAGs over scan slots 0..m-1 = S'_j (ExtendHashed order):
-  // Algorithm 1 (upward joins + I1 selects) and the full evaluation
-  // (+ downward semijoins + upward join-and-project + head projection).
+  // How each coloring builds the scan slots 0..m-1 = S'_j.
+  std::vector<HashedSlot> slots;
+  // Lowered DAGs over those slots: Algorithm 1 (upward joins + I1 selects)
+  // and the full evaluation — the head projection of Algorithm 1's root when
+  // the head lies in the root atom, else Algorithm 2 (+ downward semijoins +
+  // upward join-and-project + head projection).
   PlanNodePtr decision_root;
   PlanNodePtr eval_root;
   // Formula evaluation mode only: the φ-filtered root binds to this extra
@@ -368,21 +455,11 @@ struct IneqCompiled {
   std::optional<ColoringFamily> family;
 };
 
-// S'_j scan attrs: the base S_j attrs followed by the primed columns, in
-// ExtendHashed's order.
-std::vector<AttrId> HashedSlotAttrs(const Plan& p, size_t j) {
-  const NamedRelation& s = p.base[j];
-  std::vector<AttrId> attrs = s.attrs();
-  for (size_t i = 0; i < s.attrs().size(); ++i) {
-    if (IsV1(p, s.attrs()[i])) attrs.push_back(Prime(*p.q, s.attrs()[i]));
-  }
-  return attrs;
-}
-
-std::string ScanLabel(const Plan& p, size_t j) {
+// Atom j's text, e.g. "EP(e, p)".
+std::string AtomText(const Plan& p, size_t j) {
   const ConjunctiveQuery& q = *p.q;
   const Atom& a = q.body[j];
-  std::string out = "S'(" + a.relation + "(";
+  std::string out = a.relation + "(";
   for (size_t i = 0; i < a.terms.size(); ++i) {
     if (i > 0) out += ", ";
     const Term& t = a.terms[i];
@@ -394,7 +471,11 @@ std::string ScanLabel(const Plan& p, size_t j) {
       out += internal::StrCat("$", t.var());
     }
   }
-  return out + "))";
+  return out + ")";
+}
+
+std::string ScanLabel(const Plan& p, size_t j) {
+  return "S'(" + AtomText(p, j) + ")";
 }
 
 // Lowers Algorithm 1 (decision) and Algorithms 1+2 (evaluation) to plan
@@ -409,7 +490,7 @@ Status LowerPlans(IneqCompiled* c) {
 
   std::vector<PlanNodePtr> cur(m);
   for (size_t j = 0; j < m; ++j) {
-    cur[j] = MakeScan(static_cast<int>(j), HashedSlotAttrs(p, j),
+    cur[j] = MakeScan(static_cast<int>(j), c->slots[j].attrs,
                       ScanLabel(p, j),
                       static_cast<double>(p.base[j].size()));
   }
@@ -472,8 +553,7 @@ Status LowerPlans(IneqCompiled* c) {
 #endif
   c->decision_root = cur[p.tree.root];
 
-  // Algorithm 2, step 1: downward semijoins from the (possibly φ-filtered)
-  // root. In formula mode the filtered root arrives through an extra slot.
+  // In formula mode the φ-filtered root arrives through an extra slot.
   std::vector<PlanNodePtr> red(m);
   if (c->formula_mode) {
     c->phi_slot = static_cast<int>(m);
@@ -482,6 +562,16 @@ Status LowerPlans(IneqCompiled* c) {
   } else {
     red[p.tree.root] = cur[p.tree.root];
   }
+  std::vector<VarId> head_vars = q.HeadVariables();
+  // Head in the root atom: every row of Algorithm 1's root extends to a
+  // satisfying assignment, so its head projection is the answer.
+  if (p.head_in_root) {
+    c->eval_root = MakeProject(red[p.tree.root], head_vars, /*dedup=*/true);
+    return Status::OK();
+  }
+
+  // Algorithm 2, step 1: downward semijoins from the (possibly φ-filtered)
+  // root.
   for (int j : p.tree.top_down) {
     int u = p.tree.parent[j];
     if (u < 0) continue;
@@ -489,7 +579,6 @@ Status LowerPlans(IneqCompiled* c) {
   }
 
   // Step 2: upward join-and-project with Z_j = (Y_j ∩ Y_u) ∪ (Z ∩ at(T[j])).
-  std::vector<VarId> head_vars = q.HeadVariables();
   Hypergraph h = q.BuildHypergraph();
   std::vector<std::vector<AttrId>> subtree_head(m);
   for (int j : p.tree.bottom_up) {
@@ -554,7 +643,10 @@ Result<std::shared_ptr<IneqCompiled>> BuildCompiled(const Database& db,
                       c->formula_mode
                           ? BuildFormulaPlan(db, c->query, c->formula)
                           : BuildPlan(db, c->query));
-  if (!c->analysis.always_false) PQ_RETURN_NOT_OK(LowerPlans(c.get()));
+  if (!c->analysis.always_false) {
+    c->slots = BuildHashedSlots(c->analysis);
+    PQ_RETURN_NOT_OK(LowerPlans(c.get()));
+  }
   BuildRenderVars(c.get());
   return c;
 }
@@ -611,7 +703,9 @@ Result<std::shared_ptr<IneqCompiled>> BuildCompiledWithFamily(
   PQ_ASSIGN_OR_RETURN(auto compiled, BuildCompiled(db, q, phi));
   if (!compiled->analysis.always_false) {
     PQ_ASSIGN_OR_RETURN(compiled->family,
-                        MakeFamily(compiled->analysis, options));
+                        MakeFamily(compiled->analysis, compiled->slots,
+                                   options));
+    BuildSlotCodes(compiled->analysis, *compiled->family, compiled->slots);
   }
   return compiled;
 }
@@ -658,14 +752,23 @@ Result<std::shared_ptr<IneqCompiled>> GetCompiled(const Database& db,
   return compiled;
 }
 
-// Hash-extended inputs S'_j for one coloring (slot order = body order).
-std::vector<NamedRelation> HashedInputs(const Plan& p,
-                                        const ColoringFamily& family,
-                                        size_t member) {
+// Hash-extended inputs S'_j for one coloring (slot order = body order). An
+// atom without V1 columns reads S_j itself, and one whose extension another
+// atom builds reads that atom's S'_j relabelled: no rows are copied for
+// either.
+std::vector<NamedRelation> HashedInputs(const IneqCompiled& c, size_t member) {
+  const Plan& p = c.analysis;
   std::vector<NamedRelation> inputs;
-  inputs.reserve(p.base.size());
-  for (const NamedRelation& s : p.base) {
-    inputs.push_back(ExtendHashed(p, s, family, member));
+  inputs.reserve(p.base.size() + 1);  // + formula evaluation's φ slot
+  for (size_t j = 0; j < p.base.size(); ++j) {
+    const HashedSlot& slot = c.slots[j];
+    if (slot.v1_cols.empty()) {
+      inputs.push_back(p.base[j]);
+    } else if (slot.source != static_cast<int>(j)) {
+      inputs.push_back(inputs[slot.source].WithAttrs(slot.attrs));
+    } else {
+      inputs.push_back(ExtendHashed(p.base[j], slot, *c.family, member));
+    }
   }
   return inputs;
 }
@@ -701,8 +804,7 @@ struct ColoringShare {
   PlanStats plan;
   size_t filtered_rows = 0;  // rows of the φ-filtered root (formula mode)
   bool witness = false;      // decision: the residual query is nonempty
-  std::vector<Value> answers;  // evaluation: unsorted answer rows
-  size_t answer_rows = 0;
+  Relation answers{0};       // evaluation: sorted, duplicate-free answers
   // EXPLAIN ANALYZE of a cloned execution, keyed by the clones; clones[i]
   // was cloned from cloned_from[i] (kept only while a capture is armed).
   std::unique_ptr<PlanCapture> capture;
@@ -750,14 +852,14 @@ Status RunColoring(IneqCompiled& c, const EvalContext& ctx, bool evaluate,
       runtime.analyze = share.capture.get();
     }
   }
-  std::vector<NamedRelation> inputs = HashedInputs(p, family, m);
+  std::vector<NamedRelation> inputs = HashedInputs(c, m);
   // Formula evaluation: the evaluation DAG reads the φ-filtered root
   // through an extra slot, bound after the filter.
   if (evaluate && c.formula_mode) inputs.emplace_back();
   std::vector<const NamedRelation*> ptrs;
   ptrs.reserve(inputs.size());
   for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-  ExecContext exec{ptrs, ctx.limits, &share.plan, runtime};
+  ExecContext exec{ptrs, ctx.limits, &share.plan, runtime, &c.render_vars};
   ExecSession session(exec);
   if (decide) {
     PQ_ASSIGN_OR_RETURN(NamedRelation root, session.Run(*decision_root));
@@ -773,8 +875,10 @@ Status RunColoring(IneqCompiled& c, const EvalContext& ctx, bool evaluate,
     inputs.back() = std::move(root);
   }
   PQ_ASSIGN_OR_RETURN(NamedRelation bindings, session.Run(*eval_root));
-  AppendAnswers(bindings, c.query.head, share.answers);
-  share.answer_rows = bindings.size();
+  // Sorted inside the coloring's task, so the driver only merges.
+  share.answers = SortAnswers(BindingsToAnswers(bindings, c.query.head,
+                                                /*sort_output=*/false),
+                              ctx.runtime);
   return Status::OK();
 }
 
@@ -861,6 +965,7 @@ void ReportCompiled(const IneqCompiled& c, IneqStats* stats) {
   stats->i1_atoms = c.analysis.i1.size();
   stats->i2_atoms = c.analysis.i2_count;
   stats->family_size = c.family->size();
+  stats->family_kind = c.family->KindName();
   stats->certified = c.family->certified();
 }
 
@@ -883,22 +988,11 @@ Result<Relation> PlanDriveEvaluate(IneqCompiled& c, const EvalContext& ctx,
   TraceSpan route_span(ctx.runtime.tracer, "route.theorem2");
   std::vector<ColoringShare> shares = RunColorings(c, ctx, /*evaluate=*/true);
   PQ_RETURN_NOT_OK(MergeShares(ctx, shares, stats, plan_stats).status());
-  // Every coloring's answers, unsorted, in one buffer (coloring order);
-  // sorted once.
-  size_t answer_rows = 0;
-  size_t values = 0;
-  for (const ColoringShare& share : shares) {
-    answer_rows += share.answer_rows;
-    values += share.answers.size();
-  }
-  std::vector<Value> answers;
-  answers.reserve(values);
-  for (ColoringShare& share : shares) {
-    answers.insert(answers.end(), share.answers.begin(), share.answers.end());
-    std::vector<Value>().swap(share.answers);
-  }
-  return SortAnswers(AnswerRelation(arity, answer_rows, std::move(answers)),
-                     ctx.runtime);
+  // Every coloring sorted its own answers; merge them once.
+  std::vector<Relation> parts;
+  parts.reserve(shares.size());
+  for (ColoringShare& share : shares) parts.push_back(std::move(share.answers));
+  return MergeSortedAnswers(parts, arity, ctx.runtime);
 }
 
 }  // namespace
@@ -965,6 +1059,12 @@ Result<std::string> IneqPlanText(const Database& db,
       << "-- one residual plan compiled, executed once per coloring (one "
          "task per coloring) on re-bound S' inputs (primed columns = "
          "colors)\n";
+  const Plan& p = compiled->analysis;
+  if (p.head_in_root) {
+    oss << "-- Algorithm 1 only (head in root atom "
+        << AtomText(p, static_cast<size_t>(p.tree.root))
+        << "): the answer is pi_head of the upward pass's root\n";
+  }
   oss << RenderPlan(*compiled->eval_root, &compiled->render_vars);
   return oss.str();
 }

@@ -16,9 +16,14 @@
 //      the least common ancestor of its endpoints' subtrees.
 //   5. Algorithm 2 (evaluation): downward semijoin pass, then upward
 //      join-and-project computing π_Z without materializing the full join.
+//      The join tree is rooted at an atom that covers the head variables
+//      when one exists; then every row of Algorithm 1's root extends to a
+//      full assignment, π_head of that root is the answer, and Algorithm
+//      2's passes are skipped.
 //   6. Drive over a family of colorings: Monte Carlo (c·e^k trials, the
 //      paper's randomized analysis) or a family certified k-perfect on the
-//      values V1 can take (deterministic, exact).
+//      values V1 can take (deterministic, exact; for k = 2 the minimal bit
+//      family of hashing/coloring.hpp).
 //
 // Complexity: O(g(k) · q · n log n) per coloring for the decision problem,
 // and output-sensitive for evaluation — the parameter never multiplies into
@@ -26,8 +31,9 @@
 //
 // Steps 4–5 are LOWERED onto the physical plan IR: the residual query of a
 // coloring compiles once into a PlanNode DAG (upward joins with the I1
-// checks pushed into the join kernels, downward semijoins, upward
-// join-and-project), and every coloring re-executes that one plan through
+// checks pushed into the join kernels, then — unless the head lies in the
+// root atom — downward semijoins and upward join-and-project), and every
+// coloring re-executes that one plan through
 // the shared executor on re-bound hash-extended inputs S'_j — so the
 // Theorem 2 engine inherits morsel parallelism, ResourceLimits, PlanStats,
 // and .plan rendering. The compiled plan also holds the coloring family
@@ -92,6 +98,7 @@ struct IneqStats {
   size_t i1_atoms = 0;        // inequalities handled by color coding
   size_t i2_atoms = 0;        // inequalities pushed into selections
   size_t family_size = 0;     // colorings available
+  const char* family_kind = "";  // "bits" (k = 2 certified) or "random"
   size_t trials = 0;          // colorings actually executed
   bool certified = false;     // family certified k-perfect (exact result)
   size_t peak_rows = 0;       // largest intermediate P_u
@@ -124,8 +131,9 @@ Result<bool> IneqContains(const Database& db, const ConjunctiveQuery& q,
                           IneqStats* stats = nullptr);
 
 /// Renders the lowered Theorem 2 evaluation plan (the coloring-independent
-/// residual DAG: upward joins + I1 selects, downward semijoins, upward
-/// join-and-project) without executing it. Primed hash columns render as
+/// residual DAG: upward joins + I1 selects, then either the root's head
+/// projection, announced as "Algorithm 1 only", or downward semijoins and
+/// upward join-and-project) without executing it. Primed hash columns render as
 /// name' next to their base variable. Fails where the engine would (cyclic
 /// body, non-≠ comparisons).
 Result<std::string> IneqPlanText(const Database& db,

@@ -1,10 +1,12 @@
 #include "hashing/coloring.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/combinatorics.hpp"
 #include "common/rng.hpp"
+#include "relational/row_index.hpp"
 
 namespace paraquery {
 
@@ -26,6 +28,7 @@ Result<ColoringFamily> ColoringFamily::Certified(
     const std::vector<Value>& ground, int k, uint64_t seed,
     uint64_t max_subsets, size_t max_members) {
   PQ_CHECK(k >= 0, "Certified: negative k");
+  if (k == 2) return Bits(ground, max_members);
   int n = static_cast<int>(ground.size());
   if (k <= 1 || n <= k) {
     // One member suffices: with n <= k we may still need injectivity, which a
@@ -86,6 +89,41 @@ Result<ColoringFamily> ColoringFamily::Certified(
   }
   if (seeds.empty()) seeds.push_back(rng.Next());
   return ColoringFamily(k, std::move(seeds), /*certified=*/true);
+}
+
+Result<ColoringFamily> ColoringFamily::Bits(const std::vector<Value>& ground,
+                                            size_t max_members) {
+  ColoringFamily family(2, {}, /*certified=*/true);
+  const uint64_t n = ground.size();
+  if (n > 0) family.ground_ = Relation(1, ground);
+  const int bits = static_cast<int>(std::bit_width(n > 0 ? n - 1 : 0));
+  // Fewer than two values: no pair to separate, one member still runs.
+  family.bits_ = static_cast<size_t>(std::max(bits, 1));
+  if (family.bits_ > max_members) {
+    return Status::ResourceExhausted(internal::StrCat(
+        "Certified coloring family: ", family.bits_, " members exceed limit ",
+        max_members));
+  }
+  return family;
+}
+
+std::vector<uint32_t> ColoringFamily::Codes(
+    const Relation& rows, const std::vector<int>& cols) const {
+  PQ_CHECK(coded(), "ColoringFamily::Codes: not a bit family");
+  std::vector<uint32_t> codes(rows.size() * cols.size());
+  if (codes.empty()) return codes;
+  // The ground relation is sorted, so a value's row in it is its rank.
+  const RowIndex index(ground_, {0});
+  uint32_t* code = codes.data();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (const int& c : cols) {
+      const uint32_t at = index.Find(rows, r, std::span<const int>(&c, 1));
+      *code++ = at != RowIndex::kNone
+                    ? at
+                    : static_cast<uint32_t>(Code(rows.At(r, c)));
+    }
+  }
+  return codes;
 }
 
 bool ColoringFamily::InjectiveOn(size_t member,

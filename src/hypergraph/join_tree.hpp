@@ -36,6 +36,12 @@ struct JoinTree {
 /// or has no edges.
 Result<JoinTree> BuildJoinTree(const Hypergraph& h);
 
+/// The same tree rooted at node `root`: the arcs on the path from `root` to
+/// the old root turn around, every other arc stays. The running-intersection
+/// property holds for any root, since it does not depend on orientation.
+/// Children keep ascending node order, as BuildJoinTree gives them.
+JoinTree RerootJoinTree(const JoinTree& tree, int root);
+
 /// Verifies the running-intersection property of `tree` against `h`
 /// (for every vertex, nodes containing it induce a connected subtree).
 /// Used by tests and debug checks.

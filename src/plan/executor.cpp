@@ -399,10 +399,6 @@ class Executor {
         PQ_RETURN_NOT_OK(Account(n, &PlanStats::dedups, out, charge));
         return out;
       }
-      case PlanOp::kFixpoint:
-        return Status::InvalidArgument(
-            "fixpoint plan nodes are driven by the Datalog engine, not the "
-            "plan executor");
       case PlanOp::kMaterialize: {
         PQ_FAULT_POINT("executor.vec.materialize");
         if (n.children.size() != 1) {

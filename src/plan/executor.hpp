@@ -54,8 +54,7 @@ struct ExecContext {
 /// running — and without counting — downstream kernels, reproducing the
 /// early-exit behavior of the hand-rolled evaluators this replaced (under a
 /// scheduler, concurrently started sibling subtrees may already have run;
-/// see above). Fixpoint nodes are rejected (their iteration belongs to the
-/// Datalog engine, which executes the per-rule child plans itself).
+/// see above).
 Result<NamedRelation> ExecutePlan(PlanNode& root, const ExecContext& ctx);
 
 /// Multi-root execution over ONE node memoization: subplans shared between

@@ -80,8 +80,6 @@ const char* PlanOpName(PlanOp op) {
       return "Semijoin";
     case PlanOp::kDedup:
       return "Dedup";
-    case PlanOp::kFixpoint:
-      return "Fixpoint";
     case PlanOp::kMaterialize:
       return "Materialize";
     case PlanOp::kMultiwayJoin:
@@ -381,15 +379,6 @@ PlanNodePtr MakeDedup(PlanNodePtr child) {
   return n;
 }
 
-PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,
-                         std::string label) {
-  auto n = std::make_shared<PlanNode>();
-  n->op = PlanOp::kFixpoint;
-  n->label = std::move(label);
-  n->children = std::move(rule_plans);
-  return n;
-}
-
 PlanNodePtr MakeMultiwayJoin(std::vector<PlanNodePtr> children,
                              std::vector<AttrId> attrs) {
   auto n = std::make_shared<PlanNode>();
@@ -578,7 +567,7 @@ struct Renderer {
       } else {
         out << " rows=?";
       }
-    } else if (n.op != PlanOp::kFixpoint) {
+    } else {
       if (n.est_rows >= 0) {
         out << " est=" << static_cast<uint64_t>(std::llround(n.est_rows));
       } else {

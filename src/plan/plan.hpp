@@ -2,8 +2,7 @@
 // to. A plan is a DAG of PlanNodes (shared subplans are permitted — the
 // Yannakakis schedule reuses reduced relations in several places) over the
 // operators the paper's algorithms are stated in: Scan (an S_j input slot),
-// Select, Project, HashJoin, Semijoin, Dedup, and Fixpoint (a marker node
-// whose iteration is driven by the Datalog engine), plus the physical
+// Select, Project, HashJoin, Semijoin and Dedup, plus the physical
 // additions Materialize, MultiwayJoin, Aggregate and SemijoinCount. A
 // HashJoin may fuse its parent's work: a projection (join-project) or a
 // count (join-count, which the counting planner uses to sum each hypertree
@@ -68,8 +67,6 @@ enum class PlanOp {
               // JoinProject, JoinCount) that never materialize the join
   kSemijoin,  // left ⋉ right
   kDedup,     // explicit set-semantics enforcement
-  kFixpoint,  // Datalog marker: children are per-rule body plans; iteration
-              // is driven by the semi-naive engine, not the plan executor
   kMaterialize,  // representation boundary: executes its child chain through
                  // the vectorized columnar pipeline (selection vectors over
                  // column stripes) and materializes the result back to rows
@@ -189,7 +186,7 @@ struct PlanNode {
   /// Output attributes (query variable ids).
   std::vector<AttrId> attrs;
   /// Human-readable annotation: relation/atom text for Scan, predicate text
-  /// for Select, rule text for Fixpoint children, ...
+  /// for Select, ...
   std::string label;
   /// Planner's cardinality estimate (< 0: unknown, rendered as "?").
   double est_rows = -1.0;
@@ -295,8 +292,6 @@ std::vector<AttrId> JoinCountKey(const std::vector<AttrId>& left,
 
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right);
 PlanNodePtr MakeDedup(PlanNodePtr child);
-PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,
-                         std::string label);
 /// Representation boundary over `child` (same attrs/estimates). The executor
 /// runs the chain below it vectorized when eligible (vec_pipeline.hpp) and
 /// falls back to executing the child row-at-a-time otherwise.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "hypergraph/gyo.hpp"
 #include "hypergraph/hypergraph.hpp"
@@ -181,12 +183,68 @@ TEST(JoinTreeTest, BottomUpOrderRespectsParents) {
   }
 }
 
-// Random acyclic hypergraphs: generate a random tree of atoms that share
-// variables along tree edges; GYO must accept and the join tree must verify.
-class RandomAcyclicTest : public ::testing::TestWithParam<uint64_t> {};
+// `tree` is a rooted tree at `root`: parent, children and both traversal
+// orders agree, and every node is reached from the root.
+void ExpectRootedAt(const JoinTree& tree, int root) {
+  ASSERT_EQ(tree.root, root);
+  EXPECT_EQ(tree.parent[root], -1);
+  ASSERT_EQ(tree.top_down.size(), tree.size());
+  ASSERT_EQ(tree.bottom_up.size(), tree.size());
+  EXPECT_EQ(tree.top_down.front(), root);
+  EXPECT_EQ(tree.bottom_up.back(), root);
+  std::vector<int> position(tree.size(), -1);
+  for (size_t i = 0; i < tree.top_down.size(); ++i) {
+    position[tree.top_down[i]] = static_cast<int>(i);
+  }
+  for (size_t e = 0; e < tree.size(); ++e) {
+    ASSERT_GE(position[e], 0) << "node " << e << " not reached";
+    if (static_cast<int>(e) == root) continue;
+    const int u = tree.parent[e];
+    ASSERT_GE(u, 0) << "node " << e << " has no parent";
+    EXPECT_LT(position[u], position[e]) << "parent must precede child";
+    const auto& siblings = tree.children[u];
+    EXPECT_NE(std::find(siblings.begin(), siblings.end(), static_cast<int>(e)),
+              siblings.end());
+  }
+}
 
-TEST_P(RandomAcyclicTest, GyoAcceptsAndJoinTreeVerifies) {
-  Rng rng(GetParam());
+// Every choice of root keeps the running-intersection property.
+void ExpectRerootsVerify(const Hypergraph& h) {
+  const JoinTree tree = BuildJoinTree(h).ValueOrDie();
+  for (int root = 0; root < static_cast<int>(tree.size()); ++root) {
+    SCOPED_TRACE(root);
+    const JoinTree rerooted = RerootJoinTree(tree, root);
+    ExpectRootedAt(rerooted, root);
+    EXPECT_TRUE(VerifyJoinTree(h, rerooted));
+    // Rooting back at the original root restores the original tree.
+    const JoinTree back = RerootJoinTree(rerooted, tree.root);
+    EXPECT_EQ(back.parent, tree.parent);
+    EXPECT_EQ(back.children, tree.children);
+    EXPECT_EQ(back.top_down, tree.top_down);
+  }
+}
+
+TEST(JoinTreeTest, RerootKeepsRunningIntersectionAtEveryRoot) {
+  Hypergraph star(7);  // the tree of BottomUpOrderRespectsParents
+  star.AddEdge({0, 1});
+  star.AddEdge({1, 2});
+  star.AddEdge({1, 3});
+  star.AddEdge({3, 4});
+  star.AddEdge({3, 5, 6});
+  ExpectRerootsVerify(star);
+  Hypergraph split(4);  // two components linked by an arc
+  split.AddEdge({0, 1});
+  split.AddEdge({2, 3});
+  ExpectRerootsVerify(split);
+  Hypergraph single(2);
+  single.AddEdge({0, 1});
+  ExpectRerootsVerify(single);
+}
+
+// Random acyclic hypergraphs: a random tree of atoms that share variables
+// along tree edges.
+Hypergraph RandomAcyclic(uint64_t seed) {
+  Rng rng(seed);
   int num_atoms = 3 + static_cast<int>(rng.Below(10));
   // Variable budget: each atom gets a private variable plus the connector
   // shared with its tree parent.
@@ -207,9 +265,21 @@ TEST_P(RandomAcyclicTest, GyoAcceptsAndJoinTreeVerifies) {
     atom_vars[i] = vars;
     h.AddEdge(vars);
   }
+  return h;
+}
+
+// GYO must accept and the join tree must verify, at every root.
+class RandomAcyclicTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomAcyclicTest, GyoAcceptsAndJoinTreeVerifies) {
+  Hypergraph h = RandomAcyclic(GetParam());
   EXPECT_TRUE(IsAcyclic(h));
   auto tree = BuildJoinTree(h).ValueOrDie();
   EXPECT_TRUE(VerifyJoinTree(h, tree));
+}
+
+TEST_P(RandomAcyclicTest, RerootedJoinTreesVerify) {
+  ExpectRerootsVerify(RandomAcyclic(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAcyclicTest,

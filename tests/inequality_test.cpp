@@ -10,6 +10,7 @@
 #include "eval/inequality.hpp"
 #include "eval/naive.hpp"
 #include "graph/generators.hpp"
+#include "hypergraph/join_tree.hpp"
 #include "query/ineq_formula.hpp"
 #include "query/parser.hpp"
 #include "workload/generators.hpp"
@@ -516,7 +517,9 @@ class IneqWidthTest : public ::testing::Test {
  protected:
   void SetUp() override {
     projects_ = EmployeeProjects(300, 30, 1, 4, /*seed=*/5);
-    single_ = EmployeeProjects(100, 10, 1, 1, /*seed=*/6);
+    // 20 projects: the k = 2 bit family has bit_width(19) = 5 members, so
+    // the colorings still outnumber the 4 workers.
+    single_ = EmployeeProjects(100, 20, 1, 1, /*seed=*/6);
     graph_ = GraphDb(GnpRandom(24, 0.2, 7));
     cases_.push_back({"multi_project", &projects_, MultiProjectQuery(), {}});
     cases_.push_back({"no_witness", &single_, MultiProjectQuery(), {}});
@@ -612,7 +615,184 @@ TEST_F(IneqWidthTest, StepBudgetPassingAtOneThreadPassesAtFour) {
   EXPECT_GT(failed, 0u);
 }
 
-// A Theorem 2 family of ~13 colorings over a few thousand employees.
+// ---------------------------------------------------------------------------
+// Algorithm 1 alone: when one atom holds every head variable, the join tree
+// is rooted there and the answer is the head projection of Algorithm 1's
+// root — no downward semijoins, no upward joins. Answers must match the
+// naive evaluation byte for byte at any width.
+// ---------------------------------------------------------------------------
+
+Database AlgorithmOneDb() { return GraphDb(GnpRandom(12, 0.3, /*seed=*/21)); }
+
+// The path the tests below project: three atoms, I1 inequalities between
+// atoms that share no variable.
+std::string PathBody() {
+  return "E(a, b), E(b, c), E(c, d), a != c, b != d, a != d.";
+}
+
+// Evaluates and decides `q` at widths 1 and 4, checks the answers against
+// NaiveEvaluateCq byte for byte, and returns the semijoins one evaluation
+// ran.
+size_t ExpectMatchesNaive(const Database& db, const ConjunctiveQuery& q) {
+  const Relation naive = NaiveEvaluateCq(db, q).ValueOrDie();
+  EXPECT_FALSE(naive.empty()) << "the fixture should have answers";
+  TaskScheduler wide(4);
+  PlanStats plan1, plan4;
+  const Relation one = IneqEvaluate(db, q, AtWidth(nullptr), Certified(),
+                                    nullptr, &plan1)
+                           .ValueOrDie();
+  const Relation four =
+      IneqEvaluate(db, q, AtWidth(&wide), Certified(), nullptr, &plan4)
+          .ValueOrDie();
+  EXPECT_EQ(one.arity(), naive.arity());
+  EXPECT_EQ(one.size(), naive.size());
+  EXPECT_EQ(one.data(), naive.data());
+  EXPECT_EQ(four.size(), naive.size());
+  EXPECT_EQ(four.data(), naive.data());
+  EXPECT_EQ(plan4.semijoins, plan1.semijoins);
+  for (TaskScheduler* scheduler : {static_cast<TaskScheduler*>(nullptr),
+                                   &wide}) {
+    EXPECT_EQ(IneqNonempty(db, q, AtWidth(scheduler), Certified())
+                  .ValueOrDie(),
+              !naive.empty());
+  }
+  return plan1.semijoins;
+}
+
+TEST(IneqAlgorithmOneTest, HeadInOneAtomRootsTheTreeThere) {
+  Database db = AlgorithmOneDb();
+  const std::vector<std::string> atoms = {"E(a, b)", "E(b, c)", "E(c, d)"};
+  const std::vector<std::string> heads = {"a, b", "b, c", "c, d"};
+  const int gyo_root =
+      BuildJoinTree(
+          ParseConjunctive("ans() :- " + PathBody()).ValueOrDie()
+              .BuildHypergraph())
+          .ValueOrDie()
+          .root;
+  int rerooted = 0;
+  for (size_t j = 0; j < atoms.size(); ++j) {
+    SCOPED_TRACE(heads[j]);
+    auto q = ParseConjunctive("ans(" + heads[j] + ") :- " + PathBody())
+                 .ValueOrDie();
+    // The only atom that covers the head becomes the root: GYO's own root
+    // once, a re-rooted tree otherwise.
+    if (static_cast<int>(j) != gyo_root) ++rerooted;
+    EXPECT_NE(IneqPlanText(db, q).ValueOrDie().find(
+                  "Algorithm 1 only (head in root atom " + atoms[j] + ")"),
+              std::string::npos);
+    EXPECT_EQ(ExpectMatchesNaive(db, q), 0u);
+  }
+  EXPECT_EQ(rerooted, 2);
+  // A head variable that two atoms hold, and a boolean head (every atom
+  // covers it): GYO's root is kept.
+  for (const char* head : {"b", "c", ""}) {
+    SCOPED_TRACE(head);
+    auto q = ParseConjunctive(std::string("ans(") + head + ") :- " +
+                              PathBody())
+                 .ValueOrDie();
+    EXPECT_EQ(ExpectMatchesNaive(db, q), 0u);
+  }
+}
+
+TEST(IneqAlgorithmOneTest, HeadSpreadOverAtomsStillRunsAlgorithmTwo) {
+  Database db = AlgorithmOneDb();
+  auto q = ParseConjunctive("ans(a, d) :- " + PathBody()).ValueOrDie();
+  EXPECT_EQ(IneqPlanText(db, q).ValueOrDie().find("Algorithm 1 only"),
+            std::string::npos);
+  EXPECT_GT(ExpectMatchesNaive(db, q), 0u);
+}
+
+TEST(IneqAlgorithmOneTest, FormulaModeProjectsTheFilteredRoot) {
+  Database db = AlgorithmOneDb();
+  const auto all = ParseConjunctive("ans(a, b, c) :- E(a, b), E(b, c).")
+                       .ValueOrDie();
+  const Relation bindings = NaiveEvaluateCq(db, all).ValueOrDie();
+  TaskScheduler wide(4);
+  for (const char* head : {"a, b", "b, c", "a, c"}) {
+    SCOPED_TRACE(head);
+    auto q = ParseConjunctive(std::string("ans(") + head +
+                              ") :- E(a, b), E(b, c).")
+                 .ValueOrDie();
+    VarId a = q.vars.Find("a"), b = q.vars.Find("b"), c = q.vars.Find("c");
+    IneqFormula phi;
+    int ac = phi.AddAtom({CompareOp::kNeq, Term::Var(a), Term::Var(c)});
+    int b3 = phi.AddAtom({CompareOp::kNeq, Term::Var(b), Term::Const(3)});
+    int ab = phi.AddAtom({CompareOp::kNeq, Term::Var(a), Term::Var(b)});
+    phi.root = phi.AddOr({phi.AddAnd({ac, b3}), ab});
+    // Oracle: φ on the real values of every body binding, then the head.
+    std::vector<int> col_of(q.NumVariables(), -1);
+    col_of[a] = 0, col_of[b] = 1, col_of[c] = 2;
+    Relation expected(2);
+    for (size_t r = 0; r < bindings.size(); ++r) {
+      auto row = bindings.Row(r);
+      auto value_of = [&](const Term& t) {
+        return t.is_var() ? row[col_of[t.var()]] : t.value();
+      };
+      if (!phi.Evaluate(value_of)) continue;
+      std::vector<Value> out;
+      for (const Term& t : q.head) out.push_back(row[col_of[t.var()]]);
+      expected.Add(out);
+    }
+    expected.SortAndDedup();
+    ASSERT_FALSE(expected.empty());
+    const bool in_one_atom = std::string(head) != "a, c";
+    for (TaskScheduler* scheduler : {static_cast<TaskScheduler*>(nullptr),
+                                     &wide}) {
+      PlanStats plan;
+      const Relation got =
+          IneqFormulaEvaluate(db, q, phi, AtWidth(scheduler), Certified(),
+                              nullptr, &plan)
+              .ValueOrDie();
+      EXPECT_EQ(got.size(), expected.size());
+      EXPECT_EQ(got.data(), expected.data());
+      EXPECT_EQ(plan.semijoins == 0, in_one_atom);
+    }
+  }
+}
+
+// Every empty relation shares one empty block, whatever its arity: two
+// atoms over declared-but-empty relations must not share an extension.
+TEST(IneqTest, EmptyRelationsDoNotShareAnExtension) {
+  TaskScheduler wide(4);
+  for (const char* r_arity : {"2", "3"}) {
+    SCOPED_TRACE(r_arity);
+    Database db;
+    const RelId r = db.AddRelation("R", std::stoul(r_arity)).ValueOrDie();
+    const RelId s = db.AddRelation("S", 3).ValueOrDie();
+    const RelId t = db.AddRelation("T", 2).ValueOrDie();
+    for (Value v = 0; v < 4; ++v) db.relation(t).Add({v, v + 1});
+    const std::string r_atom =
+        std::string(r_arity) == "2" ? "R(x, p)" : "R(x, p, w)";
+    // Filled one at a time: neither, R, then R and S (one answer).
+    for (const char* filled : {"none", "R", "R and S"}) {
+      SCOPED_TRACE(filled);
+      if (std::string(filled) == "R") {
+        std::vector<Value> row(db.relation(r).arity(), 1);
+        db.relation(r).Add(row);
+      } else if (std::string(filled) == "R and S") {
+        db.relation(s).Add({2, 5, 0});
+      }
+      auto q = ParseConjunctive("ans(x) :- " + r_atom +
+                                ", T(x, y), S(y, q, z), p != q.")
+                   .ValueOrDie();
+      const Relation naive = NaiveEvaluateCq(db, q).ValueOrDie();
+      for (TaskScheduler* scheduler : {static_cast<TaskScheduler*>(nullptr),
+                                       &wide}) {
+        const Relation got =
+            IneqEvaluate(db, q, AtWidth(scheduler), Certified()).ValueOrDie();
+        EXPECT_EQ(got.arity(), naive.arity());
+        EXPECT_EQ(got.size(), naive.size());
+        EXPECT_EQ(got.data(), naive.data());
+        EXPECT_EQ(IneqNonempty(db, q, AtWidth(scheduler), Certified())
+                      .ValueOrDie(),
+                  !naive.empty());
+      }
+    }
+  }
+}
+
+// A Theorem 2 family of 10 colorings (the bit family over 600 project ids)
+// over a few thousand employees.
 Database CancelDb() { return EmployeeProjects(6000, 600, 1, 4, /*seed=*/11); }
 
 size_t CountOccurrences(const std::string& text, const std::string& what) {
@@ -676,6 +856,8 @@ TEST(IneqEngineWidthTest, AnalyzeAndTraceCountEveryColoringOnce) {
         r.find("-- plan 1 (executions=" + std::to_string(family) + ")\n"),
         std::string::npos)
         << r;
+    // Attributes render by name, primed color columns included.
+    EXPECT_NE(r.find("HashJoin(e, p, p', q')"), std::string::npos) << r;
 
     options.trace = true;
     Engine traced(db, options);

@@ -171,6 +171,26 @@ TEST(PlanGoldenTest, CountFourCycleSumsOutBagVariables) {
             "        Scan(w, x) E(w, x) rows=4\n");
 }
 
+TEST(PlanGoldenTest, MultiProjectAnswersFromTheRootAtom) {
+  Database db = EmployeeProjects(6, 3, 1, 2, /*seed=*/1);
+  // The head e lies in the root atom, so the plan is Algorithm 1's upward
+  // join with the p' != q' check, projected onto e: no semijoin pass.
+  EXPECT_EQ(RenderConjunctivePlan(db, MultiProjectQuery()).ValueOrDie(),
+            "-- route: Theorem 2 color coding: acyclic with != only (FPT)\n"
+            "-- Theorem 2 color coding: k=2 (|V1|), I1=1 hash-checked "
+            "atom(s), I2=0 pushed into scans;\n"
+            "-- one residual plan compiled, executed once per coloring (one "
+            "task per coloring) on re-bound S' inputs (primed columns = "
+            "colors)\n"
+            "-- Algorithm 1 only (head in root atom EP(e, p)): the answer is "
+            "pi_head of the upward pass's root\n"
+            "Project(e) est=10\n"
+            "  HashJoin(e, p, p', q') $2!=$3 est=10\n"
+            "    Scan(e, p, p') S'(EP(e, p)) rows=11\n"
+            "    Project(e, q') est=11\n"
+            "      Scan(e, q, q') S'(EP(e, q)) rows=11\n");
+}
+
 TEST(PlanGoldenTest, CyclicTriangleWithInequality) {
   Database db = GoldenDb();
   auto q = ParseConjunctive("ans(x) :- E(x,y), E(y,z), E(z,x), x != y.")
@@ -378,15 +398,6 @@ TEST(PlanExecutorTest, SemijoinAndActualRows) {
   EXPECT_EQ(stats.semijoins, 1u);
   EXPECT_EQ(sj->actual_rows, 2u);
   EXPECT_NE(RenderPlan(*sj).find("actual=2"), std::string::npos);
-}
-
-TEST(PlanExecutorTest, FixpointNodesAreRejected) {
-  auto fp = MakeFixpoint({MakeScan(0, {0}, "A", 1)}, "semi-naive");
-  NamedRelation a({0});
-  std::vector<const NamedRelation*> inputs = {&a};
-  ExecContext ctx{inputs, {}, nullptr};
-  EXPECT_EQ(ExecutePlan(*fp, ctx).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(PlanExecutorTest, ExecutedPlanRenderShowsActuals) {

@@ -703,12 +703,8 @@ Result<PhysicalPlan> PlanCyclicCq(const Database& db,
     return plan;
   }
 
-  std::vector<size_t> order;
-  if (options.reorder) {
-    order = GreedyAtomOrder(plan.inputs, q.NumVariables());
-  } else {
-    for (size_t i = 0; i < scans.size(); ++i) order.push_back(i);
-  }
+  const std::vector<size_t> order =
+      GreedyAtomOrder(plan.inputs, q.NumVariables());
 
   // Left-deep chain; each comparison becomes a Select at the first point
   // where all of its variables are bound.
@@ -803,8 +799,8 @@ Result<PhysicalPlan> PlanCountingCq(const Database& db,
 
 std::string PlannerCacheTag(const PlannerOptions& options) {
   auto digit = [](bool on) { return on ? '1' : '0'; };
-  return {'p', digit(options.full_reducer), digit(options.reorder),
-          digit(options.vectorize), digit(options.wcoj), ':'};
+  return {'p', digit(options.full_reducer), digit(options.vectorize),
+          digit(options.wcoj), ':'};
 }
 
 Result<PhysicalPlan> PlanConjunctive(const Database& db,

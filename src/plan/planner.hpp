@@ -38,9 +38,6 @@ struct PlannerOptions {
   /// (ablation E7b) keeps correctness but loses the output-sensitivity
   /// guarantee: dangling tuples inflate intermediate joins.
   bool full_reducer = true;
-  /// Cyclic plans: apply the greedy atom ordering. Off = join in the query's
-  /// textual atom order (the seed-order baseline bench_planner measures).
-  bool reorder = true;
   /// Place a Materialize boundary over eligible Select/Project/HashJoin
   /// chains so the executor runs them as vectorized columnar stages
   /// (plan/vec_pipeline.hpp). Results are byte-identical either way; off

@@ -38,7 +38,9 @@ bool ParseIntegerCell(std::string_view s, Value* out) {
 Result<RelId> LoadCsv(Database* db, const std::string& name,
                       std::string_view csv_text) {
   PQ_FAULT_POINT("csv.load");
-  std::vector<ValueVec> rows;
+  // Split and validate everything before touching the database: a rejected
+  // load must not intern its string cells into the dictionary.
+  std::vector<std::string_view> cells;
   size_t arity = 0;
   size_t line_no = 0;
   size_t start = 0;
@@ -52,38 +54,39 @@ Result<RelId> LoadCsv(Database* db, const std::string& name,
       if (end == csv_text.size()) break;
       continue;
     }
-    ValueVec row;
+    const size_t row_start = cells.size();
     size_t cell_start = 0;
     for (;;) {
       size_t comma = line.find(',', cell_start);
-      std::string_view cell =
+      cells.push_back(
           Trim(line.substr(cell_start, comma == std::string_view::npos
                                            ? std::string_view::npos
-                                           : comma - cell_start));
-      Value parsed;
-      if (ParseIntegerCell(cell, &parsed)) {
-        row.push_back(parsed);
-      } else {
-        row.push_back(db->dict().Intern(cell));
-      }
+                                           : comma - cell_start)));
       if (comma == std::string_view::npos) break;
       cell_start = comma + 1;
     }
-    if (rows.empty()) {
-      arity = row.size();
-    } else if (row.size() != arity) {
+    const size_t row_cells = cells.size() - row_start;
+    if (row_start == 0) {
+      arity = row_cells;
+    } else if (row_cells != arity) {
       return Status::InvalidArgument(internal::StrCat(
-          "CSV line ", line_no, " has ", row.size(), " cells, expected ",
+          "CSV line ", line_no, " has ", row_cells, " cells, expected ",
           arity));
     }
-    rows.push_back(std::move(row));
     if (end == csv_text.size()) break;
   }
-  if (rows.empty()) {
+  if (cells.empty()) {
     return Status::InvalidArgument("CSV contains no data rows");
   }
   PQ_ASSIGN_OR_RETURN(RelId id, db->AddRelation(name, arity));
-  for (const ValueVec& row : rows) db->relation(id).Add(row);
+  ValueVec row(arity);
+  for (size_t first = 0; first < cells.size(); first += arity) {
+    for (size_t c = 0; c < arity; ++c) {
+      std::string_view cell = cells[first + c];
+      if (!ParseIntegerCell(cell, &row[c])) row[c] = db->dict().Intern(cell);
+    }
+    db->relation(id).Add(row);
+  }
   return id;
 }
 

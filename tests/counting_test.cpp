@@ -264,16 +264,28 @@ TEST(CountingBoundTest, StarJoinPeakStaysBoundedByInputs) {
     }
   }
   ConjunctiveQuery q = StarCountQuery(3);
-  Engine engine = MakeEngine(db, 1);
-  Relation out = engine.Run(q).ValueOrDie();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out.At(0, 0), Value{kFanout} * kFanout * kFanout);
-  const PlanStats& plan = engine.last_stats().plan;
-  EXPECT_GT(plan.aggregates, 0u);
-  EXPECT_GT(plan.semijoin_counts, 0u);
-  // Peak intermediate cardinality is bounded by the input size — the
-  // 125000-row join output never exists.
-  EXPECT_LE(plan.peak_intermediate_rows, input_rows);
+  // Materialize-then-count: the same body with every variable in the head.
+  ConjunctiveQuery enum_q = q;
+  enum_q.answer = AnswerSpec::Tuples();
+  for (VarId v = 0; v < enum_q.vars.size(); ++v) {
+    enum_q.head.push_back(Term::Var(v));
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    Engine engine = MakeEngine(db, threads);
+    Relation out = engine.Run(q).ValueOrDie();
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out.At(0, 0), Value{kFanout} * kFanout * kFanout);
+    const PlanStats plan = engine.last_stats().plan;
+    EXPECT_GT(plan.aggregates, 0u);
+    EXPECT_GT(plan.semijoin_counts, 0u);
+    // Peak intermediate cardinality is bounded by the input size — the
+    // 125000-row join output never exists.
+    EXPECT_LE(plan.peak_intermediate_rows, input_rows);
+    Relation materialized = engine.Run(enum_q).ValueOrDie();
+    EXPECT_EQ(materialized.size(), size_t{kFanout} * kFanout * kFanout);
+    EXPECT_GE(engine.last_stats().plan.rows_produced, 3 * plan.rows_produced);
+  }
 }
 
 TEST(CountingBoundTest, StarCountOverflowFailsCleanly) {

@@ -38,6 +38,11 @@ TEST(CsvTest, RejectsRaggedRows) {
   Database db;
   auto r = LoadCsv(&db, "R", "1,2\n3\n");
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // A rejected load interns none of its strings.
+  r = LoadCsv(&db, "R", "a,b\nc\n");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.dict().size(), 0u);
+  EXPECT_FALSE(db.HasRelation("R"));
 }
 
 TEST(CsvTest, RejectsEmptyAndDuplicate) {
@@ -46,6 +51,11 @@ TEST(CsvTest, RejectsEmptyAndDuplicate) {
   LoadCsv(&db, "R", "1\n").ValueOrDie();
   EXPECT_EQ(LoadCsv(&db, "R", "2\n").status().code(),
             StatusCode::kAlreadyExists);
+  LoadCsv(&db, "S", "a, b\nc, d\n").ValueOrDie();
+  ASSERT_EQ(db.dict().size(), 4u);
+  EXPECT_EQ(LoadCsv(&db, "S", "e, f\n").status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db.dict().size(), 4u);
 }
 
 TEST(CsvTest, SkipsBlankLinesAndTrimsCells) {

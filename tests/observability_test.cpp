@@ -114,6 +114,10 @@ TEST(TracingDifferentialTest, DatalogFixpointTraceHasHierarchySpans) {
   EngineOptions options;
   options.threads = 4;
   options.trace = true;
+  // Row-at-a-time operators and small morsels: the trace must show the
+  // morsel tier, not just vectorized batches.
+  options.vectorize = false;
+  options.morsel_rows = 256;
   Engine engine(db, options);
   auto result = engine.RunText(kDatalogTc, &db.dict());
   ASSERT_TRUE(result.ok()) << result.status();
@@ -121,6 +125,7 @@ TEST(TracingDifferentialTest, DatalogFixpointTraceHasHierarchySpans) {
   EXPECT_TRUE(LooksLikeWellFormedJson(json));
   EXPECT_NE(json.find("\"round\""), std::string::npos);
   EXPECT_NE(json.find("\"firing\""), std::string::npos);
+  EXPECT_NE(json.find("morsel."), std::string::npos);
   EXPECT_NE(json.find("\"route.datalog\""), std::string::npos);
   EXPECT_NE(json.find("\"query\""), std::string::npos);
   std::string profile = engine.tracer()->TextProfile();

@@ -376,6 +376,34 @@ TEST_P(PlanDifferentialTest, MatchesBacktrackingOnCyclicQueries) {
 INSTANTIATE_TEST_SUITE_P(Sweep, PlanDifferentialTest,
                          ::testing::Range<uint64_t>(1, 9));
 
+TEST(PlanWorkTest, GreedyOrderAvoidsTheTextualCrossProduct) {
+  // A and B share no variable; E and F close the cycle. Joining the atoms
+  // as written starts with the |A|·|B| cross product; the greedy order on
+  // the binary chain keeps every intermediate far below it.
+  Rng rng(271828);
+  const size_t scale = 600;
+  Database db;
+  for (const char* name : {"A", "B", "E", "F"}) {
+    RelId id = db.AddRelation(name, 2).ValueOrDie();
+    const size_t rows = name[0] < 'E' ? scale : 2 * scale;
+    for (size_t i = 0; i < rows; ++i) {
+      db.relation(id).Add({rng.Range(0, 199), rng.Range(0, 199)});
+    }
+  }
+  auto q = ParseConjunctive("ans(x, w) :- A(x, y), B(z, w), E(y, z), F(w, x).")
+               .ValueOrDie();
+  EngineOptions options;
+  options.wcoj = false;
+  Engine binary(db, options);
+  Relation out = binary.Run(q).ValueOrDie();
+  EXPECT_EQ(binary.last_stats().plan.multiway_joins, 0u);
+  EXPECT_LT(binary.last_stats().plan.peak_intermediate_rows,
+            scale * scale / 10);
+  Relation wcoj = Engine(db).Run(q).ValueOrDie();
+  ASSERT_EQ(out.size(), wcoj.size());
+  EXPECT_TRUE(out.data() == wcoj.data());
+}
+
 // ---------------------------------------------------------------------------
 // Executor mechanics.
 // ---------------------------------------------------------------------------

@@ -272,6 +272,75 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WcojDifferentialTest,
                          ::testing::Range<uint64_t>(1, 7));
 
 // ---------------------------------------------------------------------------
+// Work scaling: rows produced when the input doubles.
+// ---------------------------------------------------------------------------
+
+// Star with a ring: hub 0 <-> leaves 1..k in both directions plus ring
+// edges i -> i+1 and chords i -> i+2, so Theta(k) directed triangles and
+// 4-cliques pass through the hub. Every binary plan joins two cyclic atoms
+// through the hub first (Theta(k^2) rows); the leapfrog join stays near
+// input + output. T fans every leaf into 16 values (the triangle-plus-tail
+// query).
+Database StarWithRing(size_t k) {
+  Database db;
+  RelId e = db.AddRelation("E", 2).ValueOrDie();
+  RelId t = db.AddRelation("T", 2).ValueOrDie();
+  for (size_t i = 1; i <= k; ++i) {
+    const Value leaf = static_cast<Value>(i);
+    db.relation(e).Add({0, leaf});
+    db.relation(e).Add({leaf, 0});
+    if (i < k) db.relation(e).Add({leaf, leaf + 1});
+    if (i + 1 < k) db.relation(e).Add({leaf, leaf + 2});
+    db.relation(t).Add({leaf, static_cast<Value>(k + 1 + i % 16)});
+  }
+  return db;
+}
+
+TEST(WcojWorkTest, DoublingTheInputDoublesLeapfrogRowsAndQuadruplesBinary) {
+  const struct {
+    const char* text;
+    size_t k;
+  } cells[] = {
+      {"ans(x, y, z) :- E(x, y), E(y, z), E(z, x).", 500},
+      // E(x, y) third: the greedy binary order closes the (w, x, y)
+      // triangle before touching z, so its intermediates stay Theta(k^2).
+      {"ans(w, x, y, z) :- E(w, x), E(w, y), E(x, y), E(w, z), E(x, z), "
+       "E(y, z).",
+       400},
+      {"ans(x, t) :- E(x, y), E(y, z), E(z, x), T(z, t).", 500},
+  };
+  for (const auto& cell : cells) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << cell.text << " threads=" << threads);
+      uint64_t rows[2][2] = {};  // [wcoj][doubling]
+      for (int doubling = 0; doubling < 2; ++doubling) {
+        Database db = StarWithRing(cell.k << doubling);
+        Relation reference(0);
+        for (bool wcoj : {false, true}) {
+          EngineOptions options;
+          options.wcoj = wcoj;
+          options.threads = threads;
+          Engine engine(db, options);
+          Relation out = engine.RunText(cell.text).ValueOrDie();
+          const PlanStats& plan = engine.last_stats().plan;
+          EXPECT_EQ(plan.multiway_joins > 0, wcoj);
+          rows[wcoj][doubling] = plan.rows_produced;
+          if (!wcoj) {
+            reference = std::move(out);
+          } else {
+            ASSERT_EQ(out.size(), reference.size());
+            EXPECT_TRUE(out.data() == reference.data());
+          }
+        }
+        EXPECT_LT(rows[1][doubling], rows[0][doubling]);
+      }
+      EXPECT_LE(static_cast<double>(rows[1][1]), 2.2 * rows[1][0]);
+      EXPECT_GE(static_cast<double>(rows[0][1]), 3.5 * rows[0][0]);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Fault injection and plan-cache interaction.
 // ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 #include "eval/acyclic.hpp"
 
+#include <utility>
+
 #include "common/fault_injection.hpp"
 #include "eval/common.hpp"
 #include "obs/trace.hpp"
@@ -28,7 +30,8 @@ Result<Relation> AcyclicEvaluate(const Database& db, const ConjunctiveQuery& q,
       NamedRelation bindings,
       ExecuteCachedPlan(db, q, ctx, "cq-eval:", PlanAcyclicCq,
                         "acyclic.cache.insert", plan_stats, &head));
-  Relation answers = BindingsToAnswers(bindings, head, /*sort_output=*/false);
+  Relation answers = BindingsToAnswers(std::move(bindings), head,
+                                       /*sort_output=*/false);
   if (!sort_output) return answers;
   return SortAnswers(std::move(answers), ctx.runtime);
 }

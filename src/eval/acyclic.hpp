@@ -7,8 +7,9 @@
 // Since the physical-plan refactor, this evaluator lowers the query through
 // plan/planner.hpp (which reproduces the exact semijoin-then-join schedule
 // as a PlanNode DAG) and runs the shared plan executor; its operator
-// counters are the executor's PlanStats. The downward reducer pass is
-// EvalContext::planner.full_reducer.
+// counters are the executor's PlanStats. The reducer is
+// EvalContext::planner.full_reducer; a single-edge join tree plans none,
+// since its one join drops the dangling tuples itself.
 #ifndef PARAQUERY_EVAL_ACYCLIC_H_
 #define PARAQUERY_EVAL_ACYCLIC_H_
 

@@ -185,11 +185,20 @@ Relation AnswerRelation(size_t arity, size_t rows, std::vector<Value> values) {
   return out;
 }
 
-Relation BindingsToAnswers(const NamedRelation& bindings,
+Relation BindingsToAnswers(NamedRelation bindings,
                            const std::vector<Term>& head, bool sort_output) {
-  std::vector<Value> values;
-  AppendAnswers(bindings, head, values);
-  Relation out = AnswerRelation(head.size(), bindings.size(), std::move(values));
+  bool identity = !head.empty() && head.size() == bindings.arity();
+  for (size_t i = 0; identity && i < head.size(); ++i) {
+    identity = head[i].is_var() && head[i].var() == bindings.attrs()[i];
+  }
+  Relation out(head.size());
+  if (identity) {
+    out = std::move(bindings.rel());
+  } else {
+    std::vector<Value> values;
+    AppendAnswers(bindings, head, values);
+    out = AnswerRelation(head.size(), bindings.size(), std::move(values));
+  }
   if (sort_output) out.SortAndDedup();
   return out;
 }

@@ -34,14 +34,17 @@ Result<NamedRelation> AtomToRelation(const Database& db, const Atom& atom,
 /// Converts variable bindings (a relation whose attributes are VarIds
 /// covering every head variable) into answer tuples through `head`:
 /// variables are looked up, constants copied, all rows gathered into one
-/// buffer. With `sort_output` true the result is sorted and deduplicated
-/// (sequentially); with false it is the unsorted mapping and may contain
-/// duplicates. Evaluators pass false and finish with SortAnswers, so each
-/// answer is sorted exactly once: unions (UCQ disjuncts, Theorem 2
-/// colorings) sort each part in its own task and merge the parts
-/// (MergeSortedAnswers), and the Datalog fixpoint deduplicates rule firings
-/// through its own hash sets.
-Relation BindingsToAnswers(const NamedRelation& bindings,
+/// buffer. A head that lists exactly the bindings' attributes, in order,
+/// maps each row to itself: the answer is then the bindings' own storage
+/// (and sorted() flag), not a copy, so callers move the bindings in and a
+/// later sort of an exclusively owned result runs in place. With
+/// `sort_output` true the result is sorted and deduplicated (sequentially);
+/// with false it is the unsorted mapping and may contain duplicates.
+/// Evaluators pass false and finish with SortAnswers, so each answer is
+/// sorted exactly once: unions (UCQ disjuncts, Theorem 2 colorings) sort
+/// each part in its own task and merge the parts (MergeSortedAnswers), and
+/// the Datalog fixpoint deduplicates rule firings through its own hash sets.
+Relation BindingsToAnswers(NamedRelation bindings,
                            const std::vector<Term>& head,
                            bool sort_output = true);
 

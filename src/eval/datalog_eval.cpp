@@ -491,7 +491,8 @@ class DatalogRun {
                         ExecutePlan(*variant.plan, exec));
     out.fired = true;
     out.derived =
-        BindingsToAnswers(bindings, rule.head.terms, /*sort_output=*/false);
+        BindingsToAnswers(std::move(bindings), rule.head.terms,
+                          /*sort_output=*/false);
     return out;
   }
 

@@ -282,8 +282,9 @@ Result<Relation> EvaluateFirstOrder(const Database& db,
   // Final poll covers the head padding above (the last uninterruptible
   // stretch before answers are handed back).
   PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
-  return SortAnswers(BindingsToAnswers(root, q.head, /*sort_output=*/false),
-                     ctx.runtime);
+  return SortAnswers(
+      BindingsToAnswers(std::move(root), q.head, /*sort_output=*/false),
+      ctx.runtime);
 }
 
 Result<bool> FirstOrderNonempty(const Database& db, const FirstOrderQuery& q,

@@ -188,7 +188,8 @@ Result<Relation> NaiveEvaluateCq(const Database& db, const ConjunctiveQuery& q,
                       ExecuteCachedPlan(db, q, ctx, "cq-cyc:", PlanCyclicCq,
                                         /*insert_fault=*/nullptr, plan_stats,
                                         &head));
-  Relation answers = BindingsToAnswers(bindings, head, /*sort_output=*/false);
+  Relation answers =
+      BindingsToAnswers(std::move(bindings), head, /*sort_output=*/false);
   if (!sort_output) return answers;
   return SortAnswers(std::move(answers), ctx.runtime);
 }
@@ -206,7 +207,7 @@ Result<Relation> BacktrackEvaluateCq(const Database& db,
   s.Dfs(0);
   PQ_RETURN_NOT_OK(s.status);
   bindings.rel().HashDedup();
-  return BindingsToAnswers(bindings, q.head);
+  return BindingsToAnswers(std::move(bindings), q.head);
 }
 
 Result<bool> NaiveCqNonempty(const Database& db, const ConjunctiveQuery& q,

@@ -284,9 +284,9 @@ class Executor {
       case PlanOp::kHashJoin: {
         PQ_FAULT_POINT("executor.hashjoin");
         // A join whose attrs drop a child attribute is a fused join-project
-        // (never with a post-filter; MakeHashJoin enforces it), one whose
-        // attrs end with #count a fused join-count (MakeJoinCount), whose
-        // optional third child is its weight.
+        // (its post-filter, if any, runs inside the kernel), one whose attrs
+        // end with #count a fused join-count (MakeJoinCount), whose optional
+        // third child is its weight.
         const bool count = IsJoinCount(n);
         const bool project = !count && !JoinProjectedOut(n).empty();
         Result<NamedRelation> lres = NamedRelation{n.attrs};
@@ -349,8 +349,9 @@ class Executor {
                 NoteKey(*wnode, weight.key);
               }
             } else {
-              out = JoinProject(left, right, cached, n.attrs, ctx_.runtime,
-                                ctx_.limits.max_rows, &morsels, &key);
+              out = JoinProject(left, right, cached, n.attrs, n.predicate,
+                                ctx_.runtime, ctx_.limits.max_rows, &morsels,
+                                &key);
             }
             NoteKey(n, key);
             return out;

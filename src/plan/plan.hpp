@@ -242,20 +242,32 @@ PlanNodePtr MakeScan(int slot, std::vector<AttrId> attrs, std::string label,
 PlanNodePtr MakeSelect(PlanNodePtr child, Predicate predicate);
 PlanNodePtr MakeProject(PlanNodePtr child, std::vector<AttrId> attrs,
                         bool dedup);
-/// `post_filter` (columns index the OUTPUT attrs: left then right-only) is
-/// applied inside the join kernel; non-empty filters disable the
-/// morsel-parallel probe fast path for this node.
+/// `post_filter` is applied inside the join kernel; its columns index the
+/// join row (left attrs, then right-only attrs). A filtered plain join runs
+/// the sequential probe rather than the morsel-parallel fast path.
 ///
 /// A nonempty `project` (a subset of the join's attributes that drops at
-/// least one, in output order; exclusive with `post_filter`) makes the node
-/// a fused join-project: attrs = `project`, and the executor computes the
-/// distinct rows of π_project(L ⋈ R) in one grouped pass, never
-/// materializing the join. The planner emits it for the Yannakakis root
-/// projection over the upward pass's last join. EXPLAIN renders the dropped
-/// attributes, e.g. "HashJoin(x, z) project-out(y)".
+/// least one, in output order) makes the node a fused join-project: attrs =
+/// `project`, and the executor computes the distinct rows of
+/// π_project(σ_post_filter(L ⋈ R)) in one grouped pass, never materializing
+/// the join. A fused join may therefore filter too: the filter still
+/// indexes the join row, not `project`. The planners emit it through
+/// ProjectHead. EXPLAIN renders the dropped attributes, then the filter,
+/// e.g. "HashJoin(x, z) project-out(y) $0<$2".
 PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
                          Predicate post_filter = {},
                          std::vector<AttrId> project = {});
+
+/// The head projection π_head(root) of a plan whose `root` is a set. It is
+/// `root` itself when `head` equals root's attrs. When root is a plain or
+/// filtered HashJoin (neither fused already nor a join-count) and `head` is
+/// nonempty and drops one of its attributes, the projection fuses into that
+/// join, filter included (MakeHashJoin's `project`); when the head keeps
+/// nothing from the right, a deduplicating Project of a scan on the join's
+/// right is then read through (unless an attribute it drops would join).
+/// Otherwise it is a deduplicating Project.
+PlanNodePtr ProjectHead(const PlanNodePtr& root,
+                        const std::vector<AttrId>& head);
 
 /// The attributes a kHashJoin node projects away — or, for a join-count,
 /// sums out: its children's attributes absent from its own attrs, in child

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "eval/common.hpp"
 #include "hypergraph/hypertree.hpp"
@@ -157,14 +158,24 @@ Status CheckAcyclicSupported(const ConjunctiveQuery& q) {
   return Status::OK();
 }
 
-// Shared skeleton of the two acyclic entry points: scans, the join tree, and
-// the semijoin passes. `cur[j]` ends as node j's reduced relation: upward
-// semijoins only for the decision plan, upward + downward (the full reducer)
-// for evaluation, or the raw scans when the reducer is ablated away.
+// The semijoin passes PrepareAcyclic plans.
+enum class Reducer {
+  kNone,    // the raw scans
+  kUpward,  // the upward pass: the decision plan's root is empty iff the
+            // join is
+  kFull,    // upward and downward: every relation globally consistent
+};
+
+// Shared skeleton of the acyclic entry points: scans, the join tree, and
+// the semijoin passes. `cur[j]` ends as node j's reduced relation. The full
+// reducer only pays where a join below the root would otherwise carry
+// dangling tuples: on a single-edge tree the root join drops them itself,
+// so kFull plans no semijoin there, and the fused root reads the stored
+// scans (and the sorted tries cached on them) directly. The counting pass
+// asks for kNone: its SemijoinCount folds drop dangling tuples too.
 Status PrepareAcyclic(const Database& db, const ConjunctiveQuery& q,
-                      bool full_reducer, bool decision_only,
-                      PhysicalPlan* plan, std::vector<PlanNodePtr>* cur,
-                      JoinTree* tree) {
+                      Reducer reducer, PhysicalPlan* plan,
+                      std::vector<PlanNodePtr>* cur, JoinTree* tree) {
   PQ_RETURN_NOT_OK(CheckAcyclicSupported(q));
   PQ_RETURN_NOT_OK(BuildAtomScans(db, q, plan, cur));
   Hypergraph h = q.BuildHypergraph();
@@ -174,7 +185,8 @@ Status PrepareAcyclic(const Database& db, const ConjunctiveQuery& q,
         "query is not acyclic: ", built.status().message()));
   }
   *tree = std::move(built).value();
-  if (!decision_only && !full_reducer) return Status::OK();  // ablation E7b
+  if (reducer == Reducer::kFull && tree->size() <= 2) reducer = Reducer::kNone;
+  if (reducer == Reducer::kNone) return Status::OK();
   // Upward semijoin pass (Yannakakis Algorithm 1): after it the root is
   // empty iff the join is empty.
   for (int j : tree->bottom_up) {
@@ -182,7 +194,7 @@ Status PrepareAcyclic(const Database& db, const ConjunctiveQuery& q,
     if (u < 0) continue;
     (*cur)[u] = MakeSemijoin((*cur)[u], (*cur)[j]);
   }
-  if (!decision_only) {
+  if (reducer == Reducer::kFull) {
     // Downward pass: the relations become globally consistent.
     for (int j : tree->top_down) {
       int u = tree->parent[j];
@@ -201,22 +213,6 @@ PlanNodePtr ProjectChild(const PlanNodePtr& node,
                          const std::vector<AttrId>& zj) {
   if (zj == node->attrs) return node;
   return MakeProject(node, zj, /*dedup=*/true);
-}
-
-// The root's head projection. A head equal to the root's attributes is the
-// root itself (like ProjectChild: every root of the upward pass is already a
-// set). Directly over the upward pass's last join, a projection that drops
-// an attribute fuses into that join (one grouped join-project, no
-// materialized join); otherwise it is a deduplicating Project. A Boolean
-// head (no variables) keeps the Project.
-PlanNodePtr ProjectHead(const PlanNodePtr& root,
-                        const std::vector<AttrId>& head_vars) {
-  if (head_vars == root->attrs) return root;
-  if (root->op == PlanOp::kHashJoin && root->predicate.empty() &&
-      !head_vars.empty() && head_vars.size() < root->attrs.size()) {
-    return MakeHashJoin(root->children[0], root->children[1], {}, head_vars);
-  }
-  return MakeProject(root, head_vars, /*dedup=*/true);
 }
 
 // --- Worst-case-optimal route for comparison-free cyclic CQs -------------
@@ -412,16 +408,19 @@ PlanNodePtr FoldChild(const PlanNodePtr& child,
   return MakeAggregate(child, std::move(keys));
 }
 
-// Counting-Yannakakis upward pass over a reduced join tree (the GYO atom
-// tree). Bottom-up, each node j folds into its parent u as per-key
-// multiplicities (FoldChild), and the parent picks the counts up with a
+// Counting-Yannakakis upward pass over the GYO atom tree's raw scans.
+// Bottom-up, each node j folds into its parent u as per-key multiplicities
+// (FoldChild), and the parent picks the counts up with a
 // multiplicity-weighted semijoin. The invariant is that after its children
 // are folded in, node j's multiplicity column counts the distinct
 // assignments to its subtree's remaining (projected-away) variables;
 // running intersection makes the per-child counts independent, so the
 // products are exact. The root aggregates to the group keys in head order.
-// The full join is never materialized: every intermediate is bounded by an
-// input/semijoin size plus the group-key fan-out.
+// No semijoin reducer runs first (Chen–Mengel): a dangling child row folds
+// into a key its parent lacks, and the SemijoinCount drops it and every
+// dangling parent row, exactly as BagCountingPass relies on. The full join
+// is never materialized: every intermediate is bounded by an input size
+// plus the group-key fan-out.
 PlanNodePtr CountingUpwardPass(std::vector<PlanNodePtr> cur,
                                const std::vector<int>& bottom_up,
                                const std::vector<int>& parent, int root,
@@ -600,9 +599,9 @@ Result<PhysicalPlan> PlanAcyclicCq(const Database& db,
   plan.vars = q.vars;
   std::vector<PlanNodePtr> cur;
   JoinTree tree;
-  PQ_RETURN_NOT_OK(PrepareAcyclic(db, q, options.full_reducer,
-                                  /*decision_only=*/false, &plan, &cur,
-                                  &tree));
+  PQ_RETURN_NOT_OK(PrepareAcyclic(
+      db, q, options.full_reducer ? Reducer::kFull : Reducer::kNone, &plan,
+      &cur, &tree));
 
   // Head variables contributed by each subtree (the projection sets Z_j).
   std::vector<VarId> head_vars = q.HeadVariables();
@@ -648,15 +647,14 @@ Result<PhysicalPlan> PlanAcyclicCq(const Database& db,
 
 Result<PhysicalPlan> PlanAcyclicDecision(const Database& db,
                                          const ConjunctiveQuery& q,
-                                         const PlannerOptions& options) {
+                                         const PlannerOptions& /*options*/) {
   PhysicalPlan plan;
   plan.head = q.head;
   plan.vars = q.vars;
   std::vector<PlanNodePtr> cur;
   JoinTree tree;
-  PQ_RETURN_NOT_OK(PrepareAcyclic(db, q, options.full_reducer,
-                                  /*decision_only=*/true, &plan, &cur,
-                                  &tree));
+  PQ_RETURN_NOT_OK(
+      PrepareAcyclic(db, q, Reducer::kUpward, &plan, &cur, &tree));
   plan.root = cur[tree.root];
   return plan;
 }
@@ -703,29 +701,43 @@ Result<PhysicalPlan> PlanCyclicCq(const Database& db,
     return plan;
   }
 
-  const std::vector<size_t> order =
-      GreedyAtomOrder(plan.inputs, q.NumVariables());
+  std::vector<size_t> order = GreedyAtomOrder(plan.inputs, q.NumVariables());
 
   // Left-deep chain; each comparison becomes a Select at the first point
-  // where all of its variables are bound.
+  // where all of its variables are bound. Two atoms whose head drops a
+  // variable join in one fused join-project instead, which applies the
+  // comparisons the join binds inside the kernel. Its left atom is the one
+  // that holds the head's first variable, when only one does: the kernel
+  // groups by the left's head columns, so its rows then come out sorted.
+  const bool fuse = order.size() == 2 && !head_vars.empty() &&
+                    head_vars.size() < q.BodyVariables().size();
+  if (fuse && !Contains(scans[order[0]]->attrs, head_vars[0])) {
+    std::swap(order[0], order[1]);
+  }
   std::vector<bool> applied(pending.size(), false);
-  PlanNodePtr node;
-  auto apply_selects = [&]() -> Status {
+  auto bound_predicate =
+      [&](const std::vector<AttrId>& attrs) -> Result<Predicate> {
     Predicate pred;
     for (size_t c = 0; c < pending.size(); ++c) {
-      if (applied[c] || !CompareBound(node->attrs, *pending[c])) continue;
+      if (applied[c] || !CompareBound(attrs, *pending[c])) continue;
       PQ_ASSIGN_OR_RETURN(Constraint cons,
-                          CompareToConstraint(node->attrs, *pending[c]));
+                          CompareToConstraint(attrs, *pending[c]));
       pred.Add(cons);
       applied[c] = true;
     }
-    if (!pred.empty()) node = MakeSelect(std::move(node), std::move(pred));
-    return Status::OK();
+    return pred;
   };
+  PlanNodePtr node;
   for (size_t k = 0; k < order.size(); ++k) {
-    node = (k == 0) ? scans[order[0]]
-                    : MakeHashJoin(std::move(node), scans[order[k]]);
-    PQ_RETURN_NOT_OK(apply_selects());
+    node = (k == 0) ? scans[order[0]] : MakeHashJoin(node, scans[order[k]]);
+    PQ_ASSIGN_OR_RETURN(Predicate pred, bound_predicate(node->attrs));
+    if (k > 0 && fuse) {
+      plan.root = ProjectHead(
+          MakeHashJoin(node->children[0], node->children[1], std::move(pred)),
+          head_vars);
+      return plan;
+    }
+    if (!pred.empty()) node = MakeSelect(std::move(node), std::move(pred));
   }
   // Head projection + dedup. When vectorizable, the Select/Project/HashJoin
   // chain runs as columnar stages under a Materialize boundary; the Dedup
@@ -756,15 +768,14 @@ Result<PhysicalPlan> PlanCountingCq(const Database& db,
   const RouteDecision route = DecideRoute(q, options, /*closure=*/false);
 
   if (route.acyclic && route.comparison_free) {
-    // Counting Yannakakis over the GYO join tree.
+    // Counting Yannakakis over the GYO join tree, with no reducer.
     PhysicalPlan plan;
     plan.head = q.head;
     plan.vars = q.vars;
     std::vector<PlanNodePtr> cur;
     JoinTree tree;
-    PQ_RETURN_NOT_OK(PrepareAcyclic(db, q, options.full_reducer,
-                                    /*decision_only=*/false, &plan, &cur,
-                                    &tree));
+    PQ_RETURN_NOT_OK(
+        PrepareAcyclic(db, q, Reducer::kNone, &plan, &cur, &tree));
     plan.root = CountingUpwardPass(std::move(cur), tree.bottom_up,
                                    tree.parent, tree.root, group_vars);
     return plan;

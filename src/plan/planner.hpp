@@ -3,9 +3,10 @@
 //   * Acyclic comparison-free CQs lower along a GYO join tree to the exact
 //     Yannakakis schedule: upward semijoins, downward semijoins (the full
 //     reducer), then the upward join-and-project pass — one Semijoin/HashJoin
-//     node per operator call of the textbook algorithm. The head projection
-//     fuses into the last join when it drops an attribute (a join-project
-//     HashJoin; see MakeHashJoin).
+//     node per operator call of the textbook algorithm. A single-edge tree
+//     skips the reducer, whose work its one join does anyway. The head
+//     projection fuses into the last join when it drops an attribute (a
+//     join-project HashJoin; see ProjectHead).
 //   * Comparison-free cyclic CQs lower along a generalized hypertree
 //     decomposition, with worst-case-optimal multiway joins inside the
 //     cyclic bags (PlannerOptions::wcoj).
@@ -13,7 +14,8 @@
 //     left-deep HashJoin chain in the greedy smallest-relation-first
 //     connected order, with comparison atoms applied as Select nodes at
 //     the earliest point where all their variables are bound, and a
-//     Project+Dedup head.
+//     Project+Dedup head. Two atoms whose head drops a variable lower to
+//     one fused join-project that applies the comparisons inside the join.
 //   * Datalog rule bodies lower to reusable left-deep plans over slot-bound
 //     scans (slot i = body position i) so the semi-naive engine plans each
 //     (rule, delta position) variant once and re-executes it every iteration.
@@ -34,9 +36,11 @@
 namespace paraquery {
 
 struct PlannerOptions {
-  /// Acyclic plans: include the downward semijoin pass. Disabling it
-  /// (ablation E7b) keeps correctness but loses the output-sensitivity
-  /// guarantee: dangling tuples inflate intermediate joins.
+  /// Tuple plans over a join tree: run the semijoin reducer (acyclic plans:
+  /// both passes; hypertree bag plans: the downward pass). Disabling it (ablation E7b) keeps correctness but loses the
+  /// output-sensitivity guarantee: dangling tuples inflate intermediate
+  /// joins. It only affects plans that run a reducer: a single-edge join
+  /// tree, a counting plan and a decision plan ignore it.
   bool full_reducer = true;
   /// Place a Materialize boundary over eligible Select/Project/HashJoin
   /// chains so the executor runs them as vectorized columnar stages
@@ -100,11 +104,11 @@ Result<PhysicalPlan> PlanCyclicCq(const Database& db,
                                   const PlannerOptions& options = {});
 
 /// Counting plan for a CQ with `answer.counting()`. Acyclic comparison-free
-/// queries get the counting-Yannakakis schedule: the semijoin reducer passes,
-/// then an upward pass where each subtree folds into its parent as per-key
-/// multiplicities (Aggregate + SemijoinCount) — the full join output is never
-/// materialized, so peak intermediate rows stay bounded by the input and
-/// semijoin sizes. Cyclic queries that pass the WCOJ gate run the same
+/// queries get the counting-Yannakakis schedule without a reducer: an
+/// upward pass over the raw scans where each subtree folds into its parent
+/// as per-key multiplicities (Aggregate + SemijoinCount), which drops
+/// dangling tuples itself — the full join output is never materialized, so
+/// peak intermediate rows stay bounded by the input sizes. Cyclic queries that pass the WCOJ gate run the same
 /// counting pass over the hypertree-decomposition bag tree (leapfrog multiway joins inside
 /// cyclic bags). Everything else falls back to enumerating the distinct
 /// assignments to all body variables through the general planner and

@@ -34,6 +34,8 @@ struct Constraint {
   Value value = 0; // constant (kind *Const only)
 
   bool Eval(std::span<const Value> row) const;
+  /// True for the *Cols kinds, whose `rhs` is a column too.
+  bool ReadsRhsColumn() const { return kind >= Kind::kEqCols; }
   std::string ToString() const;
 
   static Constraint EqConst(int col, Value v) {

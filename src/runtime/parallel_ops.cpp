@@ -31,21 +31,7 @@ std::vector<std::pair<int, int>> CommonColumns(const NamedRelation& left,
   return out;
 }
 
-// Concatenates per-morsel buffers (in morsel order) into one flat relation.
-NamedRelation MergeMorsels(std::vector<AttrId> attrs, size_t arity,
-                           const std::vector<std::vector<Value>>& bufs) {
-  size_t total = 0;
-  for (const std::vector<Value>& b : bufs) total += b.size();
-  std::vector<Value> out(total);
-  Value* dst = out.data();
-  for (const std::vector<Value>& b : bufs) {
-    std::copy(b.begin(), b.end(), dst);
-    dst += b.size();
-  }
-  return NamedRelation{std::move(attrs), Relation(arity, std::move(out))};
-}
-
-// Exclusive prefix sum of per-chunk row counts; returns the total.
+// Exclusive prefix sum of per-chunk counts; returns the total.
 size_t PrefixOffsets(std::vector<size_t>* counts) {
   size_t total = 0;
   for (size_t& c : *counts) {
@@ -54,6 +40,30 @@ size_t PrefixOffsets(std::vector<size_t>* counts) {
     total += n;
   }
   return total;
+}
+
+/// Values below which MergeMorsels copies on the calling thread: a task per
+/// buffer costs more than copying a few hundred KiB.
+constexpr size_t kParallelMergeMinValues = size_t{1} << 17;
+
+// Concatenates per-morsel buffers (in morsel order) into one flat relation;
+// past kParallelMergeMinValues each buffer is copied to its slice by its own
+// task.
+NamedRelation MergeMorsels(std::vector<AttrId> attrs, size_t arity,
+                           const std::vector<std::vector<Value>>& bufs,
+                           const RuntimeOptions& runtime) {
+  std::vector<size_t> at(bufs.size());
+  for (size_t i = 0; i < bufs.size(); ++i) at[i] = bufs[i].size();
+  std::vector<Value> out(PrefixOffsets(&at));
+  const bool par = out.size() >= kParallelMergeMinValues;
+  ParallelChunks(par ? runtime.scheduler : nullptr, bufs.size(), 1,
+                 [&](size_t, size_t begin, size_t end) {
+                   for (size_t i = begin; i < end; ++i) {
+                     std::copy(bufs[i].begin(), bufs[i].end(),
+                               out.data() + at[i]);
+                   }
+                 });
+  return NamedRelation{std::move(attrs), Relation(arity, std::move(out))};
 }
 
 /// Bits per input row (left plus right) a semijoin's key bitmap may use:
@@ -82,7 +92,7 @@ NamedRelation ParallelSelect(const NamedRelation& in, const Predicate& pred,
         }
       });
   if (morsels != nullptr) *morsels += chunks;
-  return MergeMorsels(in.attrs(), arity, bufs);
+  return MergeMorsels(in.attrs(), arity, bufs, runtime);
 }
 
 NamedRelation ParallelProject(const NamedRelation& in,
@@ -109,7 +119,7 @@ NamedRelation ParallelProject(const NamedRelation& in,
         }
       });
   if (morsels != nullptr) *morsels += chunks;
-  NamedRelation out = MergeMorsels(attrs, out_arity, bufs);
+  NamedRelation out = MergeMorsels(attrs, out_arity, bufs, runtime);
   // Same order as the sequential kernel, so first-occurrence dedup keeps
   // identical rows in identical positions (at any width; see HashDedup).
   if (dedup) out.rel().HashDedup(MakeParallelFor(runtime.scheduler));
@@ -188,6 +198,16 @@ NamedRelation ParallelJoin(const NamedRelation& left,
 
 namespace {
 
+// True when the first `n` values of `a` and `b` are equal. An explicit loop:
+// std::equal over Values calls memcmp, which costs more than the one or two
+// values the grouped kernels compare per row.
+bool SamePrefix(const Value* a, const Value* b, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
 // How a grouped join kernel splits its output attributes `group` (drawn from
 // left ⋈ right, in output order): K, the left columns it keeps, with their
 // output positions; the right-only columns it keeps, with theirs; and the
@@ -221,12 +241,14 @@ GroupedShape SplitGroup(const NamedRelation& left, const NamedRelation& right,
 // `all_columns` — every other left column, so that each trie row is one
 // left row. The trie rows are cut into groups that share their K prefix.
 // `key_level` maps each join-key value (JoinKeyColumns order) to its trie
-// level; K and the join columns occupy the first `probe_levels` levels.
-// With no levels at all the left is one group of one empty row.
+// level; K and the join columns occupy the first `probe_levels` levels, and
+// `cols` names the left column at each level. With no levels at all the left
+// is one group of one empty row.
 struct LeftGroups {
   std::shared_ptr<const TrieIndex> trie;
   const Value* data = nullptr;
   size_t width = 0, rows = 1, probe_levels = 0;
+  std::vector<int> cols;
   std::vector<size_t> key_level;
   std::vector<size_t> start;  // group g is trie rows [start[g], start[g+1])
 
@@ -238,7 +260,8 @@ LeftGroups GroupLeft(const NamedRelation& left, const NamedRelation& right,
                      const GroupedShape& s, bool all_columns,
                      const RuntimeOptions& runtime) {
   LeftGroups g;
-  std::vector<int> cols = s.kcols;
+  std::vector<int>& cols = g.cols;
+  cols = s.kcols;
   for (size_t c = 0; c < left.arity(); ++c) {
     if (!right.HasAttr(left.attrs()[c])) continue;
     const int col = static_cast<int>(c);
@@ -263,27 +286,31 @@ LeftGroups GroupLeft(const NamedRelation& left, const NamedRelation& right,
   g.start.push_back(0);
   for (size_t r = 1; r < g.rows && nk > 0; ++r) {
     const Value* row = g.Row(r);
-    if (!std::equal(row, row + nk, row - g.width)) g.start.push_back(r);
+    if (!SamePrefix(row, row - g.width, nk)) g.start.push_back(r);
   }
   g.start.push_back(g.rows);
   return g;
 }
 
 // The right side of a grouped join kernel: for one join key, the matching
-// right rows, each read at cols() for the kernel's kept right columns. A
-// single key column whose range passes KeyRange::DenseForCounts probes
+// right rows, each read at cols() for the right columns `payload` names. A
+// single key column whose range passes KeyRange::DenseForCounts over the
+// kernel's input rows (the right's plus the `left_rows` probing it) probes
 // contiguous KeyRuns holding exactly those columns, built by one counting
-// sort; any other key walks the chains of a RowIndex — `cached` when the
-// caller has one, else one built here.
+// sort: their per-key offsets then cost under 8 bytes per input row, and a
+// probe reads two of them instead of hashing, which matters most when a
+// small right side filters a large left. Any other key walks the chains of
+// a RowIndex — `cached` when the caller has one, else one built here.
 class RightMatches {
  public:
   RightMatches(const NamedRelation& right, const GroupedShape& s,
+               const std::vector<int>& payload, size_t left_rows,
                const RowIndex* cached, const RuntimeOptions& runtime) {
     if (cached == nullptr && s.rkey.size() == 1) {
       const KeyRange range(right.rel(), s.rkey[0]);
-      if (range.DenseForCounts(right.size())) {
-        runs_.emplace(right.rel(), s.rkey[0], range, s.rcols);
-        for (size_t i = 0; i < s.rcols.size(); ++i) {
+      if (range.DenseForCounts(left_rows + right.size())) {
+        runs_.emplace(right.rel(), s.rkey[0], range, payload);
+        for (size_t i = 0; i < payload.size(); ++i) {
           cols_.push_back(static_cast<int>(i));
         }
         return;
@@ -295,7 +322,7 @@ class RightMatches {
                                    MakeParallelFor(runtime.scheduler));
     data_ = right.rel().data().data();
     arity_ = right.arity();
-    cols_ = s.rcols;
+    cols_ = payload;
   }
 
   KeyKind kind() const { return runs_ ? KeyKind::kDense : KeyKind::kHash; }
@@ -484,7 +511,8 @@ struct CountPair {
             const RuntimeOptions& runtime)
       : shape(SplitGroup(left, right, group)),
         groups(GroupLeft(left, right, shape, /*all_columns=*/true, runtime)),
-        matches(right, shape, right_index, runtime) {
+        matches(right, shape, shape.rcols, left.size(), right_index,
+                runtime) {
     if (shape.rcols.size() == 1) {
       const KeyRange range(right.rel(), shape.rcols[0]);
       if (range.DenseForCounts(right.size())) dense = range;
@@ -507,7 +535,7 @@ struct CountPair {
       const Value* row = groups.Row(r);
       size_t e = r + 1;
       while (e < end &&
-             std::equal(row, row + groups.probe_levels, groups.Row(e))) {
+             SamePrefix(row, groups.Row(e), groups.probe_levels)) {
         ++e;
       }
       const Value mult = static_cast<Value>(e - r);
@@ -532,12 +560,114 @@ struct CountPair {
   }
 };
 
+// A post-filter over the join row (the left columns, then the right-only
+// columns in right order), compiled against a grouped kernel's views: each
+// operand reads a left trie level or a fetched right value. Constraints over
+// left columns alone run once per left row (Left), the rest once per match
+// (Match).
+class SplitFilter {
+ public:
+  // Reads `pred`'s left columns from `g`'s trie levels and its right columns
+  // at matches.cols()[i], where `fetch[i]` is the right column.
+  SplitFilter(const Predicate& pred, const NamedRelation& left,
+              const NamedRelation& right, const LeftGroups& g,
+              const std::vector<int>& fetch, const RightMatches& matches) {
+    for (const Constraint& c : pred.constraints()) {
+      Check k{c, Source(c.lhs, left, right, g, fetch, matches), {}};
+      k.c.lhs = 0;
+      k.b = k.a;
+      if (c.ReadsRhsColumn()) {
+        k.b = Source(c.rhs, left, right, g, fetch, matches);
+        k.c.rhs = 1;
+      }
+      (k.a.right || k.b.right ? match_ : left_).push_back(k);
+    }
+  }
+
+  // The right columns `pred` reads (join-row columns past the left's).
+  static std::vector<int> RightColumns(const Predicate& pred,
+                                       const NamedRelation& left,
+                                       const NamedRelation& right) {
+    std::vector<int> out;
+    for (const Constraint& c : pred.constraints()) {
+      for (int col : Columns(c)) {
+        if (static_cast<size_t>(col) >= left.arity()) {
+          out.push_back(RightColumn(col, left, right));
+        }
+      }
+    }
+    return out;
+  }
+
+  bool Left(const Value* lrow) const { return Pass(left_, lrow, nullptr); }
+  bool Match(const Value* lrow, const Value* rrow) const {
+    return Pass(match_, lrow, rrow);
+  }
+
+ private:
+  struct Operand {
+    bool right = false;
+    size_t at = 0;  // trie level, or offset into a right match
+  };
+  struct Check {
+    Constraint c;  // over the two-value row {a, b}
+    Operand a, b;
+  };
+
+  // The join-row columns `c` reads.
+  static std::vector<int> Columns(const Constraint& c) {
+    if (c.ReadsRhsColumn()) return {c.lhs, c.rhs};
+    return {c.lhs};
+  }
+
+  // The right column of join-row column `col` (past the left's columns).
+  static int RightColumn(int col, const NamedRelation& left,
+                         const NamedRelation& right) {
+    size_t skip = static_cast<size_t>(col) - left.arity();
+    for (size_t i = 0; i < right.arity(); ++i) {
+      if (left.HasAttr(right.attrs()[i])) continue;
+      if (skip-- == 0) return static_cast<int>(i);
+    }
+    PQ_CHECK(false, "join-project filter column out of range");
+    return -1;
+  }
+
+  static Operand Source(int col, const NamedRelation& left,
+                        const NamedRelation& right, const LeftGroups& g,
+                        const std::vector<int>& fetch,
+                        const RightMatches& matches) {
+    if (static_cast<size_t>(col) < left.arity()) {
+      auto it = std::find(g.cols.begin(), g.cols.end(), col);
+      PQ_CHECK(it != g.cols.end(), "join-project filter reads no trie level");
+      return {false, static_cast<size_t>(it - g.cols.begin())};
+    }
+    const int rc = RightColumn(col, left, right);
+    auto it = std::find(fetch.begin(), fetch.end(), rc);
+    PQ_CHECK(it != fetch.end(), "join-project filter column not fetched");
+    return {true, static_cast<size_t>(
+                      matches.cols()[static_cast<size_t>(it - fetch.begin())])};
+  }
+
+  static bool Pass(const std::vector<Check>& checks, const Value* lrow,
+                   const Value* rrow) {
+    for (const Check& k : checks) {
+      const Value v[2] = {k.a.right ? rrow[k.a.at] : lrow[k.a.at],
+                          k.b.right ? rrow[k.b.at] : lrow[k.b.at]};
+      if (!k.c.Eval(v)) return false;
+    }
+    return true;
+  }
+
+  std::vector<Check> left_, match_;
+};
+
 }  // namespace
 
 Result<NamedRelation> JoinProject(const NamedRelation& left,
                                   const NamedRelation& right,
                                   const RowIndex* right_index,
                                   const std::vector<AttrId>& out_attrs,
+                                  const Predicate& filter,
                                   const RuntimeOptions& runtime,
                                   uint64_t max_rows, size_t* morsels,
                                   KeyKind* key) {
@@ -551,9 +681,20 @@ Result<NamedRelation> JoinProject(const NamedRelation& left,
   if (left.empty() || right.empty()) return NamedRelation{out_attrs};
   const GroupedShape s = SplitGroup(left, right, out_attrs);
   const size_t nk = s.kpos.size(), nr = s.rcols.size();
-  const LeftGroups g = GroupLeft(left, right, s, /*all_columns=*/false,
-                                 runtime);
-  const RightMatches matches(right, s, right_index, runtime);
+  // A filter may read any left column: its trie rows carry them all.
+  const LeftGroups g = GroupLeft(left, right, s,
+                                 /*all_columns=*/!filter.empty(), runtime);
+  // The right columns the matches carry: the kept ones, then those only the
+  // filter reads.
+  std::vector<int> fetch = s.rcols;
+  for (int rc : SplitFilter::RightColumns(filter, left, right)) {
+    if (std::find(fetch.begin(), fetch.end(), rc) == fetch.end()) {
+      fetch.push_back(rc);
+    }
+  }
+  const RightMatches matches(right, s, fetch, left.size(), right_index,
+                            runtime);
+  const SplitFilter check(filter, left, right, g, fetch, matches);
   if (key != nullptr) *key = matches.kind();
   const std::vector<int>& pcols = matches.cols();
   const size_t ngroups = g.groups();
@@ -575,12 +716,14 @@ Result<NamedRelation> JoinProject(const NamedRelation& left,
           bool matched = false;
           for (size_t r = g.start[gi]; r < g.start[gi + 1]; ++r) {
             const Value* row = g.Row(r);
+            if (!check.Left(row)) continue;
             for (size_t i = 0; i < keyv.size(); ++i) {
               keyv[i] = row[g.key_level[i]];
             }
             matches.ForEach(keyv, [&](const Value* rrow) {
+              if (!check.Match(row, rrow)) return true;
               matched = true;
-              for (int col : pcols) tuples.push_back(rrow[col]);
+              for (size_t i = 0; i < nr; ++i) tuples.push_back(rrow[pcols[i]]);
               return nr > 0;  // K alone is the output row
             });
             if (matched && nr == 0) break;
@@ -615,11 +758,17 @@ Result<NamedRelation> JoinProject(const NamedRelation& left,
     return Status::ResourceExhausted(internal::StrCat(
         "join-project output exceeds limit of ", max_rows, " rows"));
   }
+  NamedRelation out{out_attrs};
   if (!par) {  // one morsel: its buffer is the result
-    return NamedRelation{out_attrs, Relation(out_arity, std::move(bufs[0]))};
+    out = NamedRelation{out_attrs, Relation(out_arity, std::move(bufs[0]))};
+  } else {
+    if (morsels != nullptr) *morsels += chunks;
+    out = MergeMorsels(out_attrs, out_arity, bufs, runtime);
   }
-  if (morsels != nullptr) *morsels += chunks;
-  return MergeMorsels(out_attrs, out_arity, bufs);
+  // K leading the output: groups ascend by K and each group's tuples
+  // ascend, so the rows are already sorted.
+  if (nk == 0 || s.kpos[nk - 1] == nk - 1) out.rel().MarkSorted();
+  return out;
 }
 
 Result<NamedRelation> JoinCount(const NamedRelation& left,
@@ -769,7 +918,7 @@ Result<NamedRelation> JoinCount(const NamedRelation& left,
     return NamedRelation{out_attrs, Relation(out_arity, std::move(bufs[0]))};
   }
   if (morsels != nullptr) *morsels += chunks;
-  return MergeMorsels(out_attrs, out_arity, bufs);
+  return MergeMorsels(out_attrs, out_arity, bufs, runtime);
 }
 
 NamedRelation ParallelSemijoin(const NamedRelation& left,

@@ -54,32 +54,38 @@ NamedRelation ParallelJoin(const NamedRelation& left,
                            const RuntimeOptions& runtime,
                            size_t* morsels = nullptr);
 
-/// Fused join-project: the distinct rows of π_{out_attrs}(left ⋈ right),
-/// without materializing the join. `out_attrs` (nonempty) draws each
-/// attribute from `left` when left has it, else from `right`.
+/// Fused join-project: the distinct rows of π_{out_attrs}(σ_filter(left ⋈
+/// right)), without materializing the join. `out_attrs` (nonempty) draws
+/// each attribute from `left` when left has it, else from `right`. `filter`
+/// (empty = none) indexes the join row: left's columns, then right's columns
+/// absent from left, in right order (as NaturalJoin's post_filter).
 ///
 /// The left side is grouped through its cached sorted trie
 /// (Relation::TrieView) over K ++ J: K are the left columns the output
-/// keeps, in output order, and J the join columns K lacks. Per K-group the
-/// kernel probes the right with every J value, gathers the matching right
-/// rows' kept columns and sort-deduplicates them. A single join column whose
-/// right-side range passes KeyRange::DenseForCounts is probed through
-/// contiguous per-key runs of the kept right values (KeyRuns, one counting
-/// sort per execution); other keys probe `right_index` — a RowIndex over
-/// `right` on JoinKeyColumns(left, right), as for ParallelJoin — or, when it
-/// is null, a RowIndex built here. `key` (optional) receives the structure
-/// used. Rows come out group by group in ascending K, each group's right
-/// tuples ascending; when K is a prefix of `out_attrs` the output is
-/// therefore sorted and duplicate-free. Morsels split the groups (when
-/// runtime.ShouldMorsel on the trie's rows) and merge in group order, so the
-/// output is byte-identical at any width. Fails with ResourceExhausted once
-/// the output exceeds `max_rows` (0 = unlimited). An aborted query skips the
-/// remaining morsels; the caller must re-check the abort state before using
-/// the result.
+/// keeps, in output order, and J the join columns K lacks; with a filter,
+/// every other left column follows. Per K-group the
+/// kernel probes the right with every J value of the left rows that pass the
+/// filter's left-only constraints, keeps the matches that pass the rest, and
+/// sort-deduplicates their kept columns. A single join column whose
+/// right-side range passes KeyRange::DenseForCounts for both inputs' rows
+/// is probed through contiguous per-key runs of the right values the kernel
+/// reads (KeyRuns, one counting sort per execution); other keys probe `right_index` — a
+/// RowIndex over `right` on JoinKeyColumns(left, right), as for
+/// ParallelJoin — or, when it is null, a RowIndex built here. `key`
+/// (optional) receives the structure used. Rows come out group by group in
+/// ascending K, each group's right tuples ascending; when K is a prefix of
+/// `out_attrs` the output is therefore sorted and duplicate-free, and is
+/// marked sorted(). Morsels split the groups (when runtime.ShouldMorsel on
+/// the trie's rows), and their buffers are copied into the result in group
+/// order by parallel tasks, so the output is byte-identical at any width.
+/// Fails with ResourceExhausted once the output exceeds `max_rows` (0 =
+/// unlimited). An aborted query skips the remaining morsels; the caller
+/// must re-check the abort state before using the result.
 Result<NamedRelation> JoinProject(const NamedRelation& left,
                                   const NamedRelation& right,
                                   const RowIndex* right_index,
                                   const std::vector<AttrId>& out_attrs,
+                                  const Predicate& filter,
                                   const RuntimeOptions& runtime,
                                   uint64_t max_rows = 0,
                                   size_t* morsels = nullptr,

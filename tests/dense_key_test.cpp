@@ -434,23 +434,28 @@ TEST(DenseKeyAnalyzeTest, AnalyzeShowsTheKeyStructureThatRan) {
     EngineOptions options;
     options.threads = threads;
     options.morsel_rows = kMorselRows;
-    // The 2-path over random binary relations: every semijoin key is the
+    // The 3-path over random binary relations: every semijoin key is the
     // single join variable over a dense domain.
-    Database paths = RandomBinaryDatabase(2, 5000, 1000, 5);
+    Database paths = RandomBinaryDatabase(3, 5000, 1000, 5);
     Engine path_engine(paths, options);
     std::string path =
-        path_engine.AnalyzeText("g(x, z) :- R0(x, y), R1(y, z).").ValueOrDie();
-    // The fused join-project root probes the same key through key runs.
+        path_engine.AnalyzeText("g(x, w) :- R0(x, y), R1(y, z), R2(z, w).")
+            .ValueOrDie();
     std::vector<std::string> semis = OpLines(path, "Semijoin");
-    ASSERT_FALSE(semis.empty()) << path;
+    ASSERT_EQ(semis.size(), 4u) << path;
     for (const std::string& line : semis) {
       EXPECT_NE(line.find(" key=dense"), std::string::npos) << path;
     }
+    // The 2-path runs no reducer: its fused join-project root probes the
+    // same kind of key through key runs.
+    path = path_engine.AnalyzeText("g(x, z) :- R0(x, y), R1(y, z).")
+               .ValueOrDie();
+    EXPECT_TRUE(OpLines(path, "Semijoin").empty()) << path;
     std::vector<std::string> joins = OpLines(path, "HashJoin");
     ASSERT_EQ(joins.size(), 1u) << path;
     EXPECT_NE(joins[0].find(" project-out(y) "), std::string::npos) << path;
     EXPECT_NE(joins[0].find(" key=dense"), std::string::npos) << path;
-    EXPECT_EQ(path_engine.last_stats().plan.dense_keys, semis.size() + 1);
+    EXPECT_EQ(path_engine.last_stats().plan.dense_keys, 1u);
 
     // The 4-cycle: its bags share two variables, so every semijoin between
     // them keys on two columns and probes a RowIndex.

@@ -856,8 +856,11 @@ TEST(IneqEngineWidthTest, AnalyzeAndTraceCountEveryColoringOnce) {
         r.find("-- plan 1 (executions=" + std::to_string(family) + ")\n"),
         std::string::npos)
         << r;
-    // Attributes render by name, primed color columns included.
-    EXPECT_NE(r.find("HashJoin(e, p, p', q')"), std::string::npos) << r;
+    // Attributes render by name, primed color columns included: the head
+    // projection fuses into the root's filtered join.
+    EXPECT_NE(r.find("HashJoin(e) project-out(p, p', q, q') $2!=$4"),
+              std::string::npos)
+        << r;
 
     options.trace = true;
     Engine traced(db, options);

@@ -258,8 +258,7 @@ TEST(JoinProjectTest, HandBuiltPlansMatchJoinThenProject) {
 // --- Key runs ----------------------------------------------------------------
 
 // A right side (y, z) of `rows` rows whose join column y spans exactly
-// [0, span] (both ends present), so KeyRange::DenseForCounts holds iff
-// span < 2 * rows - 1.
+// [0, span] (both ends present).
 NamedRelation SpanRel(size_t rows, Value span, uint64_t seed) {
   Rng rng(seed);
   NamedRelation out{{1, 2}};
@@ -274,23 +273,24 @@ NamedRelation SpanRel(size_t rows, Value span, uint64_t seed) {
 
 TEST(JoinProjectTest, KeyRunsMatchRowIndexAcrossTheDenseThreshold) {
   // The kernel probes contiguous key runs when it builds its own key
-  // structure over a dense range and walks RowIndex chains when handed an
-  // index: both give the same rows in the same order, on either side of
-  // the threshold.
+  // structure over a range that is dense for the kernel's input rows
+  // (KeyRange::DenseForCounts(|left| + |right|), i.e. span < 2(|left| +
+  // |right|) - 1) and walks RowIndex chains when handed an index: both give
+  // the same rows in the same order, on either side of the threshold.
   const size_t n = 300;
-  for (Value span : {Value{2 * n - 3}, Value{2 * n - 2}, Value{2 * n - 1},
-                     Value{2 * n}, Value{1} << 40}) {
+  NamedRelation left{{0, 1}};
+  Rng rng(7);
+  for (int r = 0; r < 4000; ++r) {
+    left.rel().Add({rng.Range(0, 40), rng.Range(0, 4000)});
+  }
+  left.rel().HashDedup();
+  const Value threshold = static_cast<Value>(2 * (left.size() + n) - 1);
+  for (Value span : {threshold - 2, threshold - 1, threshold, threshold + 1,
+                     Value{1} << 40}) {
     SCOPED_TRACE(span);
     NamedRelation right = SpanRel(n, span, static_cast<uint64_t>(span));
-    NamedRelation left{{0, 1}};
-    Rng rng(7);
-    for (int r = 0; r < 2000; ++r) {
-      left.rel().Add({rng.Range(0, 40), right.rel().At(rng.Below(n), 0)});
-      left.rel().Add({rng.Range(0, 40), rng.Range(0, span)});
-    }
-    left.rel().HashDedup();
     const RowIndex index(right.rel(), JoinKeyColumns(left, right));
-    const bool dense = span < static_cast<Value>(2 * n - 1);
+    const bool dense = span < threshold;
     for (std::vector<AttrId> out : {std::vector<AttrId>{0, 2},
                                     std::vector<AttrId>{2, 0},
                                     std::vector<AttrId>{0},
@@ -300,11 +300,11 @@ TEST(JoinProjectTest, KeyRunsMatchRowIndexAcrossTheDenseThreshold) {
         RuntimeOptions runtime{&scheduler, w.morsel_rows};
         KeyKind runs_key = KeyKind::kNone, index_key = KeyKind::kNone;
         NamedRelation via_runs =
-            JoinProject(left, right, nullptr, out, runtime, 0, nullptr,
+            JoinProject(left, right, nullptr, out, {}, runtime, 0, nullptr,
                         &runs_key)
                 .ValueOrDie();
         NamedRelation via_index =
-            JoinProject(left, right, &index, out, runtime, 0, nullptr,
+            JoinProject(left, right, &index, out, {}, runtime, 0, nullptr,
                         &index_key)
                 .ValueOrDie();
         EXPECT_EQ(runs_key, dense ? KeyKind::kDense : KeyKind::kHash);
@@ -353,8 +353,9 @@ TEST(JoinProjectTest, AnalyzeShowsFusedRootAndNearFreeSort) {
 
 // --- Resource guards ------------------------------------------------------
 
-// K30: E has 870 rows, both semijoins keep all of them, and the 2-path's
-// answer is all 900 pairs — the fused root is the only operator above 880.
+// K30: E has 870 rows and the 2-path's answer is all 900 pairs. A single
+// edge plans no semijoin, so the fused root is the only operator that
+// produces rows.
 const char* kPath2 = "g(x, z) :- E(x, y), E(y, z).";
 
 TEST(JoinProjectTest, RowLimitAbortsInsideTheKernel) {
@@ -379,19 +380,19 @@ TEST(JoinProjectTest, RowLimitAbortsInsideTheKernel) {
 }
 
 TEST(JoinProjectTest, StepLimitCountsTheFusedOutput) {
-  // 870 + 870 semijoin rows, then 900 from the fused root.
+  // 900 rows from the fused root and nothing else.
   Database db = GraphDatabase(CompleteGraph(30));
   auto q = ParseConjunctive(kPath2).ValueOrDie();
   for (const Width& w : kWidths) {
     TaskScheduler scheduler(w.threads);
     EvalContext ctx;
     ctx.runtime = RuntimeOptions{&scheduler, w.morsel_rows};
-    ctx.limits.max_steps = 2000;
+    ctx.limits.max_steps = 899;
     auto out = AcyclicEvaluate(db, q, ctx);
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
     EXPECT_NE(out.status().message().find("step limit"), std::string::npos);
-    ctx.limits.max_steps = 2640;
+    ctx.limits.max_steps = 900;
     auto exact = AcyclicEvaluate(db, q, ctx);
     ASSERT_TRUE(exact.ok()) << exact.status();
     EXPECT_EQ(exact.value().size(), 900u);
@@ -447,8 +448,9 @@ uint64_t SemijoinRows(const PlanNode& n, std::vector<const PlanNode*>* seen) {
 }
 
 TEST(JoinProjectTest, RowsProducedHasNoJoinIntermediate) {
-  // The 2-path produces its two semijoin outputs and its answer, nothing
-  // else: no materialized (x, y, z) join, no projection pass.
+  // The 2-path produces its answer and nothing else: no semijoin (the root
+  // join drops dangling tuples itself), no materialized (x, y, z) join, no
+  // projection pass.
   auto q = ParseConjunctive("g(x, z) :- R0(x, y), R1(y, z).").ValueOrDie();
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     Database db = RandomBinaryDatabase(2, 20000, 4000, seed);
@@ -463,11 +465,12 @@ TEST(JoinProjectTest, RowsProducedHasNoJoinIntermediate) {
               .ValueOrDie();
       std::vector<const PlanNode*> seen;
       const uint64_t semijoin_rows = SemijoinRows(*plan.root, &seen);
-      EXPECT_EQ(stats.semijoins, 2u);
+      EXPECT_EQ(semijoin_rows, 0u);
+      EXPECT_EQ(stats.semijoins, 0u);
       EXPECT_EQ(stats.joins, 1u);
       EXPECT_EQ(stats.projections, 0u);
       EXPECT_EQ(plan.root->actual_rows, bindings.size());
-      EXPECT_EQ(stats.rows_produced, semijoin_rows + bindings.size());
+      EXPECT_EQ(stats.rows_produced, bindings.size());
       EXPECT_EQ(bindings.size(), AcyclicEvaluate(db, q).ValueOrDie().size());
     }
   }

@@ -277,7 +277,10 @@ TEST(RuntimeDeterminismTest, DatalogWorkloads) {
 TEST(RuntimeDeterminismTest, ParallelRunsReportRuntimeStats) {
   Database db = RandomBinaryDatabase(1, 500, 10, 3);
   Engine engine = MakeEngine(db, 4);
-  auto q = ParseConjunctive("ans(x, z) :- R0(x, y), R0(y, z).").ValueOrDie();
+  // A 3-path: its reducer's semijoins have non-scan right children, which
+  // run as tasks.
+  auto q = ParseConjunctive("ans(x, w) :- R0(x, y), R0(y, z), R0(z, w).")
+               .ValueOrDie();
   ASSERT_TRUE(engine.Run(q).ok());
   EXPECT_GT(engine.last_stats().plan.morsels, 0u);
   EXPECT_GT(engine.last_stats().plan.parallel_tasks, 0u);

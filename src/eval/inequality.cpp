@@ -495,23 +495,27 @@ Status LowerPlans(IneqCompiled* c) {
                       static_cast<double>(p.base[j].size()));
   }
 
-  // Algorithm 1: P_u := σ_F(P_u ⋈ π_{Y_j ∩ Y_u}(P_j)), bottom-up.
-  for (int j : p.tree.bottom_up) {
-    int u = p.tree.parent[j];
-    if (u < 0) continue;
+  auto shared_attrs = [&](int j, int u) {
     std::vector<AttrId> shared;
     std::set_intersection(p.y[j].begin(), p.y[j].end(), p.y[u].begin(),
                           p.y[u].end(), std::back_inserter(shared));
-    const std::vector<AttrId> pu_attrs = cur[u]->attrs;  // before this child
+    return shared;
+  };
+  // The I1 filter F of P_u ⋈ P_j, where `left` is P_u before child j and
+  // `right` is P_j or a projection of it that keeps Y_j ∩ Y_u.
+  auto i1_filter = [&](int u, int j, const PlanNode& left,
+                       const PlanNode& right) {
     // The join's output attrs (left, then right-only), needed to index the
     // pushed filter before the node exists.
-    std::vector<AttrId> out_attrs = pu_attrs;
-    for (AttrId a : shared) {
+    std::vector<AttrId> out_attrs = left.attrs;
+    for (AttrId a : right.attrs) {
       if (std::find(out_attrs.begin(), out_attrs.end(), a) ==
           out_attrs.end()) {
         out_attrs.push_back(a);
       }
     }
+    const std::vector<AttrId>& pu_attrs = left.attrs;
+    const std::vector<AttrId> shared = shared_attrs(j, u);
     Predicate pred;
     if (p.formula == nullptr) {
       // Primed pairs x'_i != x'_l with (x_i, x_l) ∈ I1, x'_i arriving from
@@ -540,8 +544,17 @@ Status LowerPlans(IneqCompiled* c) {
         }
       }
     }
-    cur[u] = MakeHashJoin(cur[u], MakeProject(cur[j], shared, /*dedup=*/true),
-                          std::move(pred));
+    return pred;
+  };
+
+  // Algorithm 1: P_u := σ_F(P_u ⋈ π_{Y_j ∩ Y_u}(P_j)), bottom-up.
+  for (int j : p.tree.bottom_up) {
+    int u = p.tree.parent[j];
+    if (u < 0) continue;
+    PlanNodePtr right = MakeProject(cur[j], shared_attrs(j, u),
+                                    /*dedup=*/true);
+    Predicate pred = i1_filter(u, j, *cur[u], *right);
+    cur[u] = MakeHashJoin(cur[u], std::move(right), std::move(pred));
   }
 #ifndef NDEBUG
   for (size_t j = 0; j < m; ++j) {
@@ -565,18 +578,26 @@ Status LowerPlans(IneqCompiled* c) {
   std::vector<VarId> head_vars = q.HeadVariables();
   // Head in the root atom: every row of Algorithm 1's root extends to a
   // satisfying assignment, so its head projection is the answer. When the
-  // root atom's S' rows join one child directly, the projection fuses into
-  // that filtered join, which is then never materialized. The fused kernel
-  // sorts its left input into a trie: over one atom's S' rows that sort
-  // costs less than the join and dedup it replaces, over a materialized
-  // join of several atoms more (outside_dept: ~1.3 against ~0.25 ms per
-  // coloring), so a deeper root keeps the Project.
+  // root atom has one child, the projection fuses into their filtered join,
+  // which is then never materialized. The fused kernel sorts its left input
+  // into a trie: over one atom's S' rows that sort costs less than the join
+  // and dedup it replaces, over a materialized join of several atoms more
+  // (outside_dept: ~1.3 against ~0.25 ms per coloring), so a root with more
+  // children keeps the Project. A leaf child joins as its scan: the head
+  // keeps nothing from it, so the kernel stops at each root row's first
+  // passing match, and projecting the leaf would only copy it.
+  const int root = p.tree.root;
   if (p.head_in_root) {
-    const PlanNodePtr& root = red[p.tree.root];
-    c->eval_root = root->op == PlanOp::kHashJoin &&
-                           root->children[0]->op == PlanOp::kScan
-                       ? ProjectHead(root, head_vars)
-                       : MakeProject(root, head_vars, /*dedup=*/true);
+    c->eval_root = MakeProject(red[root], head_vars, /*dedup=*/true);
+    if (!c->formula_mode && p.tree.children[root].size() == 1) {
+      const int j = p.tree.children[root][0];
+      const PlanNodePtr& atom = cur[root]->children[0];
+      const PlanNodePtr& right =
+          cur[j]->op == PlanOp::kScan ? cur[j] : cur[root]->children[1];
+      c->eval_root = ProjectHead(
+          MakeHashJoin(atom, right, i1_filter(root, j, *atom, *right)),
+          head_vars);
+    }
     return Status::OK();
   }
 

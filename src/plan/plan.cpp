@@ -280,68 +280,16 @@ PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
   return n;
 }
 
-namespace {
-
-bool Contains(const std::vector<AttrId>& attrs, AttrId a) {
-  return std::find(attrs.begin(), attrs.end(), a) != attrs.end();
-}
-
-// The join row of left ⋈ right: left's attrs, then right's attrs absent
-// from left.
-std::vector<AttrId> JoinRow(const PlanNode& left, const PlanNode& right) {
-  std::vector<AttrId> row = left.attrs;
-  for (AttrId a : right.attrs) {
-    if (!Contains(row, a)) row.push_back(a);
-  }
-  return row;
-}
-
-}  // namespace
-
 PlanNodePtr ProjectHead(const PlanNodePtr& root,
                         const std::vector<AttrId>& head) {
   if (head == root->attrs) return root;
-  if (root->op != PlanOp::kHashJoin || IsJoinCount(*root) ||
-      !JoinProjectedOut(*root).empty() || head.empty() ||
-      head.size() >= root->attrs.size()) {
-    return MakeProject(root, head, /*dedup=*/true);
+  if (root->op == PlanOp::kHashJoin && !IsJoinCount(*root) &&
+      JoinProjectedOut(*root).empty() && !head.empty() &&
+      head.size() < root->attrs.size()) {
+    return MakeHashJoin(root->children[0], root->children[1], root->predicate,
+                        head);
   }
-  const PlanNodePtr& left = root->children[0];
-  PlanNodePtr right = root->children[1];
-  Predicate filter = root->predicate;
-  // When the head keeps nothing from the right, the fused kernel stops at
-  // each left row's first passing match, so a deduplicating Project of an
-  // atom's rows on the right only copies: read the atom, unless an
-  // attribute the Project drops would become a join key. (A kept right
-  // column would be gathered once per duplicate instead.)
-  bool head_in_left = true;
-  for (AttrId a : head) head_in_left &= Contains(left->attrs, a);
-  if (head_in_left && right->op == PlanOp::kProject && right->dedup &&
-      right->children[0]->op == PlanOp::kScan) {
-    const PlanNodePtr& in = right->children[0];
-    bool joins_more = false;
-    for (AttrId a : in->attrs) {
-      joins_more |= Contains(left->attrs, a) && !Contains(right->attrs, a);
-    }
-    if (!joins_more) {
-      const std::vector<AttrId> old_row = JoinRow(*left, *right);
-      const std::vector<AttrId> new_row = JoinRow(*left, *in);
-      auto col = [&](int c) {
-        return static_cast<int>(
-            std::find(new_row.begin(), new_row.end(), old_row[c]) -
-            new_row.begin());
-      };
-      Predicate remapped;
-      for (Constraint c : filter.constraints()) {
-        c.lhs = col(c.lhs);
-        if (c.ReadsRhsColumn()) c.rhs = col(c.rhs);
-        remapped.Add(c);
-      }
-      filter = std::move(remapped);
-      right = in;
-    }
-  }
-  return MakeHashJoin(left, std::move(right), std::move(filter), head);
+  return MakeProject(root, head, /*dedup=*/true);
 }
 
 std::vector<AttrId> JoinProjectedOut(const PlanNode& n) {

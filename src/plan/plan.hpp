@@ -262,10 +262,8 @@ PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
 /// `root` itself when `head` equals root's attrs. When root is a plain or
 /// filtered HashJoin (neither fused already nor a join-count) and `head` is
 /// nonempty and drops one of its attributes, the projection fuses into that
-/// join, filter included (MakeHashJoin's `project`); when the head keeps
-/// nothing from the right, a deduplicating Project of a scan on the join's
-/// right is then read through (unless an attribute it drops would join).
-/// Otherwise it is a deduplicating Project.
+/// join, filter included (MakeHashJoin's `project`). Otherwise it is a
+/// deduplicating Project.
 PlanNodePtr ProjectHead(const PlanNodePtr& root,
                         const std::vector<AttrId>& head);
 

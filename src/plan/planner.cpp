@@ -205,14 +205,58 @@ Status PrepareAcyclic(const Database& db, const ConjunctiveQuery& q,
   return Status::OK();
 }
 
-// π_{Z_j}(P_j) of the upward join-and-project pass. Every node of the
-// Yannakakis schedules is already duplicate-free (deduplicated scans, and
-// semijoins and joins of sets), so a projection onto exactly the node's
-// attributes is the node itself.
-PlanNodePtr ProjectChild(const PlanNodePtr& node,
-                         const std::vector<AttrId>& zj) {
-  if (zj == node->attrs) return node;
-  return MakeProject(node, zj, /*dedup=*/true);
+// Yannakakis' upward join-and-project pass over a tree `t` of
+// duplicate-free nodes `cur` (the atoms of a join tree, or the bags of a
+// hypertree decomposition): bottom-up, P_u := P_u ⋈ π_{Z_j}(P_j) with
+// Z_j = (U_j ∩ U_u) ∪ (Z ∩ at(T[j])), then the root's head projection
+// (ProjectHead). A projection onto exactly a node's attributes is the node
+// itself, since every node of these schedules is a set. The root's last
+// child joins as it is when it is a scan whose Z_j keeps no head variable
+// the root lacks: the root then fuses into a join-project that stops at
+// each left row's first match, so π_{Z_j} would only copy the scan, and
+// the kernel reads the scan's storage-cached index instead.
+template <typename Tree>
+PlanNodePtr UpwardJoinProject(const Tree& t, std::vector<PlanNodePtr> cur,
+                              const std::vector<AttrId>& head_vars) {
+  std::vector<std::vector<AttrId>> subtree_head(cur.size());
+  for (int j : t.bottom_up) {
+    std::vector<AttrId> acc;
+    for (AttrId a : cur[j]->attrs) {
+      if (Contains(head_vars, a)) acc.push_back(a);
+    }
+    for (int c : t.children[j]) {
+      for (AttrId a : subtree_head[c]) acc.push_back(a);
+    }
+    std::sort(acc.begin(), acc.end());
+    acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
+    subtree_head[j] = std::move(acc);
+  }
+  int last_root_child = -1;
+  for (int j : t.bottom_up) {
+    if (t.parent[j] == t.root) last_root_child = j;
+  }
+  for (int j : t.bottom_up) {
+    const int u = t.parent[j];
+    if (u < 0) continue;
+    std::vector<AttrId> zj;
+    for (AttrId a : cur[j]->attrs) {
+      if (Contains(cur[u]->attrs, a)) zj.push_back(a);
+    }
+    bool keeps_head = false;
+    for (AttrId a : subtree_head[j]) {
+      if (Contains(zj, a)) continue;
+      zj.push_back(a);
+      keeps_head = true;
+    }
+    const bool fused_right = j == last_root_child &&
+                             cur[j]->op == PlanOp::kScan &&
+                             !head_vars.empty() && !keeps_head;
+    cur[u] = MakeHashJoin(cur[u], fused_right || zj == cur[j]->attrs
+                                      ? cur[j]
+                                      : MakeProject(cur[j], zj,
+                                                    /*dedup=*/true));
+  }
+  return ProjectHead(cur[t.root], head_vars);
 }
 
 // --- Worst-case-optimal route for comparison-free cyclic CQs -------------
@@ -347,44 +391,9 @@ Result<PlanNodePtr> PlanWcojRoot(const ConjunctiveQuery& q,
                                  bool full_reducer) {
   PQ_ASSIGN_OR_RETURN(BagTreePlan bags,
                       BuildBagTreePlan(q, scans, full_reducer));
-  HypertreeDecomposition& d = bags.d;
-  std::vector<PlanNodePtr>& cur = bags.cur;
-  const size_t nb = d.size();
   // Upward join-and-project pass over the bag tree (the PlanAcyclicCq
-  // schedule verbatim, with bags in place of atoms).
-  auto is_head = [&head_vars](AttrId a) {
-    return std::find(head_vars.begin(), head_vars.end(), a) !=
-           head_vars.end();
-  };
-  std::vector<std::vector<AttrId>> subtree_head(nb);
-  for (int b : d.bottom_up) {
-    std::vector<AttrId> acc;
-    for (AttrId a : cur[b]->attrs) {
-      if (is_head(a)) acc.push_back(a);
-    }
-    for (int c : d.children[b]) {
-      for (AttrId a : subtree_head[c]) acc.push_back(a);
-    }
-    std::sort(acc.begin(), acc.end());
-    acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
-    subtree_head[b] = std::move(acc);
-  }
-  for (int b : d.bottom_up) {
-    int u = d.parent[b];
-    if (u < 0) continue;
-    std::vector<AttrId> zj;
-    for (AttrId a : cur[b]->attrs) {
-      if (std::find(cur[u]->attrs.begin(), cur[u]->attrs.end(), a) !=
-          cur[u]->attrs.end()) {
-        zj.push_back(a);
-      }
-    }
-    for (AttrId a : subtree_head[b]) {
-      if (std::find(zj.begin(), zj.end(), a) == zj.end()) zj.push_back(a);
-    }
-    cur[u] = MakeHashJoin(cur[u], ProjectChild(cur[b], zj));
-  }
-  return ProjectHead(cur[d.root], head_vars);
+  // schedule, with bags in place of atoms).
+  return UpwardJoinProject(bags.d, std::move(bags.cur), head_vars);
 }
 
 // The counts child `j` hands its parent in a counting pass: j aggregated to
@@ -603,45 +612,7 @@ Result<PhysicalPlan> PlanAcyclicCq(const Database& db,
       db, q, options.full_reducer ? Reducer::kFull : Reducer::kNone, &plan,
       &cur, &tree));
 
-  // Head variables contributed by each subtree (the projection sets Z_j).
-  std::vector<VarId> head_vars = q.HeadVariables();
-  auto is_head = [&head_vars](AttrId a) {
-    return std::find(head_vars.begin(), head_vars.end(), a) !=
-           head_vars.end();
-  };
-  size_t m = tree.size();
-  std::vector<std::vector<AttrId>> subtree_head(m);
-  for (int j : tree.bottom_up) {
-    std::vector<AttrId> acc;
-    for (AttrId a : cur[j]->attrs) {
-      if (is_head(a)) acc.push_back(a);
-    }
-    for (int c : tree.children[j]) {
-      for (AttrId a : subtree_head[c]) acc.push_back(a);
-    }
-    std::sort(acc.begin(), acc.end());
-    acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
-    subtree_head[j] = std::move(acc);
-  }
-
-  // Upward join-and-project pass: P_u := P_u ⋈ π_{Z_j}(P_j) with
-  // Z_j = (U_j ∩ U_u) ∪ (Z ∩ at(T[j])).
-  for (int j : tree.bottom_up) {
-    int u = tree.parent[j];
-    if (u < 0) continue;
-    std::vector<AttrId> zj;
-    for (AttrId a : cur[j]->attrs) {
-      if (std::find(cur[u]->attrs.begin(), cur[u]->attrs.end(), a) !=
-          cur[u]->attrs.end()) {
-        zj.push_back(a);
-      }
-    }
-    for (AttrId a : subtree_head[j]) {
-      if (std::find(zj.begin(), zj.end(), a) == zj.end()) zj.push_back(a);
-    }
-    cur[u] = MakeHashJoin(cur[u], ProjectChild(cur[j], zj));
-  }
-  plan.root = ProjectHead(cur[tree.root], head_vars);
+  plan.root = UpwardJoinProject(tree, std::move(cur), q.HeadVariables());
   return plan;
 }
 
@@ -709,6 +680,11 @@ Result<PhysicalPlan> PlanCyclicCq(const Database& db,
   // comparisons the join binds inside the kernel. Its left atom is the one
   // that holds the head's first variable, when only one does: the kernel
   // groups by the left's head columns, so its rows then come out sorted.
+  // A longer chain keeps the columnar chain: fusing its last join makes the
+  // kernel sort the materialized join of the earlier atoms into a trie,
+  // which costs more than the chain and hash dedup it would replace (a
+  // triangle with x != z over 90k/60k/90k rows: 163 → 487 ms at 1 thread,
+  // 92 → 350 ms at 4; higher_paid over 20k employees: 1.36 → 2.09 ms at 4).
   const bool fuse = order.size() == 2 && !head_vars.empty() &&
                     head_vars.size() < q.BodyVariables().size();
   if (fuse && !Contains(scans[order[0]]->attrs, head_vars[0])) {

@@ -5,7 +5,8 @@
 // force counts; the filtered JoinProject against the unfused HashJoin →
 // Select → Project → Dedup chain, with its row limit and cancellation; the
 // answer path's storage sharing and sortedness; and the exact plan shapes
-// and semijoin counts of the 2-path, the COUNT(*) star and the `<` join.
+// and semijoin counts of the 2-path, the COUNT(*) star and the `<` join,
+// and the unprojected right scan under a head that keeps nothing from it.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -398,6 +399,33 @@ TEST(FusedPlanTest, LessThanJoinIsOneFilteredJoinProject) {
     // The answer is the fused join's output: no other operator makes rows.
     EXPECT_EQ(engine.last_stats().plan.rows_produced, want.size());
     EXPECT_EQ(engine.last_stats().plan.joins, 1u);
+  }
+}
+
+TEST(FusedPlanTest, HeadInTheLeftAtomJoinsTheRightScanUnprojected) {
+  // The head keeps nothing from R1, so the fused root stops at each R0 row's
+  // first match and reads R1's scan as it is: no Project of R1 runs.
+  Database db = RandomBinaryDatabase(2, 2000, 300, 10);
+  for (const char* text : {"g(x) :- R0(x, y), R1(y, z).",
+                           "g(x, y) :- R0(x, y), R1(y, z)."}) {
+    SCOPED_TRACE(text);
+    auto q = ParseConjunctive(text).ValueOrDie();
+    PhysicalPlan plan = PlanConjunctive(db, q).ValueOrDie();
+    const std::string render = plan.Render();
+    const PlanNode& root = *plan.root;
+    ASSERT_EQ(root.op, PlanOp::kHashJoin) << render;
+    EXPECT_EQ(root.attrs.size(), q.head.size()) << render;
+    ASSERT_EQ(root.children.size(), 2u);
+    EXPECT_EQ(root.children[0]->op, PlanOp::kScan) << render;
+    EXPECT_EQ(root.children[1]->op, PlanOp::kScan) << render;
+    const Relation want = BacktrackEvaluateCq(db, q).ValueOrDie();
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      Engine engine = MakeEngine(db, threads);
+      Relation got = engine.Run(q).ValueOrDie();
+      EXPECT_TRUE(got.data() == want.data());
+      EXPECT_EQ(engine.last_stats().plan.rows_produced, want.size());
+      EXPECT_EQ(engine.last_stats().plan.projections, 0u);
+    }
   }
 }
 

@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/query_context.hpp"
@@ -271,24 +273,41 @@ NamedRelation SpanRel(size_t rows, Value span, uint64_t seed) {
   return out;
 }
 
+// A left side (x, y) of exactly `rows` distinct rows, x in [0, 40]: half of
+// them take their join column y from `right`'s join keys, so every one
+// joins, and the rest draw y from [0, span].
+NamedRelation KeyedLeft(const NamedRelation& right, size_t rows, Value span,
+                        uint64_t seed) {
+  Rng rng(seed);
+  std::set<std::pair<Value, Value>> seen;
+  NamedRelation out{{0, 1}};
+  auto add = [&](Value x, Value y) {
+    if (seen.emplace(x, y).second) out.rel().Add({x, y});
+  };
+  while (out.size() < rows / 2) {
+    add(rng.Range(0, 40), right.rel().At(rng.Below(right.size()), 0));
+  }
+  while (out.size() < rows) add(rng.Range(0, 40), rng.Range(0, span));
+  return out;
+}
+
 TEST(JoinProjectTest, KeyRunsMatchRowIndexAcrossTheDenseThreshold) {
   // The kernel probes contiguous key runs when it builds its own key
   // structure over a range that is dense for the kernel's input rows
   // (KeyRange::DenseForCounts(|left| + |right|), i.e. span < 2(|left| +
   // |right|) - 1) and walks RowIndex chains when handed an index: both give
-  // the same rows in the same order, on either side of the threshold.
-  const size_t n = 300;
-  NamedRelation left{{0, 1}};
-  Rng rng(7);
-  for (int r = 0; r < 4000; ++r) {
-    left.rel().Add({rng.Range(0, 40), rng.Range(0, 4000)});
-  }
-  left.rel().HashDedup();
-  const Value threshold = static_cast<Value>(2 * (left.size() + n) - 1);
+  // the same rows in the same order, on either side of the threshold. Both
+  // sides have a fixed size, so the threshold is one number.
+  const size_t n = 300, left_rows = 4000;
+  const Value threshold = static_cast<Value>(2 * (left_rows + n) - 1);
   for (Value span : {threshold - 2, threshold - 1, threshold, threshold + 1,
                      Value{1} << 40}) {
     SCOPED_TRACE(span);
     NamedRelation right = SpanRel(n, span, static_cast<uint64_t>(span));
+    NamedRelation left = KeyedLeft(right, left_rows, span, 7);
+    ASSERT_EQ(left.size(), left_rows);
+    // Every right-keyed left row joins.
+    ASSERT_GE(NaturalJoin(left, right).ValueOrDie().size(), left_rows / 2);
     const RowIndex index(right.rel(), JoinKeyColumns(left, right));
     const bool dense = span < threshold;
     for (std::vector<AttrId> out : {std::vector<AttrId>{0, 2},
@@ -311,6 +330,7 @@ TEST(JoinProjectTest, KeyRunsMatchRowIndexAcrossTheDenseThreshold) {
         EXPECT_EQ(index_key, KeyKind::kHash);
         EXPECT_EQ(via_runs.attrs(), via_index.attrs());
         EXPECT_TRUE(via_runs.rel().data() == via_index.rel().data());
+        EXPECT_FALSE(via_runs.empty());
         EXPECT_TRUE(via_runs.rel().EqualsAsSet(
             Project(NaturalJoin(left, right).ValueOrDie(), out, true).rel()));
       }

@@ -7,8 +7,6 @@
 // Cells (the --quick scales; without --quick each cell runs larger):
 //   * join, semijoin: the flat RowIndex kernels against the seed's
 //     unordered_map join, kept below as the legacy kernel.
-//   * filter_probe: a selective filter feeding a key join, vectorized
-//     (Materialize -> HashJoin -> Select -> Scan) against the row kernels.
 //   * parallel.{cyclic_join, ucq_mix, theorem2}: the runtime-free
 //     evaluators ("sequential") against the engine at threads 1 and N.
 //     parallel.mix sums the cyclic_join and ucq_mix cells.
@@ -23,7 +21,7 @@
 //     and a tracing engine against an identical baseline engine.
 //
 // Every cell runs each implementation once (the answers must agree), then
-// keeps each implementation's best wall time over `reps` timed runs. The
+// keeps each implementation's median wall time over `reps` timed runs. The
 // engine cells interleave their implementations rep by rep, so load drift
 // hits both sides of a ratio alike; the kernel cells run each side's reps
 // back to back, as a hot microkernel would run.
@@ -34,7 +32,7 @@
 //
 // Usage: bench_gates [--quick] [--threads N] [--trace-out FILE]
 //   --trace-out FILE writes the Chrome trace-event JSON of a traced
-//   4-thread Datalog fixpoint (row-at-a-time operators, small morsels).
+//   4-thread Datalog fixpoint (small morsels).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -53,12 +51,9 @@
 #include "eval/naive.hpp"
 #include "eval/ucq.hpp"
 #include "graph/generators.hpp"
-#include "plan/executor.hpp"
-#include "plan/plan.hpp"
 #include "query/parser.hpp"
 #include "relational/database.hpp"
 #include "relational/ops.hpp"
-#include "relational/predicate.hpp"
 #include "workload/generators.hpp"
 
 namespace paraquery {
@@ -92,8 +87,15 @@ bool SameAnswer(const Relation& a, const Relation& b, bool as_set) {
   return a.arity() == b.arity() && a.size() == b.size() && a.data() == b.data();
 }
 
+// The median of `times` (the mean of the middle two for an even count).
+double Median(std::vector<double> times) {
+  std::sort(times.begin(), times.end());
+  const size_t n = times.size();
+  return n % 2 == 1 ? times[n / 2] : (times[n / 2 - 1] + times[n / 2]) / 2;
+}
+
 // Runs every impl once and requires its answer to equal the first impl's,
-// then runs `reps` timed reps per impl and records each one's best time.
+// then runs `reps` timed reps per impl and records each one's median time.
 // Engine cells interleave the impls rep by rep, in their listed order, so
 // load drift hits every impl alike, and check every rep's answer byte for
 // byte. Kernel cells emit rows unsorted, so their answers compare as sets,
@@ -111,17 +113,17 @@ void Measure(const std::string& bench, size_t rows, int reps,
   }
   const size_t n = impls.size();
   const size_t runs = n * static_cast<size_t>(reps);
-  std::vector<double> best(n, 1e300);
+  std::vector<std::vector<double>> times(n);
   for (size_t run = 0; run < runs; ++run) {
     const size_t i = kernel ? run * n / runs : run % n;
     Timer t;
     out[i] = impls[i].run();
-    best[i] = std::min(best[i], t.Seconds());
+    times[i].push_back(t.Seconds());
     if (!kernel && !SameAnswer(out[0], out[i], false)) fail(i);
   }
   for (size_t i = 0; i < impls.size(); ++i) {
     g_entries.push_back(
-        Entry{bench, impls[i].name, rows, best[i], out[i].size()});
+        Entry{bench, impls[i].name, rows, Median(times[i]), out[i].size()});
   }
 }
 
@@ -146,7 +148,6 @@ std::vector<Gate> GateTable(size_t threads) {
   return {
       {"join", "legacy_unordered_map", "row_index", false, 1.0},
       {"semijoin", "legacy_unordered_map", "row_index", false, 1.0},
-      {"filter_probe", "row_kernels", "vectorized", false, 2.0},
       {"parallel.cyclic_join", "threads1", "sequential", true, 1.05},
       {"parallel.ucq_mix", "threads1", "sequential", true, 1.05},
       {"parallel.theorem2", "threads1", "sequential", true, 1.05},
@@ -411,49 +412,6 @@ void JoinKernels(size_t n, int reps) {
           /*kernel=*/true);
 }
 
-void FilterProbe(size_t n, int reps) {
-  // Both impls run Select(left, col0 < 30) -> join on col3 against right:
-  // the row kernels copy every surviving 4-wide row before the probe; the
-  // vectorized plan filters a selection vector over the cached columnar
-  // mirror and gathers only the ~3% survivors.
-  Rng rng(17);
-  const size_t left_rows = n * 4;
-  const size_t right_rows = std::max<size_t>(512, n / 64);
-  NamedRelation left({0, 1, 2, 3});
-  left.rel().Reserve(left_rows);
-  ValueVec row(4);
-  for (size_t i = 0; i < left_rows; ++i) {
-    row[0] = rng.Range(0, 999);
-    row[1] = rng.Range(0, 999);
-    row[2] = rng.Range(0, 999);
-    row[3] = rng.Range(0, static_cast<int64_t>(right_rows) - 1);
-    left.rel().Add(row);
-  }
-  NamedRelation right = RandomRel(rng, {3, 4}, right_rows,
-                                  static_cast<int64_t>(right_rows));
-  Predicate pred;
-  pred.Add(Constraint::LtConst(0, 30));
-  PlanNodePtr plan = MakeMaterialize(MakeHashJoin(
-      MakeSelect(MakeScan(0, left.attrs(), "L",
-                          static_cast<double>(left_rows)),
-                 pred),
-      MakeScan(1, right.attrs(), "R", static_cast<double>(right_rows))));
-  const NamedRelation* slots[] = {&left, &right};
-  ExecContext ctx;
-  ctx.inputs = slots;
-  Measure("filter_probe", left_rows, reps,
-          {{"row_kernels",
-            [&] {
-              return NaturalJoin(Select(left, pred), right).ValueOrDie().rel();
-            }},
-           {"vectorized",
-            [&] {
-              plan->ResetActuals();
-              return ExecutePlan(*plan, ctx).ValueOrDie().rel();
-            }}},
-          /*kernel=*/true);
-}
-
 void Parallel(const Workload& w, int reps, size_t threads) {
   Engine one(w.db, Options(1));
   Engine wide(w.db, Options(threads));
@@ -463,7 +421,7 @@ void Parallel(const Workload& w, int reps, size_t threads) {
            {"threads" + std::to_string(threads), [&] { return w.run(wide); }}});
 }
 
-// Sums the best times of `parts`' cells per impl into the cell `bench`.
+// Sums the median times of `parts`' cells per impl into the cell `bench`.
 void Combine(const std::string& bench, const std::vector<std::string>& parts) {
   std::vector<Entry> sums;
   for (const Entry& e : g_entries) {
@@ -599,7 +557,6 @@ void WriteDatalogTrace(const std::string& path) {
   EngineOptions options;
   options.threads = 4;
   options.trace = true;
-  options.vectorize = false;
   options.morsel_rows = 256;
   Engine engine(db, options);
   auto result = engine.RunText(
@@ -633,7 +590,6 @@ int main(int argc, char** argv) {
   // The kernel cells run first, before the engine workloads' databases
   // change the allocator's state.
   JoinKernels(quick ? 10000 : 1000000, quick ? 5 : 3);
-  FilterProbe(quick ? 10000 : 1000000, quick ? 5 : 3);
   const Workload cyclic = CyclicJoin(quick ? 30000 : 60000);
   const Workload ucq = UcqMix(quick ? 900000 : 1800000);
   Parallel(cyclic, reps, threads);
@@ -647,7 +603,7 @@ int main(int argc, char** argv) {
     Hardening(*w, reps, threads);
   }
   AbortLatency(quick ? 200000 : 400000, quick ? 3 : 5, threads);
-  // Best-of-13: these ratios sit in the low single-digit percent range.
+  // Median of 13: these ratios sit in the low single-digit percent range.
   Tracing(cyclic, quick ? 13 : 15, threads);
   Tracing(ucq, quick ? 13 : 15, threads);
   if (!trace_out.empty()) WriteDatalogTrace(trace_out);

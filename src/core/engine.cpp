@@ -118,8 +118,6 @@ Engine::Engine(const Database& db, EngineOptions options)
                                        "rows produced by plan operators");
   m_.morsels = &metrics_.counter("pq_morsels_total",
                                  "morsels processed by parallel operators");
-  m_.vec_batches = &metrics_.counter(
-      "pq_vec_batches_total", "column batches through vectorized stages");
   m_.plan_cache_hits =
       &metrics_.counter("pq_plan_cache_hits_total", "plan cache hits");
   m_.plan_cache_misses =
@@ -142,10 +140,6 @@ Engine::Engine(const Database& db, EngineOptions options)
       &metrics_.counter("pq_trie_cache_hits_total", "trie view cache hits");
   m_.trie_builds =
       &metrics_.counter("pq_trie_cache_builds_total", "trie view builds");
-  m_.columnar_hits = &metrics_.counter("pq_columnar_cache_hits_total",
-                                       "columnar mirror cache hits");
-  m_.columnar_builds = &metrics_.counter("pq_columnar_cache_builds_total",
-                                         "columnar mirror builds");
   m_.set_hits = &metrics_.counter("pq_set_form_cache_hits_total",
                                   "set form (HashDedup) cache hits");
   m_.set_builds = &metrics_.counter("pq_set_form_cache_builds_total",
@@ -163,12 +157,10 @@ EvalContext Engine::Context(QueryContext* qc) const {
   EvalContext ctx;
   ctx.limits = options_.limits;
   ctx.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-  ctx.planner.vectorize = options_.vectorize;
   ctx.planner.wcoj = options_.wcoj;
   RuntimeOptions& runtime = ctx.runtime;
   runtime.query_ctx = qc;
   runtime.morsel_rows = options_.morsel_rows;
-  runtime.vec_min_source_rows = options_.vec_min_source_rows;
   runtime.metrics = &query_metrics_;
   runtime.analyze = analyze_;
   if (options_.trace) {
@@ -332,7 +324,6 @@ void Engine::FinishQuery(double seconds, const Status& status,
   }
   m_.rows_produced->Add(stats_.plan.rows_produced);
   m_.morsels->Add(stats_.plan.morsels);
-  m_.vec_batches->Add(stats_.plan.vec_batches);
   // Scrapes of external monotonic sources (Counter::Set, not Add): the
   // plan cache, the scheduler, and the process-wide storage caches all
   // keep their own cumulative counters.
@@ -353,8 +344,6 @@ void Engine::FinishQuery(double seconds, const Status& status,
   const StorageCacheStats& sc = GlobalStorageCacheStats();
   m_.trie_hits->Set(sc.trie_hits.load(std::memory_order_relaxed));
   m_.trie_builds->Set(sc.trie_builds.load(std::memory_order_relaxed));
-  m_.columnar_hits->Set(sc.columnar_hits.load(std::memory_order_relaxed));
-  m_.columnar_builds->Set(sc.columnar_builds.load(std::memory_order_relaxed));
   m_.set_hits->Set(sc.set_hits.load(std::memory_order_relaxed));
   m_.set_builds->Set(sc.set_builds.load(std::memory_order_relaxed));
 }
@@ -386,7 +375,7 @@ Result<std::string> Engine::ExplainText(const std::string& text,
   if (const auto* q = std::get_if<FirstOrderQuery>(&parsed)) {
     return ExplainFirstOrder(*q, db_, planner);
   }
-  return ExplainDatalog(std::get<DatalogProgram>(parsed), db_, planner);
+  return ExplainDatalog(std::get<DatalogProgram>(parsed), db_);
 }
 
 Result<std::string> Engine::AnalyzeText(const std::string& text,
@@ -420,7 +409,7 @@ Result<std::string> Engine::PlanText(const std::string& text,
     return RenderConjunctivePlan(*db_, *q, planner);
   }
   if (const auto* q = std::get_if<DatalogProgram>(&parsed)) {
-    return RenderDatalogPlan(*db_, *q, planner);
+    return RenderDatalogPlan(*db_, *q);
   }
   const FirstOrderQuery& fo = std::get<FirstOrderQuery>(parsed);
   if (!fo.IsPositive()) {

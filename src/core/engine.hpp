@@ -66,21 +66,11 @@ struct EngineOptions {
   /// one, so another thread may Cancel() it mid-query. The caller controls
   /// its lifecycle: cancellation is sticky until QueryContext::Reset().
   QueryContext* query_ctx = nullptr;
-  /// Master switch for vectorized columnar execution
-  /// (PlannerOptions::vectorize): planners place Materialize boundaries over
-  /// eligible Select/Project/HashJoin chains. Results are byte-identical on
-  /// or off; off forces row-at-a-time execution.
-  bool vectorize = true;
   /// Master switch for worst-case-optimal multiway joins: comparison-free
   /// cyclic CQs route through a generalized hypertree decomposition with
   /// leapfrog-triejoin bags (PlannerOptions::wcoj). Results are
   /// byte-identical on or off; off keeps the binary left-deep chains.
   bool wcoj = true;
-  /// Minimum source rows for a Materialize boundary to engage the vectorized
-  /// columnar pipeline; below it the chain runs row-at-a-time (batch setup
-  /// costs more than it saves on small inputs — e.g. Datalog delta batches).
-  /// The default (256) matches the previously hard-coded executor threshold.
-  size_t vec_min_source_rows = 256;
   /// Query tracing: when on, every Run records hierarchical spans (query →
   /// route → fixpoint round / disjunct / coloring → plan operator → morsel)
   /// into the engine-owned Tracer, cleared at the start of each Run and
@@ -92,6 +82,10 @@ struct EngineOptions {
   FoOptions fo;
   UcqOptions ucq;
   DatalogOptions datalog;
+  /// No effect; read or set only by pqbench; delete with its uses (ROADMAP
+  /// item 2).
+  bool vectorize = true;
+  size_t vec_min_source_rows = 256;
 };
 
 /// Instrumentation from the most recent Run/RunText call, per evaluator.
@@ -190,10 +184,10 @@ class Engine {
   const PlanCache& plan_cache() const { return plan_cache_; }
 
   /// The engine-wide metrics registry: query counts/latency, per-operator
-  /// row histograms, abort reasons, scheduler activity, plan-cache and
-  /// trie/columnar cache hit rates. Cumulative over the engine's lifetime
-  /// (storage-cache counters are process-wide); scraped/refreshed at the
-  /// end of every Run.
+  /// row histograms, abort reasons, scheduler activity, plan-cache,
+  /// trie-cache and set-form cache hit rates. Cumulative over the engine's
+  /// lifetime (storage-cache counters are process-wide); scraped/refreshed
+  /// at the end of every Run.
   MetricsRegistry& metrics() const { return metrics_; }
 
   /// The spans of the most recent traced Run (EngineOptions::trace); null
@@ -246,7 +240,6 @@ class Engine {
     Counter* aborts_resource = nullptr;
     Counter* rows_produced = nullptr;
     Counter* morsels = nullptr;
-    Counter* vec_batches = nullptr;
     Counter* plan_cache_hits = nullptr;
     Counter* plan_cache_misses = nullptr;
     Counter* plan_cache_stale = nullptr;
@@ -258,8 +251,6 @@ class Engine {
     Gauge* sched_queue_depth = nullptr;
     Counter* trie_hits = nullptr;
     Counter* trie_builds = nullptr;
-    Counter* columnar_hits = nullptr;
-    Counter* columnar_builds = nullptr;
     Counter* set_hits = nullptr;
     Counter* set_builds = nullptr;
   };

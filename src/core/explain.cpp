@@ -114,8 +114,7 @@ Result<std::string> RenderPositivePlan(const Database& db,
 }
 
 Result<std::string> RenderDatalogPlan(const Database& db,
-                                      const DatalogProgram& p,
-                                      const PlannerOptions& planner) {
+                                      const DatalogProgram& p) {
   PQ_RETURN_NOT_OK(p.Validate());
   std::ostringstream oss;
   oss << "-- route: " << DecideRoute(p).reason << "\n";
@@ -151,7 +150,7 @@ Result<std::string> RenderDatalogPlan(const Database& db,
       }
     }
     auto plan = PlanRuleBody(rule, attrs, sizes, caches, /*delta_pos=*/-1,
-                             /*distinct=*/{}, planner.vectorize, &db.dict());
+                             /*distinct=*/{}, &db.dict());
     if (!plan.ok()) {
       oss << "    unavailable: " << plan.status().message() << "\n";
       continue;
@@ -198,13 +197,12 @@ std::string ExplainFirstOrder(const FirstOrderQuery& q, const Database* db,
   return oss.str();
 }
 
-std::string ExplainDatalog(const DatalogProgram& p, const Database* db,
-                           const PlannerOptions& planner) {
+std::string ExplainDatalog(const DatalogProgram& p, const Database* db) {
   std::ostringstream oss;
   oss << "program:\n" << p.ToString(db != nullptr ? &db->dict() : nullptr);
   oss << ClassifyDatalog(p).ToString();
   if (db != nullptr) {
-    AppendPlanSection(&oss, RenderDatalogPlan(*db, p, planner));
+    AppendPlanSection(&oss, RenderDatalogPlan(*db, p));
   }
   return oss.str();
 }

@@ -28,11 +28,11 @@ std::string ExplainFirstOrder(const FirstOrderQuery& q,
                               const Database* db = nullptr,
                               const PlannerOptions& planner = {});
 std::string ExplainDatalog(const DatalogProgram& p,
-                           const Database* db = nullptr,
-                           const PlannerOptions& planner = {});
+                           const Database* db = nullptr);
 
 /// Plan-only renders (the shell's `.plan` command): the physical plan the
-/// engine would run under `planner`, without executing it.
+/// engine would run under `planner`, without executing it. Datalog rule
+/// bodies take no planner option.
 Result<std::string> RenderConjunctivePlan(const Database& db,
                                           const ConjunctiveQuery& q,
                                           const PlannerOptions& planner = {});
@@ -40,8 +40,7 @@ Result<std::string> RenderPositivePlan(const Database& db,
                                        const PositiveQuery& q,
                                        const PlannerOptions& planner = {});
 Result<std::string> RenderDatalogPlan(const Database& db,
-                                      const DatalogProgram& p,
-                                      const PlannerOptions& planner = {});
+                                      const DatalogProgram& p);
 
 }  // namespace paraquery
 

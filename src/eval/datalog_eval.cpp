@@ -447,7 +447,7 @@ class DatalogRun {
         PQ_ASSIGN_OR_RETURN(
             variant.plan,
             PlanRuleBody(rule, attrs, sizes, caches, delta_pos, distinct,
-                         ctx_.planner.vectorize, &db_.dict()));
+                         &db_.dict()));
         variant.planned_delta_rows = observed;
         if (ctx_.plan_cache != nullptr) {
           // Publish the canonical form: rule var -> canonical id is the

@@ -15,13 +15,11 @@
 #include "obs/analyze.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/vec_pipeline.hpp"
 #include "relational/leapfrog.hpp"
 #include "relational/ops.hpp"
 #include "relational/row_index.hpp"
 #include "relational/trie_index.hpp"
 #include "runtime/parallel_ops.hpp"
-#include "runtime/vectorized_exec.hpp"
 
 namespace paraquery {
 
@@ -144,11 +142,11 @@ class Executor {
 
   // Tallies an executed operator's output against limits and stats. Stats
   // record all performed work (speculative included); the max_steps budget
-  // is charged through `charge` so speculative rows stay tentative. The
-  // row-count overload serves the vectorized pipeline stages, which tally
-  // without a materialized NamedRelation.
-  Status AccountRows(PlanNode& n, size_t PlanStats::* counter, uint64_t rows,
-                     Charge* charge, size_t op_morsels = 0) {
+  // is charged through `charge` so speculative rows stay tentative.
+  Status Account(PlanNode& n, size_t PlanStats::* counter,
+                 const NamedRelation& out, Charge* charge,
+                 size_t op_morsels = 0) {
+    const size_t rows = out.size();
     // Re-check the abort state AFTER the operator ran: morsel lambdas skip
     // their work when the query aborts mid-operator, so a result assembled
     // from skipped morsels must be discarded here, never returned truncated.
@@ -157,8 +155,8 @@ class Executor {
     if (ctx_.stats != nullptr) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++(ctx_.stats->*counter);
-      ctx_.stats->peak_intermediate_rows = std::max(
-          ctx_.stats->peak_intermediate_rows, static_cast<size_t>(rows));
+      ctx_.stats->peak_intermediate_rows =
+          std::max(ctx_.stats->peak_intermediate_rows, rows);
       ctx_.stats->rows_produced += rows;
       ctx_.stats->morsels += op_morsels;
     }
@@ -176,12 +174,6 @@ class Executor {
           "operator output exceeds limit of ", ctx_.limits.max_rows, " rows"));
     }
     return Status::OK();
-  }
-
-  Status Account(PlanNode& n, size_t PlanStats::* counter,
-                 const NamedRelation& out, Charge* charge,
-                 size_t op_morsels = 0) {
-    return AccountRows(n, counter, out.size(), charge, op_morsels);
   }
 
   // Evaluates a binary node's children, concurrently when a scheduler is
@@ -400,27 +392,6 @@ class Executor {
         PQ_RETURN_NOT_OK(Account(n, &PlanStats::dedups, out, charge));
         return out;
       }
-      case PlanOp::kMaterialize: {
-        PQ_FAULT_POINT("executor.vec.materialize");
-        if (n.children.size() != 1) {
-          return Status::Internal("materialize plan node requires one child");
-        }
-        VecPipeline pipe;
-        if (CompileVecPipeline(n, &pipe) && pipe.source->input_slot >= 0 &&
-            static_cast<size_t>(pipe.source->input_slot) < ctx_.inputs.size() &&
-            ctx_.inputs[pipe.source->input_slot]->size() >=
-                ctx_.runtime.vec_min_source_rows) {
-          Result<NamedRelation> out = ExecVectorized(n, pipe, charge);
-          if (out.ok() && ctx_.stats != nullptr) {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ctx_.stats->vec_batches += n.actual_batches;
-          }
-          return out;
-        }
-        // Ineligible chain or tiny source: the chain nodes are ordinary row
-        // operators, so just execute the child row-at-a-time.
-        return Exec(*n.children[0], charge);
-      }
       case PlanOp::kAggregate: {
         PQ_FAULT_POINT("executor.aggregate");
         if (n.children.size() != 1 || n.attrs.empty() ||
@@ -580,7 +551,7 @@ class Executor {
           ctx_.runtime.scheduler, nrows, ctx_.runtime.morsel_rows,
           [&](size_t c, size_t begin, size_t end) {
             // Aborted query: skip the morsel; the executor re-checks the
-            // abort in AccountRows, so a partial result never escapes.
+            // abort in Account, so a partial result never escapes.
             if (ctx_.runtime.Interrupted()) return;
             for (size_t r = begin; r < end; ++r) {
               if (overflow.load(std::memory_order_relaxed)) return;
@@ -818,57 +789,9 @@ class Executor {
         });
   }
 
-  // Runs a compiled columnar pipeline under this execution's budget: build
-  // sides execute as row subtrees under the SAME charge (non-speculative,
-  // and only when the probe side is nonempty — the sequential operation
-  // order), and every stage tallies through AccountRows in chain order, so
-  // limit decisions match the row path decision for decision.
-  Result<NamedRelation> ExecVectorized(PlanNode& /*n*/, const VecPipeline& pipe,
-                                       Charge* charge) {
-    VecExecEnv env;
-    env.inputs = ctx_.inputs;
-    env.runtime = ctx_.runtime;
-    env.pfor = pfor_;
-    env.exec_rows = [this, charge](PlanNode& rc) { return Exec(rc, charge); };
-    env.account = [this, charge](PlanNode& sn, size_t PlanStats::* counter,
-                                 uint64_t rows, size_t morsels) {
-      sn.actual_rows = rows;
-      return AccountRows(sn, counter, rows, charge, morsels);
-    };
-    env.on_scan = [this](PlanNode& scan, uint64_t rows) {
-      scan.actual_rows = rows;
-      if (ctx_.stats != nullptr) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++ctx_.stats->scans;
-      }
-    };
-    env.on_zero_copy_projection = [this] {
-      if (ctx_.stats != nullptr) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++ctx_.stats->zero_copy_projections;
-      }
-    };
-    env.get_index = [this](PlanNode& rnode, const NamedRelation& right,
-                           const std::vector<int>& rcols,
-                           std::optional<RowIndex>& local) -> const RowIndex& {
-      JoinIndexCache* cache = rnode.index_cache;
-      if (rnode.op == PlanOp::kScan && cache != nullptr &&
-          rnode.input_slot >= 0 &&
-          static_cast<size_t>(rnode.input_slot) < ctx_.inputs.size()) {
-        // Build over the caller-owned slot relation (it outlives the cache),
-        // exactly like the row path's cached-scan branch.
-        const Relation& stable = ctx_.inputs[rnode.input_slot]->rel();
-        return cache->GetOrBuild(stable, rcols, ctx_.stats, pfor_);
-      }
-      local.emplace(right.rel(), rcols, pfor_);
-      return *local;
-    };
-    return ExecuteVecPipeline(pipe, env);
-  }
-
   const ExecContext& ctx_;
   /// Bound over the runtime's scheduler (empty when sequential); threaded
-  /// into RowIndex builds, HashDedup, and the vectorized pipeline stages.
+  /// into RowIndex builds and HashDedup.
   ParallelForFn pfor_;
   std::mutex states_mutex_;
   std::unordered_map<const PlanNode*, std::unique_ptr<NodeState>> states_;

@@ -80,8 +80,6 @@ const char* PlanOpName(PlanOp op) {
       return "Semijoin";
     case PlanOp::kDedup:
       return "Dedup";
-    case PlanOp::kMaterialize:
-      return "Materialize";
     case PlanOp::kMultiwayJoin:
       return "MultiwayJoin";
     case PlanOp::kAggregate:
@@ -113,7 +111,6 @@ void PlanStats::Merge(const PlanStats& o) {
   parallel_tasks += o.parallel_tasks;
   morsels += o.morsels;
   wall_seconds += o.wall_seconds;
-  vec_batches += o.vec_batches;
 }
 
 std::string PlanStats::ToString() const {
@@ -130,7 +127,7 @@ std::string PlanStats::ToString() const {
       << " zero_copy_projections=" << zero_copy_projections
       << " index_builds=" << index_builds << " index_hits=" << index_hits
       << "\nparallel_tasks=" << parallel_tasks << " morsels=" << morsels
-      << " vec_batches=" << vec_batches << " wall_ms=" << wall_seconds * 1e3;
+      << " wall_ms=" << wall_seconds * 1e3;
   return oss.str();
 }
 
@@ -153,7 +150,6 @@ const RowIndex& JoinIndexCache::GetOrBuild(const Relation& rel,
 void PlanNode::ResetActuals() {
   actual_rows = kNotExecuted;
   actual_morsels = 0;
-  actual_batches = 0;
   actual_key = KeyKind::kNone;
   actual_ns = 0;
   for (const PlanNodePtr& c : children) c->ResetActuals();
@@ -488,16 +484,6 @@ PlanNodePtr MakeSemijoinCount(PlanNodePtr left, PlanNodePtr right) {
   return n;
 }
 
-PlanNodePtr MakeMaterialize(PlanNodePtr child) {
-  auto n = std::make_shared<PlanNode>();
-  n->op = PlanOp::kMaterialize;
-  n->attrs = child->attrs;
-  n->est_rows = child->est_rows;
-  n->attr_distinct = child->attr_distinct;
-  n->children.push_back(std::move(child));
-  return n;
-}
-
 namespace {
 
 PlanNodePtr CloneRec(
@@ -515,7 +501,6 @@ PlanNodePtr CloneRec(
   out->index_cache = n.index_cache;
   out->predicate = n.predicate;
   out->dedup = n.dedup;
-  out->repr = n.repr;
   if (slot_caches != nullptr && n.op == PlanOp::kScan) {
     out->index_cache =
         (n.input_slot >= 0 &&
@@ -565,7 +550,6 @@ struct Renderer {
       out << (i == 0 ? fused : ", ") << AttrName(dropped[i]);
       if (i + 1 == dropped.size()) out << ")";
     }
-    if (n.repr == PlanRepr::kColumnar) out << " [vec]";
     if (!n.label.empty()) out << " " << n.label;
     if (reference) {
       out << " see #" << shown.at(&n) << "\n";
@@ -586,7 +570,6 @@ struct Renderer {
       if (n.actual_rows != PlanNode::kNotExecuted) {
         out << " actual=" << n.actual_rows;
         if (n.actual_morsels > 0) out << " morsels=" << n.actual_morsels;
-        if (n.actual_batches > 0) out << " vec=" << n.actual_batches;
         if (n.actual_key != KeyKind::kNone) {
           out << (n.actual_key == KeyKind::kDense ? " key=dense" : " key=hash");
         }

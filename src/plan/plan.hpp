@@ -3,7 +3,7 @@
 // Yannakakis schedule reuses reduced relations in several places) over the
 // operators the paper's algorithms are stated in: Scan (an S_j input slot),
 // Select, Project, HashJoin, Semijoin and Dedup, plus the physical
-// additions Materialize, MultiwayJoin, Aggregate and SemijoinCount. A
+// additions MultiwayJoin, Aggregate and SemijoinCount. A
 // HashJoin may fuse its parent's work: a projection (join-project) or a
 // count (join-count, which the counting planner uses to sum each hypertree
 // bag down to its interface without materializing the bag). A union of
@@ -67,10 +67,6 @@ enum class PlanOp {
               // JoinProject, JoinCount) that never materialize the join
   kSemijoin,  // left ⋉ right
   kDedup,     // explicit set-semantics enforcement
-  kMaterialize,  // representation boundary: executes its child chain through
-                 // the vectorized columnar pipeline (selection vectors over
-                 // column stripes) and materializes the result back to rows
-                 // for the row-at-a-time consumer above
   kMultiwayJoin,  // worst-case-optimal n-ary join: intersects all children
                   // attribute-by-attribute with leapfrog triejoin over
                   // per-child sorted tries (relational/leapfrog.hpp). attrs
@@ -97,15 +93,6 @@ inline constexpr AttrId kCountAttr = -2;
 inline bool HasCountAttr(const std::vector<AttrId>& attrs) {
   return !attrs.empty() && attrs.back() == kCountAttr;
 }
-
-/// Physical representation a node executes in. Planner-assigned: nodes on a
-/// chain under a kMaterialize boundary are tagged kColumnar and run as
-/// vectorized stages; everything else stays row-at-a-time. The tag is purely
-/// physical — a columnar node computes exactly the rows its row twin would.
-enum class PlanRepr {
-  kRow,
-  kColumnar,
-};
 
 /// Counters shared by every plan execution: the one operator-level stats
 /// record every evaluator reports through its `plan_stats` out-parameter.
@@ -146,8 +133,8 @@ struct PlanStats {
   size_t parallel_tasks = 0;
   size_t morsels = 0;
   double wall_seconds = 0;
-  /// Column batches processed by vectorized pipeline stages (0 when every
-  /// operator ran row-at-a-time).
+  /// No effect; read or set only by pqbench; delete with its uses (ROADMAP
+  /// item 2).
   size_t vec_batches = 0;
 
   void Merge(const PlanStats& o);
@@ -209,18 +196,11 @@ struct PlanNode {
   // --- kProject payload ---
   bool dedup = true;
 
-  /// Physical representation (see PlanRepr). Set by the planner; rendered as
-  /// a "[vec]" suffix.
-  PlanRepr repr = PlanRepr::kRow;
-
   /// Filled by the executor (rows of the computed result).
   uint64_t actual_rows = kNotExecuted;
   /// Morsels the executor processed for this operator (0 = it ran
   /// sequentially); rendered next to actual_rows for parallel executions.
   uint64_t actual_morsels = 0;
-  /// Column batches a kMaterialize boundary pushed through its vectorized
-  /// pipeline (0 = not executed vectorized); rendered as "vec=N".
-  uint64_t actual_batches = 0;
   /// Key structure a Semijoin, Aggregate, SemijoinCount or fused HashJoin
   /// probed (a KeyRange-indexed array or key runs, or a RowIndex); rendered
   /// as "key=dense" or "key=hash".
@@ -302,10 +282,6 @@ std::vector<AttrId> JoinCountKey(const std::vector<AttrId>& left,
 
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right);
 PlanNodePtr MakeDedup(PlanNodePtr child);
-/// Representation boundary over `child` (same attrs/estimates). The executor
-/// runs the chain below it vectorized when eligible (vec_pipeline.hpp) and
-/// falls back to executing the child row-at-a-time otherwise.
-PlanNodePtr MakeMaterialize(PlanNodePtr child);
 /// Worst-case-optimal multiway join of `children` over the global attribute
 /// order `attrs` (every child's attrs must be a subset). The cardinality
 /// estimate is an AGM-flavored fractional power of the product of the child

@@ -8,24 +8,24 @@
 #include "hypergraph/hypertree.hpp"
 #include "hypergraph/join_tree.hpp"
 #include "plan/executor.hpp"
-#include "plan/vec_pipeline.hpp"
 
 namespace paraquery {
 
 namespace {
 
-// Tags the left spine under a Materialize boundary (chain stages plus the
-// source scan) columnar, for the "[vec]" EXPLAIN rendering. Join build
-// sides stay row-represented.
-void TagColumnarChain(PlanNode* n) {
-  for (PlanNode* p = n;; p = p->children[0].get()) {
-    p->repr = PlanRepr::kColumnar;
-    if (p->op == PlanOp::kScan) break;
-  }
-}
-
 bool Contains(const std::vector<AttrId>& attrs, AttrId a) {
   return std::find(attrs.begin(), attrs.end(), a) != attrs.end();
+}
+
+// The left-atom rule for a two-atom join-project. The fused kernel groups
+// by its left input's head columns, so its rows come out sorted when the
+// left atom holds the head's first variable. True when `left` lacks that
+// variable and `right` holds it: the caller then swaps the two sides.
+bool SwapForSortedHead(const std::vector<AttrId>& left,
+                       const std::vector<AttrId>& right,
+                       const std::vector<AttrId>& head_vars) {
+  return !head_vars.empty() && !Contains(left, head_vars[0]) &&
+         Contains(right, head_vars[0]);
 }
 
 // A constant that `dict` (nullable) holds as a code renders as its string.
@@ -209,8 +209,9 @@ Status PrepareAcyclic(const Database& db, const ConjunctiveQuery& q,
 // duplicate-free nodes `cur` (the atoms of a join tree, or the bags of a
 // hypertree decomposition): bottom-up, P_u := P_u ⋈ π_{Z_j}(P_j) with
 // Z_j = (U_j ∩ U_u) ∪ (Z ∩ at(T[j])), then the root's head projection
-// (ProjectHead). A projection onto exactly a node's attributes is the node
-// itself, since every node of these schedules is a set. The root's last
+// (ProjectHead). A projection onto exactly a node's attributes, in any
+// order, is the node itself, since every node of these schedules is a set
+// and joins match columns by attribute. The root's last
 // child joins as it is when it is a scan whose Z_j keeps no head variable
 // the root lacks: the root then fuses into a join-project that stops at
 // each left row's first match, so π_{Z_j} would only copy the scan, and
@@ -251,7 +252,8 @@ PlanNodePtr UpwardJoinProject(const Tree& t, std::vector<PlanNodePtr> cur,
     const bool fused_right = j == last_root_child &&
                              cur[j]->op == PlanOp::kScan &&
                              !head_vars.empty() && !keeps_head;
-    cur[u] = MakeHashJoin(cur[u], fused_right || zj == cur[j]->attrs
+    const bool whole = zj.size() == cur[j]->attrs.size();  // zj ⊆ attrs
+    cur[u] = MakeHashJoin(cur[u], fused_right || whole
                                       ? cur[j]
                                       : MakeProject(cur[j], zj,
                                                     /*dedup=*/true));
@@ -611,8 +613,16 @@ Result<PhysicalPlan> PlanAcyclicCq(const Database& db,
   PQ_RETURN_NOT_OK(PrepareAcyclic(
       db, q, options.full_reducer ? Reducer::kFull : Reducer::kNone, &plan,
       &cur, &tree));
-
-  plan.root = UpwardJoinProject(tree, std::move(cur), q.HeadVariables());
+  const std::vector<VarId> head_vars = q.HeadVariables();
+  // A single-edge tree is one fused join-project with the root on the left.
+  if (tree.size() == 2) {
+    const int child = tree.children[tree.root][0];
+    if (SwapForSortedHead(cur[tree.root]->attrs, cur[child]->attrs,
+                          head_vars)) {
+      tree = RerootJoinTree(tree, child);
+    }
+  }
+  plan.root = UpwardJoinProject(tree, std::move(cur), head_vars);
   return plan;
 }
 
@@ -677,17 +687,17 @@ Result<PhysicalPlan> PlanCyclicCq(const Database& db,
   // Left-deep chain; each comparison becomes a Select at the first point
   // where all of its variables are bound. Two atoms whose head drops a
   // variable join in one fused join-project instead, which applies the
-  // comparisons the join binds inside the kernel. Its left atom is the one
-  // that holds the head's first variable, when only one does: the kernel
-  // groups by the left's head columns, so its rows then come out sorted.
-  // A longer chain keeps the columnar chain: fusing its last join makes the
+  // comparisons the join binds inside the kernel, with its left atom chosen
+  // by SwapForSortedHead. A longer chain keeps the Selects and the hash
+  // dedup: fusing its last join makes the
   // kernel sort the materialized join of the earlier atoms into a trie,
   // which costs more than the chain and hash dedup it would replace (a
   // triangle with x != z over 90k/60k/90k rows: 163 → 487 ms at 1 thread,
   // 92 → 350 ms at 4; higher_paid over 20k employees: 1.36 → 2.09 ms at 4).
   const bool fuse = order.size() == 2 && !head_vars.empty() &&
                     head_vars.size() < q.BodyVariables().size();
-  if (fuse && !Contains(scans[order[0]]->attrs, head_vars[0])) {
+  if (fuse && SwapForSortedHead(scans[order[0]]->attrs,
+                                scans[order[1]]->attrs, head_vars)) {
     std::swap(order[0], order[1]);
   }
   std::vector<bool> applied(pending.size(), false);
@@ -715,16 +725,9 @@ Result<PhysicalPlan> PlanCyclicCq(const Database& db,
     }
     if (!pred.empty()) node = MakeSelect(std::move(node), std::move(pred));
   }
-  // Head projection + dedup. When vectorizable, the Select/Project/HashJoin
-  // chain runs as columnar stages under a Materialize boundary; the Dedup
-  // stays a row operator above it (it reuses the parallel HashDedup).
-  PlanNodePtr proj = MakeProject(std::move(node), head_vars, /*dedup=*/false);
-  if (options.vectorize && VecPipelineEligible(*proj)) {
-    TagColumnarChain(proj.get());
-    plan.root = MakeDedup(MakeMaterialize(std::move(proj)));
-  } else {
-    plan.root = MakeDedup(std::move(proj));
-  }
+  // Head projection + dedup.
+  plan.root =
+      MakeDedup(MakeProject(std::move(node), head_vars, /*dedup=*/false));
   return plan;
 }
 
@@ -786,8 +789,7 @@ Result<PhysicalPlan> PlanCountingCq(const Database& db,
 
 std::string PlannerCacheTag(const PlannerOptions& options) {
   auto digit = [](bool on) { return on ? '1' : '0'; };
-  return {'p', digit(options.full_reducer), digit(options.vectorize),
-          digit(options.wcoj), ':'};
+  return {'p', digit(options.full_reducer), digit(options.wcoj), ':'};
 }
 
 Result<PhysicalPlan> PlanConjunctive(const Database& db,
@@ -819,8 +821,7 @@ Result<PlanNodePtr> PlanRuleBody(
     const DatalogRule& rule, const std::vector<std::vector<AttrId>>& attrs,
     const std::vector<size_t>& sizes,
     const std::vector<JoinIndexCache*>& caches, int delta_pos,
-    const std::vector<std::vector<double>>& distinct, bool vectorize,
-    const Dictionary* dict) {
+    const std::vector<std::vector<double>>& distinct, const Dictionary* dict) {
   if (rule.body.empty()) {
     return Status::InvalidArgument("cannot plan an empty rule body");
   }
@@ -849,14 +850,7 @@ Result<PlanNodePtr> PlanRuleBody(
       head_vars.push_back(t.var());
     }
   }
-  // The deduplicating head Project is the pipeline's sink stage: dedup runs
-  // on the materialized rows at the boundary.
-  PlanNodePtr proj = MakeProject(std::move(node), head_vars, /*dedup=*/true);
-  if (vectorize && VecPipelineEligible(*proj)) {
-    TagColumnarChain(proj.get());
-    return MakeMaterialize(std::move(proj));
-  }
-  return proj;
+  return MakeProject(std::move(node), head_vars, /*dedup=*/true);
 }
 
 }  // namespace paraquery

@@ -35,17 +35,18 @@
 
 namespace paraquery {
 
+/// Planner choices. Each one changes the plan's shape, never its answer; the
+/// plan cache keys on them through PlannerCacheTag.
 struct PlannerOptions {
   /// Tuple plans over a join tree: run the semijoin reducer (acyclic plans:
-  /// both passes; hypertree bag plans: the downward pass). Disabling it (ablation E7b) keeps correctness but loses the
-  /// output-sensitivity guarantee: dangling tuples inflate intermediate
-  /// joins. It only affects plans that run a reducer: a single-edge join
-  /// tree, a counting plan and a decision plan ignore it.
+  /// both passes; hypertree bag plans: the downward pass). Disabling it
+  /// (ablation E7b) keeps correctness but loses the output-sensitivity
+  /// guarantee: dangling tuples inflate intermediate joins. It only affects
+  /// plans that run a reducer: a single-edge join tree, a counting plan and
+  /// a decision plan ignore it.
   bool full_reducer = true;
-  /// Place a Materialize boundary over eligible Select/Project/HashJoin
-  /// chains so the executor runs them as vectorized columnar stages
-  /// (plan/vec_pipeline.hpp). Results are byte-identical either way; off
-  /// forces row-at-a-time execution everywhere.
+  /// No effect; read or set only by pqbench; delete with its uses (ROADMAP
+  /// item 2).
   bool vectorize = true;
   /// Route comparison-free cyclic CQs through a generalized hypertree
   /// decomposition: Yannakakis over the bag tree with a worst-case-optimal
@@ -57,8 +58,9 @@ struct PlannerOptions {
 };
 
 /// The planner-option part of a plan-cache key: one digit per
-/// PlannerOptions field, so a plan built under one setting is never served
-/// under another. Every cache key of a planner-built plan carries it.
+/// PlannerOptions field that shapes a plan (every field but the inert
+/// `vectorize`), so a plan built under one setting is never served under
+/// another. Every cache key of a planner-built plan carries it.
 std::string PlannerCacheTag(const PlannerOptions& options);
 
 /// A lowered plan plus everything needed to run it: the slot-bound input
@@ -149,16 +151,14 @@ std::vector<size_t> GreedyAtomOrder(const std::vector<NamedRelation>& rels,
 /// memo for static EDB atoms or null). The root projects to the rule's
 /// distinct head variables. `delta_pos` (or -1) is pinned first in the join
 /// order. `distinct` (optional, per slot per column) seeds the cardinality
-/// model. The body must be nonempty.
-/// With `vectorize` the root becomes a Materialize boundary over the
-/// (columnar-tagged) chain when it is vectorizable. Scan labels render the
-/// constants that `dict` (nullable) holds as codes by their strings.
+/// model. The body must be nonempty. Scan labels render the constants that
+/// `dict` (nullable) holds as codes by their strings.
 Result<PlanNodePtr> PlanRuleBody(
     const DatalogRule& rule, const std::vector<std::vector<AttrId>>& attrs,
     const std::vector<size_t>& sizes,
     const std::vector<JoinIndexCache*>& caches, int delta_pos,
     const std::vector<std::vector<double>>& distinct = {},
-    bool vectorize = true, const Dictionary* dict = nullptr);
+    const Dictionary* dict = nullptr);
 
 }  // namespace paraquery
 

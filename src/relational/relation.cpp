@@ -286,9 +286,9 @@ size_t Relation::DistinctCount(size_t col) const {
       return counts[col];
     }
   }
-  // Compute outside the lock: the RowIndex build peeks the columnar-mirror
-  // cache (CachedColumnarView), which takes stats_mutex itself. Concurrent
-  // misses recompute the same value; last store wins.
+  // Compute outside the lock, so one block's stats do not serialize behind
+  // an O(rows) pass. Concurrent misses recompute the same value; last store
+  // wins.
   size_t distinct = RowIndex(*this, {static_cast<int>(col)}).distinct_keys();
   std::lock_guard<std::mutex> lock(block_->stats_mutex);
   std::vector<size_t>& counts = block_->distinct_counts;

@@ -32,7 +32,6 @@
 
 namespace paraquery {
 
-class ColumnarTable;
 class TrieIndex;
 
 /// Ref-counted flat row-major buffer shared between Relation views.
@@ -55,22 +54,17 @@ struct RowBlock {
   /// of kStatUnknown not yet computed. Sized to the owning relation's arity.
   std::vector<size_t> distinct_counts;
 
-  /// Cached column-major mirror of this block (see Relation::ColumnarView),
-  /// guarded by `stats_mutex` like the stats. Invalidated wherever
-  /// `distinct_counts` is — any in-place mutation — and not copied by the
-  /// copy-on-write clone (the user-defined copy constructor below copies
-  /// only the rows).
-  std::shared_ptr<const ColumnarTable> columnar;
-
   /// Cached sorted-trie indexes of this block, keyed by column order (see
   /// Relation::TrieView) — the leapfrog multiway-join access path. Guarded
-  /// by `stats_mutex` and invalidated exactly like `columnar`: cleared on
-  /// any in-place mutation, not copied by the copy-on-write clone.
+  /// by `stats_mutex` like the stats and invalidated wherever
+  /// `distinct_counts` is: cleared on any in-place mutation, and not copied
+  /// by the copy-on-write clone (the user-defined copy constructor below
+  /// copies only the rows).
   std::vector<std::pair<std::vector<int>, std::shared_ptr<const TrieIndex>>>
       tries;
 
   /// Cached set form of the rows (see Relation::HashDedup), guarded by
-  /// `stats_mutex` and invalidated exactly like `columnar`. Either
+  /// `stats_mutex` and invalidated exactly like `tries`. Either
   /// `duplicate_free` (the rows are pairwise distinct) or `set_form` points
   /// at the deduplicated block (the first occurrence of each row, in row
   /// order); neither when unknown. Never set on the global empty block, and
@@ -109,7 +103,6 @@ struct RowBlock {
   /// of an exclusively owned block.
   void InvalidateCaches() {
     distinct_counts.clear();
-    columnar.reset();
     tries.clear();
     duplicate_free = false;
     set_form.reset();
@@ -281,29 +274,11 @@ class Relation {
   /// exactly the sequential one: results are byte-identical at any width.
   void HashDedup(const ParallelForFn& pfor);
 
-  /// The cached column-major mirror of this relation's storage, transposing
-  /// on first use (morselized through `pfor` when bound) and cached on the
-  /// shared RowBlock — storage-sharing views share one mirror, and any
-  /// mutation invalidates it, exactly like the distinct-count stats. Null
-  /// for arity-0 or empty relations.
-  std::shared_ptr<const ColumnarTable> ColumnarView(
-      const ParallelForFn& pfor = {}) const;
-
-  /// The cached columnar mirror if one has already been built for the
-  /// current mutation epoch, null otherwise — a peek that never pays the
-  /// transpose. Kernels with a row-layout fallback (e.g. the RowIndex hash
-  /// pass) use it to consume the mirror opportunistically.
-  std::shared_ptr<const ColumnarTable> CachedColumnarView() const {
-    if (arity_ == 0 || empty()) return nullptr;
-    std::lock_guard<std::mutex> lock(block_->stats_mutex);
-    return block_->columnar;
-  }
-
   /// The cached sorted-trie index of this relation's storage over `cols`
   /// (a column order; see trie_index.hpp), built on first use (morselized
   /// through `pfor` when bound) and cached on the shared RowBlock —
   /// storage-sharing views share one trie per column order, and any
-  /// mutation invalidates the cache, exactly like the columnar mirror.
+  /// mutation invalidates the cache, exactly like the distinct-count stats.
   /// Empty relations return an uncached empty trie.
   std::shared_ptr<const TrieIndex> TrieView(const std::vector<int>& cols,
                                             const ParallelForFn& pfor = {}) const;

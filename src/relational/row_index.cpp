@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/status.hpp"
-#include "relational/column_block.hpp"
 
 namespace paraquery {
 
@@ -44,35 +43,13 @@ RowIndex::RowIndex(const Relation& rel, std::vector<int> key_cols,
   hashes_.resize(n);
   next_.assign(n, kNone);
   counts_.assign(n, 0);
-  // Hash pass. When a columnar mirror is already cached for this storage
-  // (a prior vectorized pipeline paid the transpose), fold the hashes from
-  // the contiguous key-column stripes instead of striding the row-major
-  // buffer — same values, same per-column fold order as HashRowAt, so the
-  // hashes and therefore the whole table layout are byte-identical; only
-  // the memory access pattern changes.
-  std::shared_ptr<const ColumnarTable> mirror = rel.CachedColumnarView();
-  size_t chunks;
-  if (mirror != nullptr && mirror->rows() == n && !key_cols_.empty()) {
-    std::vector<const Value*> stripes;
-    stripes.reserve(key_cols_.size());
-    for (int c : key_cols_) stripes.push_back(mirror->col(c));
-    chunks =
-        ForChunks(pfor, n, kBuildGrain, [&](size_t, size_t b, size_t e) {
-          for (size_t r = b; r < e; ++r) hashes_[r] = kRowHashSeed;
-          for (const Value* col : stripes) {
-            for (size_t r = b; r < e; ++r) {
-              hashes_[r] = MixRowHash(hashes_[r], col[r]);
-            }
-          }
-        });
-  } else {
-    chunks =
-        ForChunks(pfor, n, kBuildGrain, [&](size_t, size_t b, size_t e) {
-          for (size_t r = b; r < e; ++r) {
-            hashes_[r] = HashRowAt(*rel_, r, key_cols_);
-          }
-        });
-  }
+  // Hash pass.
+  const size_t chunks =
+      ForChunks(pfor, n, kBuildGrain, [&](size_t, size_t b, size_t e) {
+        for (size_t r = b; r < e; ++r) {
+          hashes_[r] = HashRowAt(*rel_, r, key_cols_);
+        }
+      });
 
   // Shared per-partition insert loop: walks rows of one slot region in
   // increasing row order, appending same-key rows to their chain tail.
@@ -229,37 +206,6 @@ uint32_t RowIndex::Find(const Relation& probe, size_t probe_row,
     }
     return true;
   });
-}
-
-void RowIndex::BatchFind(std::span<const Value* const> probe_cols,
-                         std::span<const uint32_t> sel, uint32_t* heads,
-                         uint64_t* hash_scratch) const {
-  PQ_DCHECK(probe_cols.size() == key_cols_.size(),
-            "RowIndex::BatchFind: key arity");
-  const size_t m = sel.size();
-  if (slots_.empty()) {
-    std::fill(heads, heads + m, kNone);
-    return;
-  }
-  // Stripe hashing: fold each key column over every selected position
-  // before touching a slot — identical fold order to HashRowAt, so the
-  // hashes (and therefore the probes) match the scalar path bit for bit.
-  for (size_t i = 0; i < m; ++i) hash_scratch[i] = kRowHashSeed;
-  for (size_t j = 0; j < probe_cols.size(); ++j) {
-    const Value* col = probe_cols[j];
-    for (size_t i = 0; i < m; ++i) {
-      hash_scratch[i] = MixRowHash(hash_scratch[i], col[sel[i]]);
-    }
-  }
-  for (size_t i = 0; i < m; ++i) {
-    const uint32_t row = sel[i];
-    heads[i] = Probe(hash_scratch[i], [&](uint32_t head) {
-      for (size_t j = 0; j < key_cols_.size(); ++j) {
-        if (IndexedAt(head, key_cols_[j]) != probe_cols[j][row]) return false;
-      }
-      return true;
-    });
-  }
 }
 
 KeyRange::KeyRange(const Relation& rel, int col) {

@@ -90,18 +90,6 @@ class RowIndex {
     return Find(probe, probe_row, probe_cols) != kNone;
   }
 
-  /// Vectorized probe for the columnar kernels: for each selected probe
-  /// position `sel[i]`, reads the key from the column stripes `probe_cols`
-  /// (raw column pointers parallel to this index's key columns), and writes
-  /// the matching chain-head row — or kNone — to `heads[i]`. Hashing runs a
-  /// column stripe at a time through `hash_scratch` (caller-provided, length
-  /// >= sel.size()), folding MixRowHash over each key column for all
-  /// selected positions before any slot is touched; results are exactly
-  /// Find()'s, position by position.
-  void BatchFind(std::span<const Value* const> probe_cols,
-                 std::span<const uint32_t> sel, uint32_t* heads,
-                 uint64_t* hash_scratch) const;
-
   /// Number of distinct keys in the indexed relation.
   size_t distinct_keys() const { return distinct_; }
 

@@ -8,28 +8,60 @@
 // and the leapfrog seek/next-geq primitives are binary searches within the
 // current range (relational/leapfrog.hpp walks it that way).
 //
-// Like the columnar mirror and the per-column distinct-count stats, tries
-// are built lazily and cached on the shared RowBlock (Relation::TrieView):
-// every storage-sharing view of one materialization — relabels, aliases,
-// snapshot pins — sees the same cache, keyed by column order; any mutation
-// (in place or copy-on-write) invalidates it. The tuple buffer settles its
-// capacity bytes against the thread-current MemoryAccountant through the
-// same ColumnBlock accounting RowBlock and the columnar mirror use, so trie
-// construction is charged to the query that triggers it and released when
-// the owning relation mutates or dies.
+// Like the per-column distinct-count stats, tries are built lazily and
+// cached on the shared RowBlock (Relation::TrieView): every storage-sharing
+// view of one materialization — relabels, aliases, snapshot pins — sees the
+// same cache, keyed by column order; any mutation (in place or
+// copy-on-write) invalidates it. The tuple buffer settles its capacity bytes
+// against the thread-current MemoryAccountant through ColumnBlock, the same
+// accounting RowBlock uses, so trie construction is charged to the query
+// that triggers it and released when the owning relation mutates or dies.
 #ifndef PARAQUERY_RELATIONAL_TRIE_INDEX_H_
 #define PARAQUERY_RELATIONAL_TRIE_INDEX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/parallel_for.hpp"
-#include "relational/column_block.hpp"
+#include "common/query_context.hpp"
 #include "relational/relation.hpp"
 #include "relational/value.hpp"
 
 namespace paraquery {
+
+/// A flat buffer of Values, byte-accounted like RowBlock: charges the
+/// thread-current accountant at construction and on Account(), releases on
+/// destruction.
+struct ColumnBlock {
+  std::vector<Value> values;
+
+  std::shared_ptr<MemoryAccountant> accountant;
+  size_t charged_bytes = 0;
+
+  ColumnBlock() : accountant(MemoryAccountant::Current()) {}
+  explicit ColumnBlock(std::vector<Value> v)
+      : values(std::move(v)), accountant(MemoryAccountant::Current()) {
+    Account();
+  }
+  ColumnBlock(const ColumnBlock&) = delete;
+  ColumnBlock& operator=(const ColumnBlock&) = delete;
+  ~ColumnBlock() {
+    if (accountant) accountant->Charge(-static_cast<int64_t>(charged_bytes));
+  }
+
+  /// Brings the charged byte count up to date with the buffer's capacity.
+  void Account() {
+    if (!accountant) return;
+    size_t cap = values.capacity() * sizeof(Value);
+    if (cap == charged_bytes) return;
+    accountant->Charge(static_cast<int64_t>(cap) -
+                       static_cast<int64_t>(charged_bytes));
+    charged_bytes = cap;
+  }
+};
 
 /// Immutable sorted-tuple trie over one column permutation of a relation.
 class TrieIndex {
@@ -71,8 +103,7 @@ class TrieIndex {
 
   std::vector<int> cols_;
   size_t rows_ = 0;
-  /// Byte-accounted flat buffer (ColumnBlock reused purely for its
-  /// MemoryAccountant bookkeeping).
+  /// Byte-accounted flat buffer.
   ColumnBlock tuples_;
 };
 

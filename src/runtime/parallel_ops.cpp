@@ -79,8 +79,10 @@ constexpr uint64_t kDenseSemijoinBitsPerRow = 64;
 NamedRelation ParallelSelect(const NamedRelation& in, const Predicate& pred,
                              const RuntimeOptions& runtime, size_t* morsels) {
   if (pred.empty()) return in;  // identity selection: zero-copy view
-  size_t n = in.size(), arity = in.arity();
-  std::vector<std::vector<Value>> bufs(ChunkCount(n, runtime.morsel_rows));
+  const size_t n = in.size(), arity = in.arity();
+  // Mark pass over morsels: each row's verdict and each morsel's count.
+  std::vector<uint8_t> keep(n, 0);
+  std::vector<size_t> offsets(ChunkCount(n, runtime.morsel_rows), 0);
   size_t chunks = ParallelChunks(
       runtime.scheduler, n, runtime.morsel_rows,
       [&](size_t c, size_t begin, size_t end) {
@@ -88,14 +90,31 @@ NamedRelation ParallelSelect(const NamedRelation& in, const Predicate& pred,
         // after the operator, so a partially filled result never escapes.
         if (runtime.Interrupted()) return;
         TraceSpan span(runtime.tracer, "morsel.select");
-        std::vector<Value>& buf = bufs[c];
+        size_t count = 0;
         for (size_t r = begin; r < end; ++r) {
-          auto row = in.rel().Row(r);
-          if (pred.Eval(row)) buf.insert(buf.end(), row.begin(), row.end());
+          keep[r] = pred.Eval(in.rel().Row(r));
+          count += keep[r];
         }
+        offsets[c] = count;
       });
+  const size_t total = PrefixOffsets(&offsets);
+
+  // Emit pass: every morsel copies its rows once, into its disjoint slice of
+  // one allocation.
+  std::vector<Value> out(total * arity);
+  const Value* src = in.rel().data().data();
+  ParallelChunks(runtime.scheduler, n, runtime.morsel_rows,
+                 [&](size_t c, size_t begin, size_t end) {
+                   if (runtime.Interrupted()) return;
+                   TraceSpan span(runtime.tracer, "morsel.select");
+                   Value* dst = out.data() + offsets[c] * arity;
+                   for (size_t r = begin; r < end; ++r) {
+                     if (!keep[r]) continue;
+                     dst = std::copy_n(src + r * arity, arity, dst);
+                   }
+                 });
   if (morsels != nullptr) *morsels += chunks;
-  return MergeMorsels(in.attrs(), arity, bufs, runtime);
+  return NamedRelation{in.attrs(), Relation(arity, std::move(out))};
 }
 
 NamedRelation ParallelProject(const NamedRelation& in,

@@ -173,11 +173,6 @@ inline constexpr size_t kDefaultMorselRows = 4096;
 struct RuntimeOptions {
   TaskScheduler* scheduler = nullptr;  // not owned; null = sequential
   size_t morsel_rows = kDefaultMorselRows;
-  /// Minimum source rows for a Materialize boundary to engage the vectorized
-  /// columnar pipeline; smaller sources run their chain row-at-a-time (the
-  /// transpose and batch setup cost more than they save on typical Datalog
-  /// delta batches). Mirrors EngineOptions::vec_min_source_rows.
-  size_t vec_min_source_rows = 256;
   /// Shared abort state (deadline, cancellation, memory budget) of the
   /// running query, armed by the Engine. Not owned; null = unhardened
   /// execution with no abort polling.
@@ -190,6 +185,9 @@ struct RuntimeOptions {
   Tracer* tracer = nullptr;
   const QueryMetrics* metrics = nullptr;
   PlanCapture* analyze = nullptr;
+  /// No effect; read or set only by pqbench; delete with its uses (ROADMAP
+  /// item 2).
+  size_t vec_min_source_rows = 256;
 
   bool parallel() const {
     return scheduler != nullptr && scheduler->threads() > 1;

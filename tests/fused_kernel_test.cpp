@@ -347,8 +347,9 @@ TEST(AnswerPathTest, JoinProjectIsSortedIffItsKeyLeadsTheHead) {
       PhysicalPlan plan = PlanAcyclicCq(db, q).ValueOrDie();
       NamedRelation bindings =
           ExecutePhysicalPlan(plan, {}, nullptr, runtime).ValueOrDie();
-      // K = {x}, the left column the output keeps: a prefix of (x, z) only.
-      EXPECT_EQ(bindings.rel().sorted(), text[2] == 'x');
+      // The left atom holds the head's first variable, so K, the left
+      // column the output keeps, leads the head: x for (x, z), z for (z, x).
+      EXPECT_TRUE(bindings.rel().sorted());
       Relation answers = AcyclicEvaluate(db, q, ctx).ValueOrDie();
       EXPECT_TRUE(answers.sorted());
       EXPECT_TRUE(answers.StrictlyIncreasing());
@@ -388,7 +389,7 @@ TEST(FusedPlanTest, LessThanJoinIsOneFilteredJoinProject) {
   ASSERT_EQ(root.children.size(), 2u);
   EXPECT_EQ(root.children[0]->op, PlanOp::kScan);
   EXPECT_EQ(root.children[1]->op, PlanOp::kScan);
-  for (const char* op : {"Select", "Dedup", "Materialize", "Project("}) {
+  for (const char* op : {"Select", "Dedup", "Project("}) {
     EXPECT_EQ(render.find(op), std::string::npos) << op << "\n" << render;
   }
   const Relation want = BacktrackEvaluateCq(db, q).ValueOrDie();

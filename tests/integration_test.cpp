@@ -2,6 +2,9 @@
 // on the same queries — the strongest correctness signal the library has.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "eval/acyclic.hpp"
@@ -150,6 +153,126 @@ TEST(PaperExamplesTest, AllThreeRunningExamples) {
   auto higher = e3.Run(HigherPaidThanManagerQuery()).ValueOrDie();
   EXPECT_TRUE(higher.EqualsAsSet(
       NaiveEvaluateCq(firm, HigherPaidThanManagerQuery()).ValueOrDie()));
+}
+
+// Width differential on the row executor: every plan-routed engine answers
+// byte for byte as at one thread when it runs at threads 4, or with small
+// morsels so that tiny inputs split, and a CQ's answer equals the
+// backtracking oracle's byte for byte.
+struct WidthSetting {
+  size_t threads;
+  size_t morsel_rows;
+};
+
+constexpr WidthSetting kWidths[] = {
+    {1, 32}, {4, kDefaultMorselRows}, {4, 32}};
+
+Engine MakeEngine(const Database& db, const WidthSetting& w) {
+  EngineOptions options;
+  options.threads = w.threads;
+  options.morsel_rows = w.morsel_rows;
+  return Engine(db, options);
+}
+
+std::string WidthTrace(const WidthSetting& w) {
+  return "threads=" + std::to_string(w.threads) +
+         " morsel_rows=" + std::to_string(w.morsel_rows);
+}
+
+struct EngineWorkload {
+  const char* label;
+  const char* text;
+  bool cq;
+};
+
+constexpr EngineWorkload kWorkloads[] = {
+    {"cyclic_triangle", "ans(x) :- E(x, y), E(y, z), E(z, x).", true},
+    {"cyclic_ineq", "ans(x, z) :- E(x, y), E(y, z), x != z.", true},
+    {"ucq", "ans(x) := exists y . (E(x, y) or E(y, x)).", false},
+    {"datalog", "tc(x, y) :- E(x, y).\ntc(x, y) :- E(x, z), tc(z, y).\n",
+     false},
+};
+
+TEST(RowPathDifferentialTest, ByteIdenticalAcrossEnginesAndWidths) {
+  for (uint64_t seed : {3u, 11u, 29u}) {
+    Database big = GraphDatabase(GnpRandom(120, 4.0 / 120, seed));
+    Database small = GraphDatabase(GnpRandom(12, 0.3, seed));
+    for (Database* db : {&big, &small}) {
+      Engine reference(*db);
+      for (const EngineWorkload& w : kWorkloads) {
+        SCOPED_TRACE(std::string(w.label) + " seed=" + std::to_string(seed) +
+                     (db == &big ? " big" : " small"));
+        auto want = reference.RunText(w.text);
+        ASSERT_TRUE(want.ok()) << want.status();
+        if (w.cq) {
+          auto q = ParseConjunctive(w.text).ValueOrDie();
+          Relation oracle = BacktrackEvaluateCq(*db, q).ValueOrDie();
+          ASSERT_EQ(want.value().size(), oracle.size());
+          EXPECT_TRUE(want.value().data() == oracle.data());
+        }
+        for (const WidthSetting& width : kWidths) {
+          SCOPED_TRACE(WidthTrace(width));
+          auto got = MakeEngine(*db, width).RunText(w.text);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ASSERT_EQ(got.value().arity(), want.value().arity());
+          ASSERT_EQ(got.value().size(), want.value().size());
+          EXPECT_TRUE(got.value().data() == want.value().data());
+        }
+      }
+    }
+  }
+}
+
+TEST(RowPathDifferentialTest, RandomCqsByteIdentical) {
+  // Random CQs of two to four binary atoms over two relations, half of them
+  // with a comparison (var != var, or var < const).
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 131 + 7);
+    Database db;
+    const char* names[] = {"R0", "R1"};
+    for (const char* name : names) {
+      RelId id = db.AddRelation(name, 2).ValueOrDie();
+      int rows = 300 + static_cast<int>(rng.Below(300));
+      for (int i = 0; i < rows; ++i) {
+        db.relation(id).Add({rng.Range(0, 40), rng.Range(0, 40)});
+      }
+    }
+    ConjunctiveQuery q;
+    int num_atoms = 2 + static_cast<int>(rng.Below(3));
+    std::vector<VarId> pool = {q.vars.Intern("v0")};
+    for (int i = 0; i < num_atoms; ++i) {
+      VarId shared = pool[rng.Below(pool.size())];
+      VarId fresh = q.vars.Intern(std::string("v") + std::to_string(i + 1));
+      Atom a{names[rng.Below(2)], {Term::Var(shared), Term::Var(fresh)}};
+      if (rng.Chance(0.5)) std::swap(a.terms[0], a.terms[1]);
+      q.body.push_back(a);
+      pool.push_back(fresh);
+    }
+    if (rng.Chance(0.5)) {
+      VarId x = pool[rng.Below(pool.size())];
+      VarId y = pool[rng.Below(pool.size())];
+      if (x != y && rng.Chance(0.5)) {
+        q.comparisons.push_back({CompareOp::kNeq, Term::Var(x), Term::Var(y)});
+      } else {
+        q.comparisons.push_back(
+            {CompareOp::kLt, Term::Var(x), Term::Const(rng.Range(5, 35))});
+      }
+    }
+    q.head = {Term::Var(pool[0]), Term::Var(pool[pool.size() / 2])};
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " q=" + q.ToString());
+    auto want = Engine(db).Run(q);
+    ASSERT_TRUE(want.ok()) << want.status();
+    Relation oracle = BacktrackEvaluateCq(db, q).ValueOrDie();
+    ASSERT_EQ(want.value().size(), oracle.size());
+    EXPECT_TRUE(want.value().data() == oracle.data());
+    for (const WidthSetting& width : kWidths) {
+      SCOPED_TRACE(WidthTrace(width));
+      auto got = MakeEngine(db, width).Run(q);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_EQ(got.value().size(), want.value().size());
+      EXPECT_TRUE(got.value().data() == want.value().data());
+    }
+  }
 }
 
 }  // namespace

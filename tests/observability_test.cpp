@@ -114,9 +114,7 @@ TEST(TracingDifferentialTest, DatalogFixpointTraceHasHierarchySpans) {
   EngineOptions options;
   options.threads = 4;
   options.trace = true;
-  // Row-at-a-time operators and small morsels: the trace must show the
-  // morsel tier, not just vectorized batches.
-  options.vectorize = false;
+  // Small morsels: the trace must show the morsel tier.
   options.morsel_rows = 256;
   Engine engine(db, options);
   auto result = engine.RunText(kDatalogTc, &db.dict());

@@ -194,8 +194,7 @@ TEST(PlanCacheTest, EveryPlannerOptionIsPartOfTheKey) {
   ctx.plan_cache = &cache;
   auto reference = NaiveEvaluateCq(db, q, ctx).ValueOrDie();
   for (bool PlannerOptions::* field :
-       {&PlannerOptions::full_reducer, &PlannerOptions::vectorize,
-        &PlannerOptions::wcoj}) {
+       {&PlannerOptions::full_reducer, &PlannerOptions::wcoj}) {
     const size_t entries = cache.stats().entries;
     ctx.planner.*field = !(ctx.planner.*field);
     auto out = NaiveEvaluateCq(db, q, ctx).ValueOrDie();

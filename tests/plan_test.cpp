@@ -141,10 +141,9 @@ TEST(PlanGoldenTest, AcyclicPathQuery) {
             "    Semijoin(c, d) est=2\n"
             "      Scan(c, d) E(c, d) see #2\n"
             "      Semijoin(b, c) see #1\n"
-            "  Project(b, a) est=2\n"
-            "    Semijoin(a, b) est=2\n"
-            "      Scan(a, b) E(a, b) see #3\n"
-            "      Semijoin(b, c) see #1\n");
+            "  Semijoin(a, b) est=2\n"
+            "    Scan(a, b) E(a, b) see #3\n"
+            "    Semijoin(b, c) see #1\n");
 }
 
 TEST(PlanGoldenTest, CountFourCycleSumsOutBagVariables) {
@@ -200,14 +199,13 @@ TEST(PlanGoldenTest, CyclicTriangleWithInequality) {
   // (Relation::DistinctCount) — for GoldenDb's E, V(col0)=3 and V(col1)=4.
   EXPECT_EQ(plan.Render(),
             "Dedup(x) est=1\n"
-            "  Materialize(x) est=1\n"
-            "    Project(x) [vec] est=1\n"
-            "      HashJoin(x, y, z) [vec] est=1\n"
-            "        HashJoin(x, y, z) [vec] est=4\n"
-            "          Select(x, y) [vec] $0!=$1 est=4\n"
-            "            Scan(x, y) [vec] E(x, y) rows=4\n"
-            "          Scan(y, z) E(y, z) rows=4\n"
-            "        Scan(z, x) E(z, x) rows=4\n");
+            "  Project(x) est=1\n"
+            "    HashJoin(x, y, z) est=1\n"
+            "      HashJoin(x, y, z) est=4\n"
+            "        Select(x, y) $0!=$1 est=4\n"
+            "          Scan(x, y) E(x, y) rows=4\n"
+            "        Scan(y, z) E(y, z) rows=4\n"
+            "      Scan(z, x) E(z, x) rows=4\n");
 }
 
 TEST(PlanGoldenTest, DatalogTransitiveClosure) {
@@ -219,15 +217,13 @@ TEST(PlanGoldenTest, DatalogTransitiveClosure) {
             "Fixpoint(tc) [semi-naive, 2 rules; delta-substituted variants "
             "are planned at first firing]\n"
             "  rule 0: tc(x,y) :- E(x,y).\n"
-            "    Materialize(x, y) est=4\n"
-            "      Project(x, y) [vec] est=4\n"
-            "        Scan(x, y) [vec] E(x, y) rows=4\n"
+            "    Project(x, y) est=4\n"
+            "      Scan(x, y) E(x, y) rows=4\n"
             "  rule 1: tc(x,y) :- E(x,z), tc(z,y).\n"
-            "    Materialize(x, y) est=?\n"
-            "      Project(x, y) [vec] est=?\n"
-            "        HashJoin(z, y, x) [vec] est=?\n"
-            "          Scan(z, y) [vec] tc(z, y) rows=?\n"
-            "          Scan(x, z) E(x, z) rows=4\n");
+            "    Project(x, y) est=?\n"
+            "      HashJoin(z, y, x) est=?\n"
+            "        Scan(z, y) tc(z, y) rows=?\n"
+            "        Scan(x, z) E(x, z) rows=4\n");
 }
 
 TEST(PlanGoldenTest, StringConstantsRenderByName) {
@@ -269,15 +265,13 @@ TEST(PlanGoldenTest, StringConstantsRenderByName) {
             "Fixpoint(reach) [semi-naive, 2 rules; delta-substituted "
             "variants are planned at first firing]\n"
             "  rule 0: reach(x) :- N('bob',x).\n"
-            "    Materialize(x) est=2\n"
-            "      Project(x) [vec] est=2\n"
-            "        Scan(x) [vec] N('bob', x) rows=2\n"
+            "    Project(x) est=2\n"
+            "      Scan(x) N('bob', x) rows=2\n"
             "  rule 1: reach(y) :- reach(x), E(x,y).\n"
-            "    Materialize(y) est=?\n"
-            "      Project(y) [vec] est=?\n"
-            "        HashJoin(x, y) [vec] est=?\n"
-            "          Scan(x) [vec] reach(x) rows=?\n"
-            "          Scan(x, y) E(x, y) rows=4\n");
+            "    Project(y) est=?\n"
+            "      HashJoin(x, y) est=?\n"
+            "        Scan(x) reach(x) rows=?\n"
+            "        Scan(x, y) E(x, y) rows=4\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +622,8 @@ TEST(EnginePlanTest, PlanTextOfTheTheorem2RouteIsTheColorCodingPlan) {
 
 TEST(EnginePlanTest, PlanTextShowsTheExecutedPlanUnderEveryToggle) {
   // `.plan` must render with the planner options Run executes under: a
-  // MultiwayJoin or Materialize node appears in the rendered plan exactly
-  // when it appears in the executed one.
+  // MultiwayJoin node appears in the rendered plan exactly when it appears
+  // in the executed one.
   Database db = GraphDb(GnpRandom(12, 0.4, 3));
   const char* queries[] = {
       "ans(x) :- E(x, y), E(y, z), E(z, x).",
@@ -641,25 +635,19 @@ TEST(EnginePlanTest, PlanTextShowsTheExecutedPlanUnderEveryToggle) {
   };
   for (const char* text : queries) {
     for (bool wcoj : {false, true}) {
-      for (bool vectorize : {false, true}) {
-        SCOPED_TRACE(testing::Message() << text << " wcoj=" << wcoj
-                                        << " vectorize=" << vectorize);
-        EngineOptions options;
-        options.wcoj = wcoj;
-        options.vectorize = vectorize;
-        Engine engine(db, options);
-        auto planned = engine.PlanText(text);
-        auto analyzed = engine.AnalyzeText(text);
-        ASSERT_TRUE(planned.ok()) << planned.status();
-        ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-        for (const char* op : {"MultiwayJoin", "Materialize"}) {
-          EXPECT_EQ(planned.value().find(op) != std::string::npos,
-                    analyzed.value().find(op) != std::string::npos)
-              << op << "\nplan:\n"
-              << planned.value() << "analyzed:\n"
-              << analyzed.value();
-        }
-      }
+      SCOPED_TRACE(testing::Message() << text << " wcoj=" << wcoj);
+      EngineOptions options;
+      options.wcoj = wcoj;
+      Engine engine(db, options);
+      auto planned = engine.PlanText(text);
+      auto analyzed = engine.AnalyzeText(text);
+      ASSERT_TRUE(planned.ok()) << planned.status();
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+      EXPECT_EQ(planned.value().find("MultiwayJoin") != std::string::npos,
+                analyzed.value().find("MultiwayJoin") != std::string::npos)
+          << "plan:\n"
+          << planned.value() << "analyzed:\n"
+          << analyzed.value();
     }
   }
 }

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "relational/ops.hpp"
 #include "relational/row_index.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 namespace {
@@ -86,6 +87,51 @@ TEST(RowIndexTest, ProbeFromAnotherRelation) {
   uint32_t r = index.Find(probe, 0, probe_cols);
   ASSERT_NE(r, RowIndex::kNone);
   EXPECT_EQ(build.At(r, 1), 40);
+}
+
+Relation RandomRelation(Rng& rng, size_t arity, size_t rows, Value domain) {
+  Relation rel(arity);
+  std::vector<Value> row(arity);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < arity; ++c) row[c] = rng.Range(0, domain);
+    rel.Add(row);
+  }
+  return rel;
+}
+
+// RowIndex and HashDedup are pure functions of the input rows, never of the
+// execution width.
+TEST(ParallelEquivalenceTest, RowIndexIdenticalAtAnyWidth) {
+  Rng rng(15);
+  Relation build = RandomRelation(rng, 2, 40'000, 500);
+  Relation probe = RandomRelation(rng, 2, 1'000, 500);
+  RowIndex seq(build, {0});
+  TaskScheduler scheduler(4);
+  RowIndex par(build, {0}, MakeParallelFor(&scheduler));
+  ASSERT_EQ(par.distinct_keys(), seq.distinct_keys());
+  for (size_t r = 0; r < probe.size(); ++r) {
+    uint32_t a = seq.Find(probe, r, std::vector<int>{0});
+    uint32_t b = par.Find(probe, r, std::vector<int>{0});
+    ASSERT_EQ(a, b) << "probe row " << r;
+    for (; a != RowIndex::kNone; a = seq.Next(a), b = par.Next(b)) {
+      ASSERT_EQ(a, b);
+      ASSERT_EQ(seq.MatchCount(a), par.MatchCount(b));
+    }
+    ASSERT_EQ(b, RowIndex::kNone);
+  }
+}
+
+TEST(ParallelEquivalenceTest, HashDedupIdenticalAtAnyWidth) {
+  Rng rng(16);
+  // Heavy duplication so the dedup actually removes rows.
+  Relation rel = RandomRelation(rng, 2, 50'000, 60);
+  Relation seq = rel;
+  Relation par = rel;
+  seq.HashDedup();
+  TaskScheduler scheduler(4);
+  par.HashDedup(MakeParallelFor(&scheduler));
+  ASSERT_EQ(par.size(), seq.size());
+  EXPECT_TRUE(par.data() == seq.data());
 }
 
 TEST(RowHashSetTest, InsertDeduplicatesAndGrows) {

@@ -121,6 +121,18 @@ TEST(TrieViewTest, BuildChargesTheThreadCurrentAccountant) {
   EXPECT_EQ(accountant->used(), 0u);  // everything released on unwind
 }
 
+TEST(ColumnBlockTest, ChargesAndReleasesTheThreadAccountant) {
+  auto accountant = std::make_shared<MemoryAccountant>();
+  ScopedMemoryAccounting scope(accountant);
+  uint64_t before = accountant->used();
+  {
+    std::vector<Value> values(1000, 7);
+    ColumnBlock block(std::move(values));
+    EXPECT_GE(accountant->used(), before + 1000 * sizeof(Value));
+  }
+  EXPECT_EQ(accountant->used(), before);
+}
+
 TEST(TrieViewTest, EmptyRelationYieldsEmptyUncachedTrie) {
   Relation r(2);
   auto t = r.TrieView({0, 1});
